@@ -5,7 +5,9 @@ solution order: membership of the event edge in the order (by provenance),
 equality of the endpoint colors, and whether the clique grows or shrinks.
 Repair is local: the recorded contraction sequence is replayed on the
 perturbed graph, invalid records are dropped, and replacements are searched
-first among vertices adjacent to the affected ones.
+first among vertices adjacent to the affected ones. Two cases need no
+repair at all and return the state as it is: I-1, and D-1 when the held
+clique misses an endpoint of the deleted edge.
 """
 
 from __future__ import annotations
@@ -490,23 +492,56 @@ def _fallback(graph: Graph, old: ColoringState) -> tuple[ColoringState, frozense
     return ColoringState(graph, coloring, k, clique, SolutionOrder(records)), recolored
 
 
+def _unchanged(
+    state: ColoringState, graph: Graph, kind: str, case: str, u: int, v: int
+) -> tuple[ColoringState, UpdateReport]:
+    """`state` moved onto the perturbed `graph` with coloring, clique and order kept."""
+    k = state.color_count
+    new_state = ColoringState(
+        graph, dict(state.coloring), k, state.clique, SolutionOrder(list(state.order))
+    )
+    report = UpdateReport(
+        kind=kind,
+        u=u,
+        v=v,
+        case_label=case,
+        recolored=frozenset(),
+        pairs_removed=[],
+        pairs_added=[],
+        colors_before=k,
+        colors_after=k,
+        omega_before=k,
+        omega_after=k,
+    )
+    return new_state, report
+
+
 def insert_update(state: ColoringState, u: int, v: int) -> tuple[ColoringState, UpdateReport]:
-    """Re-establish an optimal coloring after inserting edge (u,v)."""
+    """Re-establish an optimal coloring after inserting edge (u,v).
+
+    I-1 (no record merges u's side with v's side, and u and v differ in
+    color) returns the state unchanged, without a replay. Proof: the
+    coloring stays proper, so omega(G+uv) <= chi(G+uv) <= k and the old
+    clique still certifies k. Replaying the order on G+uv, the quotient
+    before each record gains at most the edge between the classes of u and
+    v; no record pairs those two classes, so every record stays
+    non-adjacent and fires in turn. The classes of u and v never merge, so
+    they were already adjacent in the final k-clique, which is unchanged.
+    """
     g = state.graph
     h = g.insert_edge(u, v)  # raises if present / unknown
     matches = matching_records(g, state.order, u, v)
     same_color = state.coloring[u] == state.coloring[v]
+    if not matches and not same_color:
+        return _unchanged(state, h, "insert", "I-1", u, v)
     witness = _growth_witness(state, u, v)
     grows = witness is not None
     omega_b = state.color_count
 
     if matches:
         case = "I-3-2" if grows else "I-3-1"
-    elif same_color:
-        case = "I-2-2" if grows else "I-2-1"
     else:
-        case = "I-1"
-        assert not grows, "clique cannot grow across differently-colored endpoints"
+        case = "I-2-2" if grows else "I-2-1"
 
     fallback = False
     expected = omega_b + (1 if grows else 0)
@@ -560,10 +595,7 @@ def insert_update(state: ColoringState, u: int, v: int) -> tuple[ColoringState, 
         removed, added = res.removed, res.added
         order = SolutionOrder(res.records)
 
-        if case == "I-1":
-            coloring, recolored = dict(state.coloring), frozenset()
-            clique, count = state.clique, omega_b
-        elif case == "I-2-1":
+        if case == "I-2-1":
             coloring = dict(state.coloring)
             count, clique = omega_b, state.clique
             c = _greedy_recolor(h, coloring, u, omega_b)
@@ -617,8 +649,18 @@ def delete_update(state: ColoringState, u: int, v: int) -> tuple[ColoringState, 
     The endpoints of a present edge are differently colored and never form
     an order pair, so only the clique-size question remains: replay the
     order and contract the one extra two-pair when the clique shrank.
+
+    When the held clique misses u or v (D-1) the state is returned
+    unchanged, without a replay. Proof: the clique survives the deletion, so
+    omega stays k, and the coloring stays proper. Deleting an edge never
+    makes a non-adjacent pair adjacent, so every record still fires in
+    turn. The final quotient stays complete: were two of its classes
+    non-adjacent, merging them would color G-uv with k-1 colors below the
+    surviving k-clique.
     """
     g2 = state.graph.delete_edge(u, v)  # raises if absent
+    if u not in state.clique or v not in state.clique:
+        return _unchanged(state, g2, "delete", "D-1", u, v)
     omega_b = state.color_count
     fallback = False
 
@@ -627,9 +669,11 @@ def delete_update(state: ColoringState, u: int, v: int) -> tuple[ColoringState, 
             res = replay_repair(g2, state.order, {u, v}, strict=True)
             lifted_coloring, clique, k = lift(res.records, res.chain)
         else:
-            # exact local recount: omega is unchanged iff g-(u,v) still has an
-            # omega clique, and when it drops every old maximum clique
-            # contained the edge, so state.clique - {u} certifies omega - 1
+            # exact recount, searched over the whole graph (exponential in
+            # the worst case, not local): omega is unchanged iff g-(u,v)
+            # still has an omega clique, and when it drops every old maximum
+            # clique contained the edge, so state.clique - {u} certifies
+            # omega - 1
             ids = g2.vertices
             mask = _find_clique(g2.adj_masks(), (1 << g2.n) - 1, omega_b)
             if mask is not None:

@@ -5,14 +5,18 @@ carries a provenance set recording which original vertices were merged into
 it (a singleton for ordinary vertices, a union for merged ones). Graphs are
 value-like: every mutating operation returns a new ``Graph``.
 
-Internally adjacency is kept both as id -> neighbor-id bitmask-free sets and
-as positional bitmasks, so that the recognition algorithms can run BFS on
-python ints.
+Internally the live ids are kept sorted, and adjacency is one python-int
+bitmask per vertex, indexed by sorted position: bit j of the mask at
+position i is set iff ``ids[i]`` and ``ids[j]`` are adjacent. The
+recognition algorithms run BFS directly on these masks, and edge insertion,
+deletion, contraction and complementation derive the child's masks from the
+parent's without going through an edge list.
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 
@@ -40,7 +44,7 @@ class Graph:
         if len(set(self._ids)) != len(self._ids):
             raise GraphError("duplicate vertex id")
         self._pos = {v: i for i, v in enumerate(self._ids)}
-        self._adj = {v: 0 for v in self._ids}
+        self._adj = [0] * len(self._ids)
         for u, v in edges:
             self._add_edge_unchecked(u, v)
         if provenance is None:
@@ -51,6 +55,25 @@ class Graph:
             next_id = max(self._ids, default=-1) + 1
         self._next_id = next_id
 
+    @classmethod
+    def _from_masks(
+        cls,
+        ids: tuple[int, ...],
+        pos: dict[int, int],
+        adj: list[int],
+        prov: dict[int, frozenset[int]],
+        next_id: int,
+    ) -> "Graph":
+        """Wrap already-consistent parts without validation.
+
+        ``ids`` must be sorted, ``pos`` its inverse, ``adj`` symmetric and
+        loop-free. The parts are shared, never copied: no ``Graph`` mutates
+        them after construction.
+        """
+        g = cls.__new__(cls)
+        g._ids, g._pos, g._adj, g._prov, g._next_id = ids, pos, adj, prov, next_id
+        return g
+
     def _add_edge_unchecked(self, u: int, v: int) -> None:
         if u == v:
             raise GraphError(f"self-loop at {u}")
@@ -58,10 +81,10 @@ class Graph:
             pu, pv = self._pos[u], self._pos[v]
         except KeyError as exc:
             raise GraphError(f"unknown vertex {exc.args[0]}") from None
-        if self._adj[u] >> pv & 1:
+        if self._adj[pu] >> pv & 1:
             raise GraphError(f"duplicate edge ({u},{v})")
-        self._adj[u] |= 1 << pv
-        self._adj[v] |= 1 << pu
+        self._adj[pu] |= 1 << pv
+        self._adj[pv] |= 1 << pu
 
     # -- basic queries ----------------------------------------------------
 
@@ -77,13 +100,13 @@ class Graph:
         return v in self._pos
 
     def has_edge(self, u: int, v: int) -> bool:
-        pv = self._pos.get(v)
-        if pv is None or u not in self._pos:
+        pu, pv = self._pos.get(u), self._pos.get(v)
+        if pu is None or pv is None:
             return False
-        return bool(self._adj[u] >> pv & 1)
+        return bool(self._adj[pu] >> pv & 1)
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        mask = self._adj[v]
+        mask = self._adj[self._pos[v]]
         ids = self._ids
         out = []
         while mask:
@@ -93,20 +116,21 @@ class Graph:
         return tuple(out)
 
     def degree(self, v: int) -> int:
-        return self._adj[v].bit_count()
+        return self._adj[self._pos[v]].bit_count()
 
     def edges(self) -> Iterator[tuple[int, int]]:
-        for i, u in enumerate(self._ids):
-            mask = self._adj[u] >> (i + 1)
+        ids = self._ids
+        for i, u in enumerate(ids):
+            mask = self._adj[i] >> (i + 1)
             j = i + 1
             while mask:
                 if mask & 1:
-                    yield (u, self._ids[j])
+                    yield (u, ids[j])
                 mask >>= 1
                 j += 1
 
     def edge_count(self) -> int:
-        return sum(self._adj[v].bit_count() for v in self._ids) // 2
+        return sum(m.bit_count() for m in self._adj) // 2
 
     def provenance(self, v: int) -> frozenset[int]:
         return self._prov[v]
@@ -125,21 +149,27 @@ class Graph:
 
     def adj_mask(self, v: int) -> int:
         """Bitmask of neighbor positions of v."""
-        return self._adj[v]
+        return self._adj[self._pos[v]]
 
     def adj_masks(self) -> list[int]:
-        """Adjacency bitmasks in positional order."""
-        return [self._adj[v] for v in self._ids]
+        """Adjacency bitmasks in positional order (a fresh list)."""
+        return list(self._adj)
 
     # -- value-like mutation ----------------------------------------------
 
-    def _clone(self, edges, ids=None, prov=None, next_id=None) -> "Graph":
+    def _clone(self, edges, ids=None, prov=None) -> "Graph":
         return Graph(
             self._ids if ids is None else ids,
             edges,
             self._prov if prov is None else prov,
-            self._next_id if next_id is None else next_id,
+            self._next_id,
         )
+
+    def _with_edge_flipped(self, pu: int, pv: int) -> "Graph":
+        adj = list(self._adj)
+        adj[pu] ^= 1 << pv
+        adj[pv] ^= 1 << pu
+        return Graph._from_masks(self._ids, self._pos, adj, self._prov, self._next_id)
 
     def insert_edge(self, u: int, v: int) -> "Graph":
         if u not in self._pos or v not in self._pos:
@@ -148,13 +178,12 @@ class Graph:
             raise GraphError(f"self-loop at {u}")
         if self.has_edge(u, v):
             raise GraphError(f"edge ({u},{v}) already present")
-        return self._clone(list(self.edges()) + [(u, v)])
+        return self._with_edge_flipped(self._pos[u], self._pos[v])
 
     def delete_edge(self, u: int, v: int) -> "Graph":
         if not self.has_edge(u, v):
             raise GraphError(f"edge ({u},{v}) absent")
-        pair = frozenset((u, v))
-        return self._clone(e for e in self.edges() if frozenset(e) != pair)
+        return self._with_edge_flipped(self._pos[u], self._pos[v])
 
     def contract_pair(self, x: int, y: int, z: Optional[int] = None) -> tuple["Graph", int]:
         """Merge non-adjacent x and y into a fresh vertex z.
@@ -162,46 +191,64 @@ class Graph:
         z is adjacent to N(x) | N(y) and its provenance is the union of the
         parents' provenances. Two-pair validity is *not* checked here; the
         coloring layer owns that contract.
+
+        Each surviving mask loses the bits of x and y, and gains a bit at z's
+        sorted position, set where x or y was a neighbor.
         """
         if self.has_edge(x, y):
             raise GraphError(f"cannot contract adjacent pair ({x},{y})")
         if x not in self._pos or y not in self._pos:
             raise GraphError(f"unknown vertex in ({x},{y})")
+        if x == y:
+            raise GraphError(f"cannot contract {x} with itself")
         if z is None:
             z = self._next_id
         if z in self._pos:
             raise GraphError(f"contracted id {z} already live")
-        merged = set(self.neighbors(x)) | set(self.neighbors(y))
-        merged.discard(x)
-        merged.discard(y)
-        ids = [v for v in self._ids if v not in (x, y)] + [z]
-        edges = [e for e in self.edges() if x not in e and y not in e]
-        edges += [(z, w) for w in sorted(merged)]
-        prov = {v: self._prov[v] for v in self._ids if v not in (x, y)}
-        prov[z] = self._prov[x] | self._prov[y]
-        return self._clone(edges, ids=ids, prov=prov, next_id=max(self._next_id, z + 1)), z
+        lo, hi = sorted((self._pos[x], self._pos[y]))
+        rest = self._ids[:lo] + self._ids[lo + 1 : hi] + self._ids[hi + 1 :]
+        q = bisect_left(rest, z)
+        ids = rest[:q] + (z,) + rest[q:]
+        # squeeze bits lo and hi out of every mask
+        below_lo = (1 << lo) - 1
+        between = (1 << (hi - lo - 1)) - 1
+        adj = [
+            m & below_lo | (m >> (lo + 1) & between) << lo | m >> (hi + 1) << (hi - 1)
+            for m in self._adj
+        ]
+        nb = adj[lo] | adj[hi]
+        del adj[hi], adj[lo]
+        zmask = nb
+        if q < len(adj):  # z is not the largest id: open bit q
+            below_q = (1 << q) - 1
+            adj = [m & below_q | m >> q << (q + 1) for m in adj]
+            zmask = nb & below_q | nb >> q << (q + 1)
+        zbit = 1 << q
+        while nb:
+            low = nb & -nb
+            adj[low.bit_length() - 1] |= zbit
+            nb ^= low
+        adj.insert(q, zmask)
+        prov = dict(self._prov)
+        prov[z] = prov.pop(x) | prov.pop(y)
+        pos = {v: i for i, v in enumerate(ids)}
+        return Graph._from_masks(ids, pos, adj, prov, max(self._next_id, z + 1)), z
 
     # -- derived constructions ---------------------------------------------
 
     def complement(self) -> "Graph":
-        edges = [
-            (u, v)
-            for i, u in enumerate(self._ids)
-            for v in self._ids[i + 1 :]
-            if not self.has_edge(u, v)
-        ]
-        return self._clone(edges)
+        full = (1 << len(self._ids)) - 1
+        adj = [full & ~m & ~(1 << i) for i, m in enumerate(self._adj)]
+        return Graph._from_masks(self._ids, self._pos, adj, self._prov, self._next_id)
 
     def square(self) -> "Graph":
-        full = 0
+        adj = self._adj
         edges = []
         for i, u in enumerate(self._ids):
-            mu = self._adj[u]
+            mu = adj[i]
             for j in range(i + 1, len(self._ids)):
-                v = self._ids[j]
-                if mu >> j & 1 or mu & self._adj[v]:
-                    edges.append((u, v))
-            full |= 1 << i
+                if mu >> j & 1 or mu & adj[j]:
+                    edges.append((u, self._ids[j]))
         return self._clone(edges)
 
     def line_graph(self) -> "Graph":
@@ -239,7 +286,7 @@ class Graph:
         return self._ids == other._ids and self._adj == other._adj
 
     def __hash__(self) -> int:
-        return hash((self._ids, tuple(self._adj[v] for v in self._ids)))
+        return hash((self._ids, tuple(self._adj)))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.edge_count()})"

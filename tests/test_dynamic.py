@@ -12,14 +12,17 @@ from timcolor.dynamic_coloring import (
     delete_update,
     insert_update,
     matching_records,
+    replay_repair,
 )
 from timcolor.generators import random_weakly_chordal
 from timcolor.graph import GraphError, make_graph
 from timcolor.harness import gen_event
 from timcolor.oracles import oracle_chromatic
+from timcolor.recognition import stays_weakly_chordal_after_delete
 from timcolor.static_coloring import (
     ColoringState,
     SolutionOrder,
+    lift_coloring,
     static_color,
     verify_state,
 )
@@ -213,3 +216,100 @@ class TestEquivalence:
         base = static_color(fig6)
         hits = matching_records(fig6, base.order, 1, 4)
         assert pair_sets(hits) >= {frozenset((1, 4))}
+
+
+FIGURES = ("fig2_case1.json", "fig6.json", "fig8.json", "fig9.json")
+
+
+def i1_events(state):
+    """Non-edges off every order pair whose endpoints differ in color."""
+    g, col = state.graph, state.coloring
+    ids = g.vertices
+    for i, u in enumerate(ids):
+        for v in ids[i + 1 :]:
+            if (
+                not g.has_edge(u, v)
+                and col[u] != col[v]
+                and not matching_records(g, state.order, u, v)
+            ):
+                yield u, v
+
+
+def d1_shortcut_events(state):
+    """Admissible deletions with an endpoint outside the held clique."""
+    g = state.graph
+    for u, v in g.edges():
+        if (u not in state.clique or v not in state.clique) and (
+            stays_weakly_chordal_after_delete(g, u, v)
+        ):
+            yield u, v
+
+
+def random_static_state(seed):
+    rng = random.Random(seed)
+    g = random_weakly_chordal(rng.randint(3, 9), rng.randint(1, 12), rng)
+    return static_color(g), rng
+
+
+class TestShortcuts:
+    def check_i1(self, state, u, v):
+        """The shortcut equals the lenient replay it skips."""
+        new, rep = insert_update(state, u, v)
+        h = state.graph.insert_edge(u, v)
+        res = replay_repair(h, state.order, {u, v}, strict=False, target=state.color_count)
+        coloring, k = lift_coloring(res.records, res.chain)
+        assert rep.case_label == "I-1"
+        assert new.order.records == res.records
+        assert k == new.color_count == state.color_count
+        # static_color's coloring is the lift of its order
+        assert new.coloring == coloring == state.coloring
+        assert new.clique == state.clique
+        assert res.removed == res.added == [] and rep.pairs_changed == 0
+        assert rep.recolored == frozenset()
+        assert verify_state(new)
+
+    def check_d1(self, state, u, v):
+        new, rep = delete_update(state, u, v)
+        assert rep.case_label == "D-1"
+        assert new.clique == state.clique
+        assert new.order.records == state.order.records
+        assert new.coloring == state.coloring
+        assert rep.pairs_changed == 0 and rep.recolored == frozenset()
+        assert verify_state(new)
+        assert new.color_count == static_color(new.graph).color_count
+
+    @pytest.mark.parametrize("name", FIGURES)
+    def test_i1_figures(self, name):
+        state = static_color(fixture_graph(name))
+        for u, v in i1_events(state):
+            self.check_i1(state, u, v)
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=40, deadline=None)
+    def test_i1_random(self, seed):
+        state, _ = random_static_state(seed)
+        for u, v in i1_events(state):
+            self.check_i1(state, u, v)
+
+    def test_d1_figures(self):
+        checked = 0
+        for name in FIGURES:
+            state = static_color(fixture_graph(name))
+            for u, v in d1_shortcut_events(state):
+                self.check_d1(state, u, v)
+                checked += 1
+        assert checked > 0
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=40, deadline=None)
+    def test_d1_along_walks(self, seed):
+        state, rng = random_static_state(seed)
+        for seq in range(6):
+            shortcuts = list(d1_shortcut_events(state))
+            if shortcuts:
+                self.check_d1(state, *rng.choice(shortcuts))
+            ev = gen_event(state.graph, rng, 0.5, seq, 200)
+            if ev is None:
+                break
+            update = insert_update if ev.kind == "insert" else delete_update
+            state, _ = update(state, ev.u, ev.v)

@@ -227,3 +227,123 @@ class TestInterchange:
     def test_from_dict_ignores_extras(self):
         g = from_dict({"n": 2, "edges": [[0, 1]], "name": "x"})
         assert g.has_edge(0, 1)
+
+
+# ---------------------------------------------------------------------------
+# mask-native primitives against graphs rebuilt from edge lists
+# ---------------------------------------------------------------------------
+
+@st.composite
+def labelled_graphs(draw, max_n=8):
+    """Graphs with sparse ids, merged provenances and a next_id above them."""
+    ids = sorted(draw(st.sets(st.integers(0, 30), max_size=max_n)))
+    pairs = [(u, v) for i, u in enumerate(ids) for v in ids[i + 1 :]]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
+    prov = {v: frozenset({v, 100 + v}) if v % 3 == 0 else frozenset({v}) for v in ids}
+    next_id = max(ids, default=-1) + 1 + draw(st.integers(0, 3))
+    return Graph(ids, edges, prov, next_id)
+
+
+def provenances(g):
+    return {v: g.provenance(v) for v in g.vertices}
+
+
+def assert_same_graph(g, ref):
+    assert g.vertices == ref.vertices
+    assert g.adj_masks() == ref.adj_masks()
+    assert provenances(g) == provenances(ref)
+    assert g.next_id == ref.next_id
+    assert list(g.edges()) == list(ref.edges())
+
+
+def rebuilt_contraction(g, x, y, z):
+    """contract_pair spelled out on edge lists."""
+    merged = (set(g.neighbors(x)) | set(g.neighbors(y))) - {x, y}
+    ids = [v for v in g.vertices if v not in (x, y)] + [z]
+    edges = [e for e in g.edges() if x not in e and y not in e]
+    edges += [(z, w) for w in sorted(merged)]
+    prov = {v: g.provenance(v) for v in g.vertices if v not in (x, y)}
+    prov[z] = g.provenance(x) | g.provenance(y)
+    return Graph(ids, edges, prov, max(g.next_id, z + 1))
+
+
+def non_edges(g):
+    ids = g.vertices
+    return [(u, v) for i, u in enumerate(ids) for v in ids[i + 1 :] if not g.has_edge(u, v)]
+
+
+class TestMaskNative:
+    @given(labelled_graphs(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_contract_fresh_id(self, g, data):
+        pairs = non_edges(g)
+        if not pairs:
+            return
+        x, y = data.draw(st.sampled_from(pairs))
+        if data.draw(st.booleans()):
+            x, y = y, x
+        h, z = g.contract_pair(x, y)
+        assert z == g.next_id
+        assert_same_graph(h, rebuilt_contraction(g, x, y, z))
+
+    @given(labelled_graphs(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_contract_reused_id_below_live_ids(self, g, data):
+        # replay_repair revives dead record ids, which can sort below live ids
+        pairs = non_edges(g)
+        free = [z for z in range(g.next_id) if z not in g]
+        if not pairs or not free:
+            return
+        x, y = data.draw(st.sampled_from(pairs))
+        z = data.draw(st.sampled_from(free))
+        h, z2 = g.contract_pair(x, y, z)
+        assert z2 == z
+        assert_same_graph(h, rebuilt_contraction(g, x, y, z))
+
+    @given(labelled_graphs(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_insert_delete(self, g, data):
+        edges = list(g.edges())
+        pairs = non_edges(g)
+        if pairs:
+            u, v = data.draw(st.sampled_from(pairs))
+            ref = Graph(g.vertices, edges + [(u, v)], provenances(g), g.next_id)
+            assert_same_graph(g.insert_edge(v, u), ref)
+        if edges:
+            u, v = data.draw(st.sampled_from(edges))
+            rest = [e for e in edges if e != (u, v)]
+            ref = Graph(g.vertices, rest, provenances(g), g.next_id)
+            assert_same_graph(g.delete_edge(v, u), ref)
+
+    @given(labelled_graphs())
+    @settings(max_examples=100, deadline=None)
+    def test_complement(self, g):
+        ref = Graph(g.vertices, non_edges(g), provenances(g), g.next_id)
+        assert_same_graph(g.complement(), ref)
+        assert_same_graph(g.complement().complement(), g)
+
+    def test_contraction_chain_keeps_sorted_positions(self):
+        g = Graph([2, 5, 9, 11], [(2, 5), (9, 11)], next_id=20)
+        h, z = g.contract_pair(5, 11, 7)
+        assert h.vertices == (2, 7, 9)
+        assert [h.pos(v) for v in h.vertices] == [0, 1, 2]
+        assert h.neighbors(7) == (2, 9)
+        assert h.next_id == 20
+
+    @pytest.mark.parametrize(
+        "op, message",
+        [
+            (lambda g: g.contract_pair(0, 1), r"cannot contract adjacent pair \(0,1\)"),
+            (lambda g: g.contract_pair(0, 2, 3), r"contracted id 3 already live"),
+            (lambda g: g.contract_pair(0, 7), r"unknown vertex in \(0,7\)"),
+            (lambda g: g.contract_pair(2, 2), r"cannot contract 2 with itself"),
+            (lambda g: g.insert_edge(0, 1), r"edge \(0,1\) already present"),
+            (lambda g: g.insert_edge(0, 7), r"unknown vertex in \(0,7\)"),
+            (lambda g: g.insert_edge(2, 2), r"self-loop at 2"),
+            (lambda g: g.delete_edge(0, 2), r"edge \(0,2\) absent"),
+            (lambda g: g.delete_edge(0, 7), r"edge \(0,7\) absent"),
+        ],
+    )
+    def test_errors_unchanged(self, op, message):
+        with pytest.raises(GraphError, match=message):
+            op(path(4))

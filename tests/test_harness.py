@@ -10,6 +10,7 @@ import pytest
 from timcolor.graph import make_graph
 from timcolor.harness import (
     CSV_COLUMNS,
+    TrialAssertionError,
     TrialConfig,
     gen_event,
     run_simulation,
@@ -157,3 +158,14 @@ class TestRunSimulation:
         cfg = TrialConfig(seed=7, topology_file=str(p), event_count=5)
         rep = run_simulation(cfg)
         assert rep.events and rep.fallback_count == 0
+
+
+class TestKnownDefects:
+    @pytest.mark.xfail(
+        strict=True,
+        raises=TrialAssertionError,
+        reason="known locality defect: the I-3-1 insert at event 55 changes 10 order "
+        "pairs, over the default bound of 8",
+    )
+    def test_seed3_default_bound(self):
+        run_simulation(TrialConfig(seed=3, M=9, N=9, event_count=60, verification_mode=False))
