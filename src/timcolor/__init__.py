@@ -6,19 +6,7 @@ two-pair contraction, and maintain the optimum under edge insertions
 and deletions with constant-bounded local updates.
 """
 
-from .graph import (
-    Graph,
-    GraphError,
-    complement,
-    delete_edge,
-    from_dict,
-    from_json,
-    induced_subgraph,
-    insert_edge,
-    line_graph,
-    make_graph,
-    square,
-)
+from .graph import Graph, GraphError, from_dict, from_json, make_graph
 from .recognition import (
     OracleCapExceeded,
     TwoPair,
@@ -67,15 +55,9 @@ __version__ = "0.1.0"
 __all__ = [
     "Graph",
     "GraphError",
-    "complement",
-    "delete_edge",
     "from_dict",
     "from_json",
-    "induced_subgraph",
-    "insert_edge",
-    "line_graph",
     "make_graph",
-    "square",
     "OracleCapExceeded",
     "TwoPair",
     "enumerate_two_pairs",

@@ -14,15 +14,11 @@ from __future__ import annotations
 
 import itertools
 import logging
-import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-from scipy.optimize import linear_sum_assignment
-
 from .graph import Graph
-from .recognition import TwoPair, _bfs_reach, find_two_pair, is_two_pair
+from .recognition import candidate_pairs, is_two_pair
 from .static_coloring import (
     ColoringState,
     ContractionRecord,
@@ -51,8 +47,6 @@ class UpdateReport:
     pairs_added: list[ContractionRecord]
     colors_before: int
     colors_after: int
-    omega_before: int
-    omega_after: int
     fallback_used: bool = False
     seq: Optional[int] = None
 
@@ -72,8 +66,6 @@ class UpdateReport:
             "pairs_added": [r.as_list() for r in self.pairs_added],
             "colors_before": self.colors_before,
             "colors_after": self.colors_after,
-            "omega_before": self.omega_before,
-            "omega_after": self.omega_after,
             "fallback": self.fallback_used,
         }
 
@@ -161,79 +153,6 @@ class RepairResult:
     chain: list[Graph]
     removed: list[ContractionRecord]
     added: list[ContractionRecord]
-    affected: set[int] = field(default_factory=set)
-
-
-def _find_two_pair_near(g: Graph, near: set[int], strict: bool = True) -> Optional[TwoPair]:
-    """Two-pair with an endpoint in `near` or adjacent to it, else any.
-
-    With strict=False any non-adjacent pair qualifies, but genuine two-pairs
-    are still preferred: arbitrary merges can saturate the quotient into a
-    clique above chi, while two-pair merges cannot dead-end as long as the
-    quotient stays weakly chordal.  The caller's lift certificate guards
-    soundness either way.
-    """
-    live = {w for w in near if w in g}
-    zone = set(live)
-    for w in live:
-        zone.update(g.neighbors(w))
-    adj = g.adj_masks()
-    full = (1 << g.n) - 1
-    ids = g.vertices
-    cands = []
-    for i in range(g.n):
-        for j in range(i + 1, g.n):
-            if not adj[i] >> j & 1 and (not zone or ids[i] in zone or ids[j] in zone):
-                cands.append((i, j))
-    cands.sort(key=lambda p: (-(adj[p[0]] & adj[p[1]]).bit_count(), ids[p[0]], ids[p[1]]))
-    fallback = None
-    for px, py in cands:
-        common = adj[px] & adj[py]
-        if not _bfs_reach(adj, px, full & ~common) >> py & 1:
-            return TwoPair(ids[px], ids[py])
-        if not strict and fallback is None:
-            fallback = TwoPair(ids[px], ids[py])
-    if zone:
-        wide = find_two_pair(g)
-        if wide is not None:
-            return wide
-    return fallback
-
-
-def _merge_candidates(g: Graph, near: set[int]):
-    """Yield mergeable pairs, best first: two-pairs, then any non-adjacent.
-
-    Pairs touching the `near` zone and pairs with large common neighborhoods
-    come first within each tier; two-pair tests run lazily so the common
-    single-candidate case pays for one BFS only.
-    """
-    live = {w for w in near if w in g}
-    zone = set(live)
-    for w in live:
-        zone.update(g.neighbors(w))
-    adj = g.adj_masks()
-    full = (1 << g.n) - 1
-    ids = g.vertices
-    cands = [
-        (i, j)
-        for i in range(g.n)
-        for j in range(i + 1, g.n)
-        if not adj[i] >> j & 1
-    ]
-    cands.sort(
-        key=lambda p: (-(adj[p[0]] & adj[p[1]]).bit_count(), ids[p[0]], ids[p[1]])
-    )
-    in_zone = lambda p: ids[p[0]] in zone or ids[p[1]] in zone
-    tiers = ([c for c in cands if in_zone(c)], [c for c in cands if not in_zone(c)])
-    for tier in tiers if zone else (cands,):
-        stashed = []
-        for px, py in tier:
-            common = adj[px] & adj[py]
-            if not _bfs_reach(adj, px, full & ~common) >> py & 1:
-                yield ids[px], ids[py]
-            else:
-                stashed.append((ids[px], ids[py]))
-        yield from stashed
 
 
 _DFS_BRANCH = 8
@@ -260,7 +179,7 @@ def replay_repair(
     confines the order delta to records directly hit by the event; callers
     must validate the result through `lift`, whose clique construction
     certifies soundness independently of per-step two-pair checks.  Lenient
-    callers pass `target`, the exact class count the repair must reach
+    callers must pass `target`, the exact class count the repair must reach
     (chi of the perturbed graph, known from the local case analysis), and
     completion backtracks over merge choices: arbitrary merges can paint the
     quotient into a clique above chi, so the first greedy path is not always
@@ -351,16 +270,16 @@ def replay_repair(
 
     cur, pending = sweep(cur, pending, kept, chain)
 
-    if strict or target is None:
+    if strict:
         # greedy completion: two-pair theory guarantees progress to chi as
         # long as every contraction is a genuine two-pair
         while True:
-            pair = _find_two_pair_near(cur, affected, strict=strict)
+            pair = next(((x, y) for x, y, two in candidate_pairs(cur, affected) if two), None)
             if pair is None:
                 break
-            cur, z = cur.contract_pair(pair.x, pair.y, next_z)
+            cur, z = cur.contract_pair(*pair, next_z)
             next_z += 1
-            rec = ContractionRecord(pair.x, pair.y, z)
+            rec = ContractionRecord(*pair, z)
             kept.append(rec)
             added.append(rec)
             chain.append(cur)
@@ -383,7 +302,7 @@ def replay_repair(
             rev = revival_merge(cur, pending, reused)
             if rev is not None:
                 cands.append((rev[0], rev[1], rev[2], True))
-            for x, y in itertools.islice(_merge_candidates(cur, zone), _DFS_BRANCH):
+            for x, y, _ in itertools.islice(candidate_pairs(cur, zone), _DFS_BRANCH):
                 cands.append((x, y, next_z, False))
             for px, py, z_id, is_reuse in cands:
                 if budget <= 0:
@@ -405,68 +324,72 @@ def replay_repair(
         if hit is None:
             raise NotWeaklyChordalError("lenient completion exhausted")
         cur, pending, kept, chain, added = hit
-        affected.update(rec.z for rec in added)
         if not _is_complete(cur):
             raise NotWeaklyChordalError("order repair did not terminate in a clique")
 
-    removed = dropped + pending
-    for rec in removed:
-        for w in (rec.x, rec.y):
-            if w in cur:
-                affected.add(w)
-    return RepairResult(kept, chain, removed, added, affected)
-
-
-def repair_affected(
-    state: ColoringState, invalidated: list[ContractionRecord], u: int, v: int
-) -> tuple[tuple[list[ContractionRecord], list[ContractionRecord]], frozenset[int], ColoringState]:
-    """Local order repair plus minimal re-coloring of the touched provenances.
-
-    `state.graph` must already reflect the event. Returns the order delta
-    (removed, added), the set of recolored vertices, and the patched state.
-    """
-    res = replay_repair(state.graph, state.order, {u, v} | {w for r in invalidated for w in (r.x, r.y)})
-    new_coloring, clique, k = lift(res.records, res.chain)
-    new_coloring, recolored = _match_palette(new_coloring, state.coloring, k)
-    new_state = ColoringState(state.graph, new_coloring, k, clique, SolutionOrder(res.records))
-    return (res.removed, res.added), recolored, new_state
+    return RepairResult(kept, chain, dropped + pending, added)
 
 
 # ---------------------------------------------------------------------------
 # coloring alignment
 # ---------------------------------------------------------------------------
 
+def _min_cost_assignment(cost: list[list[int]]) -> list[int]:
+    """Column of each row in a minimum-cost assignment of a square matrix.
+
+    Kuhn-Munkres (Hungarian method), O(k^3): rows join the matching one at
+    a time, each along a shortest augmenting path under the reduced costs
+    cost - row_pot - col_pot, which the potentials keep non-negative.
+    """
+    k = len(cost)
+    row_pot, col_pot = [0] * (k + 1), [0] * (k + 1)
+    owner = [0] * (k + 1)  # owner[j]: row (1-based) holding column j; column 0 is the root
+    for i in range(1, k + 1):
+        owner[0], j0 = i, 0
+        slack, back, done = [float("inf")] * (k + 1), [0] * (k + 1), [False] * (k + 1)
+        while owner[j0]:
+            done[j0] = True
+            i0, delta, j1 = owner[j0], float("inf"), 0
+            for j in range(1, k + 1):
+                if not done[j]:
+                    reduced = cost[i0 - 1][j - 1] - row_pot[i0] - col_pot[j]
+                    if reduced < slack[j]:
+                        slack[j], back[j] = reduced, j0
+                    if slack[j] < delta:
+                        delta, j1 = slack[j], j
+            for j in range(k + 1):
+                if done[j]:
+                    row_pot[owner[j]] += delta
+                    col_pot[j] -= delta
+                else:
+                    slack[j] -= delta
+            j0 = j1
+        while j0:  # flip the augmenting path back to the root
+            owner[j0] = owner[back[j0]]
+            j0 = back[j0]
+    col = [0] * k
+    for j in range(1, k + 1):
+        col[owner[j] - 1] = j - 1
+    return col
+
+
 def _match_palette(
-    new_coloring: dict[int, int], old_coloring: dict[int, int], c_new: int
+    new_coloring: dict[int, int], old_coloring: dict[int, int], k: int
 ) -> tuple[dict[int, int], frozenset[int]]:
-    """Relabel a fresh lift's colors to agree with the old coloring wherever
-    possible (maximum-overlap assignment), then compress into 1..c_new."""
-    if not new_coloring:
-        return {}, frozenset()
-    old_labels = sorted(set(old_coloring.values())) or [1]
-    cols = {c: i for i, c in enumerate(old_labels)}
-    overlap = np.zeros((c_new, len(old_labels)), dtype=np.int64)
+    """Relabel a fresh lift's colors 1..k onto 1..k so that as many vertices
+    as possible keep their old color (exact maximum-overlap assignment).
+
+    Old labels outside 1..k cannot be kept by any relabelling onto 1..k, so
+    only labels 1..k are scored; the result recolors the minimum over all k!
+    relabellings.
+    """
+    overlap = [[0] * k for _ in range(k)]
     for v, c in new_coloring.items():
-        oc = old_coloring.get(v)
-        if oc is not None:
-            overlap[c - 1, cols[oc]] += 1
-    if c_new <= len(old_labels):
-        rows, colsel = linear_sum_assignment(-overlap)
-        relabel = {r + 1: old_labels[c] for r, c in zip(rows, colsel)}
-    else:  # more new colors than old: pad targets with fresh labels
-        relabel = {}
-        pad = np.zeros((c_new, c_new - len(old_labels)), dtype=np.int64)
-        rows, colsel = linear_sum_assignment(-np.hstack([overlap, pad]))
-        fresh = iter([l for l in range(1, c_new + 1) if l not in old_labels])
-        for r, c in zip(rows, colsel):
-            relabel[r + 1] = old_labels[c] if c < len(old_labels) else next(fresh)
-    # compress any label outside 1..c_new
-    used = set(relabel.values())
-    free = iter([l for l in range(1, c_new + 1) if l not in used])
-    for k in sorted(relabel):
-        if relabel[k] > c_new:
-            relabel[k] = next(free)
-    final = {v: relabel[c] for v, c in new_coloring.items()}
+        oc = old_coloring.get(v, 0)
+        if 0 < oc <= k:
+            overlap[c - 1][oc - 1] += 1
+    relabel = _min_cost_assignment([[-o for o in row] for row in overlap])
+    final = {v: relabel[c - 1] + 1 for v, c in new_coloring.items()}
     recolored = frozenset(v for v, c in final.items() if old_coloring.get(v) != c)
     return final, recolored
 
@@ -510,8 +433,6 @@ def _unchanged(
         pairs_added=[],
         colors_before=k,
         colors_after=k,
-        omega_before=k,
-        omega_after=k,
     )
     return new_state, report
 
@@ -554,16 +475,14 @@ def insert_update(state: ColoringState, u: int, v: int) -> tuple[ColoringState, 
                 raise NotWeaklyChordalError(f"repair clique size {k}, expected {expected}")
             return res, lifted_coloring, lifted_clique, k
         # Lenient ladder: replay everything first; if the class structure
-        # cannot reach the target color count, retry with up to three extra
-        # records broken so their parents can re-pair with the split classes.
+        # cannot reach the target color count, retry with each single record
+        # broken so its parents can re-pair with the split classes.
         # Optimality is certified externally: insertion never destroys
         # cliques, so the old clique witnesses an unchanged omega, and the
         # growth witness from the case analysis covers omega + 1.
         cert_clique = witness if grows else state.clique
-        recs = list(state.order)
-        levels = [[()]] + [list(itertools.combinations(recs, nd)) for nd in (1, 2, 3)]
-        for level in levels:
-            # within a level keep the smallest order delta: drop choices that
+        for level in ([()], [(rec,) for rec in state.order]):
+            # within a rung keep the smallest order delta: drop choices that
             # strand extra pending records inflate the pair count needlessly
             best = None
             for drops in level:
@@ -636,8 +555,6 @@ def insert_update(state: ColoringState, u: int, v: int) -> tuple[ColoringState, 
         pairs_added=added,
         colors_before=omega_b,
         colors_after=count,
-        omega_before=omega_b,
-        omega_after=count,
         fallback_used=fallback,
     )
     return new_state, report
@@ -722,8 +639,6 @@ def delete_update(state: ColoringState, u: int, v: int) -> tuple[ColoringState, 
         pairs_added=added,
         colors_before=omega_b,
         colors_after=k,
-        omega_before=omega_b,
-        omega_after=k,
         fallback_used=fallback,
     )
     return new_state, report

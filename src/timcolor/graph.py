@@ -323,26 +323,3 @@ def from_dict(d: Mapping) -> Graph:
 def from_json(text: str) -> Graph:
     return from_dict(json.loads(text))
 
-
-def insert_edge(g: Graph, u: int, v: int) -> Graph:
-    return g.insert_edge(u, v)
-
-
-def delete_edge(g: Graph, u: int, v: int) -> Graph:
-    return g.delete_edge(u, v)
-
-
-def line_graph(g: Graph) -> Graph:
-    return g.line_graph()
-
-
-def square(g: Graph) -> Graph:
-    return g.square()
-
-
-def complement(g: Graph) -> Graph:
-    return g.complement()
-
-
-def induced_subgraph(g: Graph, keep: Iterable[int]) -> Graph:
-    return g.induced_subgraph(keep)

@@ -34,7 +34,7 @@ from .tim import all_unicast_messages, build_conflict_graph, load_topology
 
 CSV_COLUMNS = [
     "seq", "kind", "u", "v", "case", "recolored", "pairs_removed", "pairs_added",
-    "colors_before", "colors_after", "omega_before", "omega_after", "fallback", "wall_us",
+    "colors_before", "colors_after", "fallback", "wall_us",
 ]
 
 DEFAULT_BOUND = 8  # 4 + 4 candidate two-pair neighbors per endpoint
@@ -125,8 +125,7 @@ class TrialReport:
             w.writerow([
                 e.seq, e.kind, e.u, e.v, e.case_label, len(e.recolored),
                 len(e.pairs_removed), len(e.pairs_added), e.colors_before,
-                e.colors_after, e.omega_before, e.omega_after,
-                int(e.fallback_used), us,
+                e.colors_after, int(e.fallback_used), us,
             ])
         return buf.getvalue()
 

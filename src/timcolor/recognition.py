@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .graph import Graph
 
@@ -252,25 +252,42 @@ def is_two_pair(g: Graph, x: int, y: int) -> bool:
     return not _bfs_reach(adj, px, allowed) >> py & 1
 
 
-def _candidate_pairs(g: Graph, rng: Optional[random.Random]):
-    """Non-adjacent pairs, ordered for the two-pair search.
+def candidate_pairs(
+    g: Graph, near: Iterable[int] = (), rng: Optional[random.Random] = None
+) -> Iterator[tuple[int, int, bool]]:
+    """Every non-adjacent pair as (x, y, is_two_pair), best first.
 
-    Default order: descending common-neighborhood size, then ascending ids;
-    large common neighborhoods are the likeliest to disconnect the pair. An
-    rng shuffles the order instead (used for order-independence checks).
+    Pairs with an endpoint in `near` or adjacent to it form the first tier,
+    the rest the second. Within a tier the two-pairs come before the other
+    pairs, each in descending common-neighborhood size, then ascending ids
+    (large common neighborhoods are the likeliest to disconnect the pair),
+    or in an rng shuffle (used for order-independence checks). Two-pair
+    tests run lazily, so a caller that stops at the first two-pair pays only
+    for the pairs ranked before it.
     """
     adj = g.adj_masks()
     ids = g.vertices
-    pairs = []
-    for i in range(g.n):
-        for j in range(i + 1, g.n):
-            if not adj[i] >> j & 1:
-                pairs.append((i, j))
+    full = (1 << g.n) - 1
+    pairs = [(i, j) for i in range(g.n) for j in range(i + 1, g.n) if not adj[i] >> j & 1]
     if rng is not None:
         rng.shuffle(pairs)
     else:
         pairs.sort(key=lambda p: (-(adj[p[0]] & adj[p[1]]).bit_count(), ids[p[0]], ids[p[1]]))
-    return pairs
+    zone = 0
+    for w in near:
+        if w in g:
+            zone |= adj[g.pos(w)] | 1 << g.pos(w)
+    hit = lambda p: (zone >> p[0] | zone >> p[1]) & 1
+    # without a zone skip the split: static_color's search pays per pair
+    tiers = ([p for p in pairs if hit(p)], [p for p in pairs if not hit(p)]) if zone else (pairs,)
+    for tier in tiers:
+        others = []
+        for px, py in tier:
+            if _bfs_reach(adj, px, full & ~(adj[px] & adj[py])) >> py & 1:
+                others.append((ids[px], ids[py], False))
+            else:
+                yield ids[px], ids[py], True
+        yield from others
 
 
 def find_two_pair(g: Graph, rng: Optional[random.Random] = None) -> Optional[TwoPair]:
@@ -279,12 +296,9 @@ def find_two_pair(g: Graph, rng: Optional[random.Random] = None) -> Optional[Two
     Deterministic without an rng. On a weakly chordal graph that is not a
     clique this never returns None.
     """
-    adj = g.adj_masks()
-    full = (1 << g.n) - 1
-    for px, py in _candidate_pairs(g, rng):
-        common = adj[px] & adj[py]
-        if not _bfs_reach(adj, px, full & ~common) >> py & 1:
-            return TwoPair(g.id_at(px), g.id_at(py))
+    for x, y, two in candidate_pairs(g, rng=rng):
+        if two:
+            return TwoPair(x, y)
     return None
 
 

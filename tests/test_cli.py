@@ -5,10 +5,15 @@ exit code plus the JSON payload written to stdout (or ``--out``).
 """
 
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
+import timcolor
 from timcolor.cli import EXIT_ASSERTION, EXIT_OK, EXIT_USAGE, main
 
 from conftest import load_fixture
@@ -202,3 +207,14 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+
+def test_import_loads_no_numpy_or_scipy():
+    """Every CLI call pays the import, so the package stays dependency-free."""
+    src = str(Path(timcolor.__file__).resolve().parent.parent)
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, timcolor; print(*sys.modules)"],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True,
+    ).stdout
+    assert not {m.split(".")[0] for m in out.split()} & {"numpy", "scipy"}

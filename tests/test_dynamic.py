@@ -1,13 +1,16 @@
 """Single-perturbation updates: case routing, pair deltas, optimality."""
 
+import itertools
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from timcolor import dynamic_coloring, harness
 from timcolor.dynamic_coloring import (
     UpdateReport,
+    _match_palette,
     clique_grows,
     delete_update,
     insert_update,
@@ -16,7 +19,7 @@ from timcolor.dynamic_coloring import (
 )
 from timcolor.generators import random_weakly_chordal
 from timcolor.graph import GraphError, make_graph
-from timcolor.harness import gen_event
+from timcolor.harness import TrialConfig, gen_event, run_simulation
 from timcolor.oracles import oracle_chromatic
 from timcolor.recognition import stays_weakly_chordal_after_delete
 from timcolor.static_coloring import (
@@ -166,8 +169,7 @@ class TestReportShape:
         d = rep.to_dict()
         assert set(d) == {
             "seq", "kind", "u", "v", "case", "recolored", "pairs_removed",
-            "pairs_added", "colors_before", "colors_after", "omega_before",
-            "omega_after", "fallback",
+            "pairs_added", "colors_before", "colors_after", "fallback",
         }
         assert d["kind"] == "insert" and d["case"] == "I-3-1"
         assert rep.pairs_changed == len(d["pairs_removed"]) + len(d["pairs_added"])
@@ -192,7 +194,6 @@ class TestReportShape:
                 )
             if rep.case_label in ("I-1", "D-1"):
                 assert rep.recolored == frozenset()
-            assert rep.omega_after == rep.colors_after
 
 
 class TestEquivalence:
@@ -313,3 +314,61 @@ class TestShortcuts:
                 break
             update = insert_update if ev.kind == "insert" else delete_update
             state, _ = update(state, ev.u, ev.v)
+
+
+class TestPalette:
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_exact_relabelling_onto_1_to_k(self, data):
+        """Labels 1..k exactly, and the fewest recolored over all k! relabellings.
+
+        Old labels run up to k+1, as when a D-2 deletion shrinks the palette.
+        """
+        k = data.draw(st.integers(1, 6))
+        extra = data.draw(st.lists(st.integers(1, k), max_size=10))
+        new = dict(enumerate(list(range(1, k + 1)) + extra))  # a lift uses all of 1..k
+        old = data.draw(st.dictionaries(st.sampled_from(sorted(new)), st.integers(1, k + 1)))
+        final, recolored = _match_palette(new, old, k)
+        relabel = {c: final[v] for v, c in new.items()}
+        assert all(final[v] == relabel[c] for v, c in new.items())
+        assert sorted(relabel.values()) == list(range(1, k + 1))
+        assert recolored == {v for v, c in final.items() if old.get(v) != c}
+        fewest = min(
+            sum(old.get(v) != perm[c - 1] for v, c in new.items())
+            for perm in itertools.permutations(range(1, k + 1))
+        )
+        assert len(recolored) == fewest
+
+
+class TestDropLadder:
+    def test_seed3_event55_replays(self, monkeypatch):
+        """Rung 0, one single-record drop per record, then the strict replay.
+
+        The I-3-1 insert at event 55 of this stream fails rung 0 and every
+        single-record drop, so it makes every replay the ladder allows.
+        """
+        calls = []  # [order length, replay_repair calls] per update
+        replay = dynamic_coloring.replay_repair
+
+        def counted_replay(*args, **kwargs):
+            calls[-1][1] += 1
+            return replay(*args, **kwargs)
+
+        def counted(update):
+            def run(state, u, v):
+                calls.append([len(state.order), 0])
+                return update(state, u, v)
+
+            return run
+
+        monkeypatch.setattr(dynamic_coloring, "replay_repair", counted_replay)
+        monkeypatch.setattr(harness, "insert_update", counted(insert_update))
+        monkeypatch.setattr(harness, "delete_update", counted(delete_update))
+        cfg = TrialConfig(
+            seed=3, M=9, N=9, event_count=56, verification_mode=False, assert_bound=False
+        )
+        report = run_simulation(cfg)
+        event = report.events[55]
+        assert (event.kind, event.case_label) == ("insert", "I-3-1")
+        order_len, replays = calls[55]
+        assert replays <= order_len + 2

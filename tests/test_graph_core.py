@@ -6,17 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from timcolor.graph import (
-    Graph,
-    GraphError,
-    complement,
-    from_dict,
-    from_json,
-    induced_subgraph,
-    line_graph,
-    make_graph,
-    square,
-)
+from timcolor.graph import Graph, GraphError, from_dict, from_json, make_graph
 
 from conftest import fixture_graph
 
@@ -126,25 +116,25 @@ class TestContraction:
 
 class TestLineGraph:
     def test_p3_to_k2(self):
-        lg = line_graph(path(3))
+        lg = path(3).line_graph()
         assert lg.n == 2 and lg.edge_count() == 1
 
     def test_star_to_triangle(self):
         k13 = make_graph(4, [(0, 1), (0, 2), (0, 3)])
-        lg = line_graph(k13)
+        lg = k13.line_graph()
         assert edge_set(lg) == edge_set(clique(3))
 
     def test_p4_to_p3(self):
-        lg = line_graph(path(4))
+        lg = path(4).line_graph()
         assert lg.n == 3 and sorted(lg.degree(v) for v in lg.vertices) == [1, 1, 2]
 
     def test_edgeless(self):
-        assert line_graph(make_graph(4, [])).n == 0
+        assert make_graph(4, []).line_graph().n == 0
 
     @given(graphs())
     @settings(max_examples=60, deadline=None)
     def test_counts(self, g):
-        lg = line_graph(g)
+        lg = g.line_graph()
         assert lg.n == g.edge_count()
         expected = sum(
             g.degree(v) * (g.degree(v) - 1) // 2 for v in g.vertices
@@ -154,60 +144,60 @@ class TestLineGraph:
 
 class TestSquare:
     def test_p3_squared_is_triangle(self):
-        assert edge_set(square(path(3))) == edge_set(clique(3))
+        assert edge_set(path(3).square()) == edge_set(clique(3))
 
     def test_clique_idempotent(self):
-        assert edge_set(square(clique(5))) == edge_set(clique(5))
+        assert edge_set(clique(5).square()) == edge_set(clique(5))
 
     def test_c5_squared_is_k5(self):
-        assert edge_set(square(cycle(5))) == edge_set(clique(5))
+        assert edge_set(cycle(5).square()) == edge_set(clique(5))
 
     @given(graphs())
     @settings(max_examples=60, deadline=None)
     def test_square_monotone(self, g):
-        sq = square(g)
-        assert edge_set(square(sq)) >= edge_set(sq)
+        sq = g.square()
+        assert edge_set(sq.square()) >= edge_set(sq)
         assert edge_set(sq) >= edge_set(g)
 
 
 class TestComplement:
     def test_k3(self):
-        assert complement(clique(3)).edge_count() == 0
+        assert clique(3).complement().edge_count() == 0
 
     def test_c5_self_complementary(self):
-        co = complement(cycle(5))
+        co = cycle(5).complement()
         assert co.edge_count() == 5
         assert all(co.degree(v) == 2 for v in co.vertices)
 
     def test_p4_self_complementary(self):
-        co = complement(path(4))
+        co = path(4).complement()
         assert sorted(co.degree(v) for v in co.vertices) == [1, 1, 2, 2]
 
     @given(graphs())
     @settings(max_examples=60, deadline=None)
     def test_involution(self, g):
-        assert edge_set(complement(complement(g))) == edge_set(g)
+        assert edge_set(g.complement().complement()) == edge_set(g)
 
 
 class TestInducedSubgraph:
     def test_c5_three_consecutive(self):
-        sub = induced_subgraph(cycle(5), [0, 1, 2])
+        sub = cycle(5).induced_subgraph([0, 1, 2])
         assert sub.n == 3 and sub.edge_count() == 2
 
     def test_empty_selection(self):
-        assert induced_subgraph(cycle(5), []).n == 0
+        assert cycle(5).induced_subgraph([]).n == 0
 
     def test_c6_alternating_is_independent(self):
-        sub = induced_subgraph(cycle(6), [0, 2, 4])
+        sub = cycle(6).induced_subgraph([0, 2, 4])
         assert sub.n == 3 and sub.edge_count() == 0
 
     def test_full_selection_identity(self):
         g = fixture_graph("fig6.json")
-        assert edge_set(induced_subgraph(g, list(g.vertices))) == edge_set(g)
+        assert edge_set(g.induced_subgraph(list(g.vertices))) == edge_set(g)
 
     def test_unknown_vertex_rejected(self):
         with pytest.raises(GraphError):
-            induced_subgraph(path(3), [0, 7])
+            path(3).induced_subgraph([0, 7])
 
 
 class TestInterchange:

@@ -164,8 +164,8 @@ class TestKnownDefects:
     @pytest.mark.xfail(
         strict=True,
         raises=TrialAssertionError,
-        reason="known locality defect: the I-3-1 insert at event 55 changes 10 order "
-        "pairs, over the default bound of 8",
+        reason="known locality defect: the I-3-1 insert at event 55 changes 12 order "
+        "pairs under the strict replay, over the default bound of 8",
     )
     def test_seed3_default_bound(self):
         run_simulation(TrialConfig(seed=3, M=9, N=9, event_count=60, verification_mode=False))

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from timcolor.graph import complement, line_graph, make_graph, square
+from timcolor.graph import make_graph
 from timcolor.generators import random_chordal_bipartite, random_weakly_chordal
 from timcolor.oracles import brute_is_weakly_chordal, enumerate_chordless_cycles
 from timcolor.patterns import (
@@ -85,7 +85,7 @@ class TestWeaklyChordal:
         assert is_weakly_chordal(cycle(4))
 
     def test_antihole_detected(self):
-        assert not is_weakly_chordal(complement(cycle(7)))
+        assert not is_weakly_chordal(cycle(7).complement())
 
     def test_conflict_graphs_weakly_chordal(self):
         rng = random.Random(5)
@@ -93,7 +93,7 @@ class TestWeaklyChordal:
             topo = random_chordal_bipartite(
                 rng.randint(3, 6), rng.randint(3, 6), rng.uniform(0.3, 0.7), rng
             )
-            cg = square(line_graph(topo.bipartite_graph()))
+            cg = topo.bipartite_graph().line_graph().square()
             assert is_weakly_chordal(cg)
 
     @given(st.integers(min_value=0, max_value=400), st.integers(6, 10))
@@ -261,7 +261,7 @@ class TestScanForbidden:
 
     def test_embedding_is_induced(self):
         lib = load_pattern_library()
-        g = complement(path(6))  # equals the coP6 pattern plus nothing
+        g = path(6).complement()  # equals the coP6 pattern plus nothing
         found = scan_forbidden(g, lib)
         assert any(name == "coP6" for name, _ in found)
 
