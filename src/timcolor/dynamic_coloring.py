@@ -4,15 +4,14 @@ The maintained ``ColoringState`` is updated by case analysis on the
 solution order: membership of the event edge in the order (by provenance),
 equality of the endpoint colors, and whether the clique grows or shrinks.
 Repair is local: the recorded contraction sequence is replayed on the
-perturbed graph, invalid records are dropped, and replacements are searched
-first among vertices adjacent to the affected ones. Two cases need no
+perturbed graph, invalid records are dropped, and replacements are contracted
+greedily, searched first near the affected vertices. Two cases need no
 repair at all and return the state as it is: I-1, and D-1 when the held
 clique misses an endpoint of the deleted edge.
 """
 
 from __future__ import annotations
 
-import itertools
 import logging
 from dataclasses import dataclass
 from typing import Optional
@@ -31,10 +30,6 @@ from .static_coloring import (
 )
 
 log = logging.getLogger(__name__)
-
-INSERT_CASES = ("I-1", "I-2-1", "I-2-2", "I-3-1", "I-3-2")
-DELETE_CASES = ("D-1", "D-2")
-
 
 @dataclass
 class UpdateReport:
@@ -155,10 +150,6 @@ class RepairResult:
     added: list[ContractionRecord]
 
 
-_DFS_BRANCH = 8
-_DFS_BUDGET = 800
-
-
 def replay_repair(
     graph: Graph,
     order: SolutionOrder,
@@ -172,18 +163,21 @@ def replay_repair(
     A record is invalid when a parent id is dead (its producing record was
     dropped), when its pair became an edge, or — in strict mode — when its
     pair is no longer a two-pair. After the valid records replay, fresh
-    two-pairs are contracted, searched first near the affected vertices,
-    until the graph is complete.
+    pairs are contracted greedily, searched first near the affected
+    vertices, each followed by another sweep of the pending records.
 
-    Lenient mode (strict=False) keeps stale-but-non-adjacent records, which
-    confines the order delta to records directly hit by the event; callers
-    must validate the result through `lift`, whose clique construction
-    certifies soundness independently of per-step two-pair checks.  Lenient
-    callers must pass `target`, the exact class count the repair must reach
-    (chi of the perturbed graph, known from the local case analysis), and
-    completion backtracks over merge choices: arbitrary merges can paint the
-    quotient into a clique above chi, so the first greedy path is not always
-    completable even when the target is.
+    Strict mode contracts only two-pairs until none is left; by two-pair
+    theory (Hayward-Hoang-Maffray) a weakly chordal graph then ends in a
+    clique of chi vertices, and an incomplete end raises. Lenient mode
+    (strict=False) keeps stale-but-non-adjacent records, which confines the
+    order delta to records directly hit by the event, and contracts any
+    non-adjacent pair until the quotient has `target` vertices, the exact
+    class count the caller knows from the local case analysis (chi of the
+    perturbed graph). Every class stays independent, so the count never
+    sinks below chi, and `target` classes are a chi-coloring whose quotient
+    is complete. A greedy merge can instead paint the quotient into a
+    clique above `target`, which raises; callers certify the result
+    through `lift`.
     """
     cur = graph
     chain = [graph]
@@ -201,7 +195,7 @@ def replay_repair(
         [max(graph.vertices, default=-1)] + [rec.z for rec in order], default=-1
     )
 
-    def sweep(cur, pending, kept, chain):
+    def sweep(cur, pending):
         """Fire every currently-valid pending record, to a fixpoint."""
         progress = True
         while progress:
@@ -219,114 +213,23 @@ def replay_repair(
             pending = deferred
         return cur, pending
 
-    def dead_records(cur, pending, reused) -> list[ContractionRecord]:
-        # a record whose pair became an edge can never fire again
-        # (adjacency survives contraction), so its merged id is free;
-        # reusing it for a replacement merge revives the descendants
-        gone = list(dropped)
-        gone += [
-            r
-            for r in pending
-            if r.x in cur and r.y in cur and cur.has_edge(r.x, r.y)
-        ]
-        return sorted(
-            (r for r in gone if r.z not in reused and r.z not in cur),
-            key=lambda r: r.z,
+    cur, pending = sweep(cur, pending)
+    while cur.n != target:
+        pair = next(
+            ((x, y) for x, y, two in candidate_pairs(cur, affected) if two or not strict), None
         )
-
-    def revival_merge(cur, pending, reused) -> Optional[tuple[int, int, int]]:
-        """A merge (fragment, partner) -> dead id that keeps dependents viable."""
-        for dead in dead_records(cur, pending, reused):
-            deps = [r for r in pending if dead.z in (r.x, r.y)]
-            if not deps:
-                continue
-            for frag in (dead.x, dead.y):
-                if frag not in cur:
-                    continue
-                # prefer partners sharing many neighbors with the fragment
-                # so the final graph closes into a clique
-                partners = sorted(
-                    (w for w in cur.vertices if w != frag and not cur.has_edge(frag, w)),
-                    key=lambda w: (
-                        -(cur.adj_mask(frag) & cur.adj_mask(w)).bit_count(),
-                        w,
-                    ),
-                )
-                for w in partners:
-                    viable = True
-                    for r in deps:
-                        other = r.x if r.y == dead.z else r.y
-                        if other in (frag, w):
-                            viable = False
-                            break
-                        if other in cur and (
-                            cur.has_edge(other, frag) or cur.has_edge(other, w)
-                        ):
-                            viable = False
-                            break
-                    if viable:
-                        return frag, w, dead.z
-        return None
-
-    cur, pending = sweep(cur, pending, kept, chain)
-
-    if strict:
-        # greedy completion: two-pair theory guarantees progress to chi as
-        # long as every contraction is a genuine two-pair
-        while True:
-            pair = next(((x, y) for x, y, two in candidate_pairs(cur, affected) if two), None)
-            if pair is None:
-                break
-            cur, z = cur.contract_pair(*pair, next_z)
-            next_z += 1
-            rec = ContractionRecord(*pair, z)
-            kept.append(rec)
-            added.append(rec)
-            chain.append(cur)
-            affected.add(z)
-            cur, pending = sweep(cur, pending, kept, chain)
-        if not _is_complete(cur):
-            raise NotWeaklyChordalError("order repair did not terminate in a clique")
-    else:
-        # Any reachable class partition has independent classes, so the
-        # class count can never sink below chi == target; reaching the
-        # target is therefore success and a complete quotient above it is a
-        # dead end worth backtracking out of.
-        budget = _DFS_BUDGET
-
-        def descend(cur, pending, kept, chain, added, reused, next_z, zone):
-            nonlocal budget
-            if cur.n == target:
-                return cur, pending, kept, chain, added
-            cands: list[tuple[int, int, int, bool]] = []
-            rev = revival_merge(cur, pending, reused)
-            if rev is not None:
-                cands.append((rev[0], rev[1], rev[2], True))
-            for x, y, _ in itertools.islice(candidate_pairs(cur, zone), _DFS_BRANCH):
-                cands.append((x, y, next_z, False))
-            for px, py, z_id, is_reuse in cands:
-                if budget <= 0:
-                    return None
-                budget -= 1
-                c2, z = cur.contract_pair(px, py, z_id)
-                rec = ContractionRecord(px, py, z)
-                k2, ch2 = list(kept) + [rec], list(chain) + [c2]
-                a2 = list(added) + [rec]
-                r2 = reused | {z_id} if is_reuse else reused
-                nz2 = next_z if is_reuse else next_z + 1
-                c2, p2 = sweep(c2, list(pending), k2, ch2)
-                hit = descend(c2, p2, k2, ch2, a2, r2, nz2, zone | {z})
-                if hit is not None:
-                    return hit
-            return None
-
-        hit = descend(cur, pending, kept, chain, added, set(), next_z, set(affected))
-        if hit is None:
-            raise NotWeaklyChordalError("lenient completion exhausted")
-        cur, pending, kept, chain, added = hit
-        if not _is_complete(cur):
-            raise NotWeaklyChordalError("order repair did not terminate in a clique")
-
+        if pair is None:
+            break
+        cur, z = cur.contract_pair(*pair, next_z)
+        next_z += 1
+        rec = ContractionRecord(*pair, z)
+        kept.append(rec)
+        added.append(rec)
+        chain.append(cur)
+        affected.add(z)
+        cur, pending = sweep(cur, pending)
+    if not _is_complete(cur) or (target is not None and cur.n != target):
+        raise NotWeaklyChordalError("order repair did not terminate in a clique")
     return RepairResult(kept, chain, dropped + pending, added)
 
 
@@ -448,6 +351,13 @@ def insert_update(state: ColoringState, u: int, v: int) -> tuple[ColoringState, 
     v; no record pairs those two classes, so every record stays
     non-adjacent and fires in turn. The classes of u and v never merge, so
     they were already adjacent in the final k-clique, which is unchanged.
+
+    Without a matching record the clique cannot grow, so I-2-2 never
+    arises and the growth test is skipped (I-2-1). Proof: the order's
+    replay ends in a k-clique, so its classes are k independent sets of G,
+    and u and v fall in different classes because no record merged their
+    sides. The lift colors by class, so it is a proper k-coloring of G+uv,
+    and omega(G+uv) <= chi(G+uv) <= k.
     """
     g = state.graph
     h = g.insert_edge(u, v)  # raises if present / unknown
@@ -455,14 +365,14 @@ def insert_update(state: ColoringState, u: int, v: int) -> tuple[ColoringState, 
     same_color = state.coloring[u] == state.coloring[v]
     if not matches and not same_color:
         return _unchanged(state, h, "insert", "I-1", u, v)
-    witness = _growth_witness(state, u, v)
+    witness = _growth_witness(state, u, v) if matches else None
     grows = witness is not None
     omega_b = state.color_count
 
     if matches:
         case = "I-3-2" if grows else "I-3-1"
     else:
-        case = "I-2-2" if grows else "I-2-1"
+        case = "I-2-1"
 
     fallback = False
     expected = omega_b + (1 if grows else 0)
@@ -531,7 +441,7 @@ def insert_update(state: ColoringState, u: int, v: int) -> tuple[ColoringState, 
         elif case == "I-3-1":
             coloring, recolored = _match_palette(lifted_coloring, state.coloring, k)
             count, clique = omega_b, state.clique
-        else:  # I-2-2, I-3-2: one endpoint takes the brand-new color
+        else:  # I-3-2: one endpoint takes the brand-new color
             w = min(u, v)
             coloring = dict(state.coloring)
             coloring[w] = omega_b + 1

@@ -138,6 +138,10 @@ def topology_event_to_conflict_deltas(
     Only interference-side perturbations are supported: if the link carries
     one of the given messages, the message set itself would change, which
     the edge-update algorithms do not model.
+
+    Link (j,i) enters the conflict rules only as "a message from source i
+    and a message to destination j", so only those pairs are tested. They
+    come back in ascending (a, b) order, the order updates are applied in.
     """
     if kind not in ("insert", "delete"):
         raise TopologyError(f"unknown event kind {kind!r}")
@@ -147,13 +151,14 @@ def topology_event_to_conflict_deltas(
             "vertex-changing events are unsupported for dynamic replay"
         )
     t2 = t.insert_link(j, i) if kind == "insert" else t.delete_link(j, i)
+    sources = [a for a, m in enumerate(msgs) if m.source == i]
+    destinations = [b for b, m in enumerate(msgs) if m.destination == j]
     deltas = []
-    for a in range(len(msgs)):
-        for b in range(a + 1, len(msgs)):
-            before = messages_conflict(t, msgs[a], msgs[b])
-            after = messages_conflict(t2, msgs[a], msgs[b])
-            if before != after:
-                deltas.append(ConflictDelta("insert" if after else "delete", a, b))
+    for a, b in sorted({(min(x, y), max(x, y)) for x in sources for y in destinations}):
+        before = messages_conflict(t, msgs[a], msgs[b])
+        after = messages_conflict(t2, msgs[a], msgs[b])
+        if before != after:
+            deltas.append(ConflictDelta("insert" if after else "delete", a, b))
     return deltas
 
 

@@ -18,7 +18,7 @@ from timcolor.dynamic_coloring import (
     replay_repair,
 )
 from timcolor.generators import random_weakly_chordal
-from timcolor.graph import GraphError, make_graph
+from timcolor.graph import Graph, GraphError, make_graph
 from timcolor.harness import TrialConfig, gen_event, run_simulation
 from timcolor.oracles import oracle_chromatic
 from timcolor.recognition import stays_weakly_chordal_after_delete
@@ -207,8 +207,13 @@ class TestEquivalence:
             ev = gen_event(state.graph, rng, 0.5, seq, 200)
             if ev is None:
                 break
-            update = insert_update if ev.kind == "insert" else delete_update
-            state, rep = update(state, ev.u, ev.v)
+            if ev.kind == "insert":
+                unmatched = not matching_records(state.graph, state.order, ev.u, ev.v)
+                state, rep = insert_update(state, ev.u, ev.v)
+                if unmatched:  # I-1 or I-2-1: the order's lift already fits
+                    assert rep.colors_after == rep.colors_before
+            else:
+                state, rep = delete_update(state, ev.u, ev.v)
             assert verify_state(state)
             assert state.color_count == static_color(state.graph).color_count
             assert state.color_count == oracle_chromatic(state.graph)
@@ -346,13 +351,28 @@ class TestDropLadder:
 
         The I-3-1 insert at event 55 of this stream fails rung 0 and every
         single-record drop, so it makes every replay the ladder allows.
+        Every contraction removes a vertex, so a greedy replay makes at most
+        n - 1 of them on an n-vertex graph.
         """
         calls = []  # [order length, replay_repair calls] per update
+        contractions = []  # [graph.n, contract_pair calls] per replay
+        inside = []  # open replay_repair calls
         replay = dynamic_coloring.replay_repair
+        contract = Graph.contract_pair
 
-        def counted_replay(*args, **kwargs):
+        def counted_replay(graph, *args, **kwargs):
             calls[-1][1] += 1
-            return replay(*args, **kwargs)
+            contractions.append([graph.n, 0])
+            inside.append(True)
+            try:
+                return replay(graph, *args, **kwargs)
+            finally:
+                inside.pop()
+
+        def counted_contract(self, *args, **kwargs):
+            if inside:  # verify_state replays the order too
+                contractions[-1][1] += 1
+            return contract(self, *args, **kwargs)
 
         def counted(update):
             def run(state, u, v):
@@ -362,6 +382,7 @@ class TestDropLadder:
             return run
 
         monkeypatch.setattr(dynamic_coloring, "replay_repair", counted_replay)
+        monkeypatch.setattr(Graph, "contract_pair", counted_contract)
         monkeypatch.setattr(harness, "insert_update", counted(insert_update))
         monkeypatch.setattr(harness, "delete_update", counted(delete_update))
         cfg = TrialConfig(
@@ -372,3 +393,5 @@ class TestDropLadder:
         assert (event.kind, event.case_label) == ("insert", "I-3-1")
         order_len, replays = calls[55]
         assert replays <= order_len + 2
+        assert contractions
+        assert all(count <= n - 1 for n, count in contractions)

@@ -279,7 +279,8 @@ class TestMaskNative:
     @given(labelled_graphs(), st.data())
     @settings(max_examples=150, deadline=None)
     def test_contract_reused_id_below_live_ids(self, g, data):
-        # replay_repair revives dead record ids, which can sort below live ids
+        # a deferred record that fires late in replay_repair keeps its
+        # recorded id, which can sort below the live ids
         pairs = non_edges(g)
         free = [z for z in range(g.next_id) if z not in g]
         if not pairs or not free:

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from timcolor.generators import random_chordal_bipartite, random_convex
 from timcolor.static_coloring import static_color
@@ -138,6 +140,37 @@ class TestDeltas:
         t = full_topology(2, 2)
         with pytest.raises(TopologyError):
             topology_event_to_conflict_deltas(t, [], "toggle", 0, 0)
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_all_pairs_scan(self, data):
+        """Same deltas, in the same order, as testing every message pair.
+
+        Messages ride a random subset of the links, in a random order, so
+        the flipped link may be absent (insert) or present without a
+        message (delete).
+        """
+        m, n = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5))
+        cells = [(j, i) for j in range(n) for i in range(m)]
+        links = data.draw(st.sets(st.sampled_from(cells)))
+        t = TopologyGraph(m, n, frozenset(links))
+        carried = data.draw(st.sets(st.sampled_from(sorted(links)))) if links else set()
+        msgs = data.draw(st.permutations([Message(i, j) for j, i in sorted(carried)]))
+        free = [c for c in cells if c not in carried]
+        if not free:
+            return
+        j, i = data.draw(st.sampled_from(free))
+        kind = "delete" if (j, i) in links else "insert"
+        t2 = t.insert_link(j, i) if kind == "insert" else t.delete_link(j, i)
+        expect = []
+        for a in range(len(msgs)):
+            for b in range(a + 1, len(msgs)):
+                before = messages_conflict(t, msgs[a], msgs[b])
+                after = messages_conflict(t2, msgs[a], msgs[b])
+                if before != after:
+                    expect.append(("insert" if after else "delete", a, b))
+        got = topology_event_to_conflict_deltas(t, msgs, kind, j, i)
+        assert [(d.kind, d.u, d.v) for d in got] == expect
 
 
 class TestDofAndSchedule:
