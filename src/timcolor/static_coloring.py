@@ -181,18 +181,50 @@ def chromatic_number(g: Graph) -> int:
 
 
 def diagnose_state(state: ColoringState) -> list[str]:
-    """All invariant violations of a ColoringState, as human-readable strings."""
+    """All invariant violations of a ColoringState, as human-readable strings.
+
+    A valid state has a proper coloring with ``color_count`` colors, a
+    ``color_count``-clique, and an order whose replay on the graph ends in
+    a ``color_count``-clique. Problems come in that order; the coloring's
+    bad edges come in ``g.edges()`` order.
+
+    The order is replayed on class bitmasks over the sorted positions of
+    ``state.graph``, without building a ``Graph`` per record. Each live id
+    stands for a class: ``cls[id]`` is the mask of its member positions
+    and ``nb[id]`` the OR of their adjacency masks. This is the certificate
+    that a replay through ``Graph.contract_pair`` computes. Claim: in that
+    replay, live ids a and b are adjacent iff ``nb[a] & cls[b]`` is
+    non-zero, and each class is an independent set. Singletons satisfy
+    this. A record fires only on non-adjacent parents, so the union of two
+    independent classes with no edge between them is independent again.
+    ``contract_pair`` makes z adjacent to exactly N(x) | N(y), that is, to
+    each class some member of x or of y touches, and ``nb[x] | nb[y]``
+    meets ``cls[w]`` exactly then. So every adjacency test of the replay,
+    the completeness of the final quotient and its size read the same on
+    both sides.
+    """
     problems: list[str] = []
     g = state.graph
-    if set(state.coloring) != set(g.vertices):
+    coloring = state.coloring
+    if set(coloring) != set(g.vertices):
         problems.append("coloring domain differs from vertex set")
         return problems
-    for u, v in g.edges():
-        if state.coloring[u] == state.coloring[v]:
-            problems.append(f"improper coloring on edge ({u},{v})")
-    distinct = len(set(state.coloring.values())) if state.coloring else 0
-    if distinct != state.color_count:
-        problems.append(f"{distinct} distinct colors used, color_count={state.color_count}")
+    ids = g.vertices
+    adj = g.adj_masks()
+    # One mask per color: position p has a bad edge to a later position
+    # iff its adjacency meets its own color's mask above bit p.
+    color_at = [coloring[v] for v in ids]
+    color_mask: dict = {}
+    for p, c in enumerate(color_at):
+        color_mask[c] = color_mask.get(c, 0) | 1 << p
+    for p, m in enumerate(adj):
+        bad = (m & color_mask[color_at[p]]) >> (p + 1)
+        while bad:
+            low = bad & -bad
+            problems.append(f"improper coloring on edge ({ids[p]},{ids[p + low.bit_length()]})")
+            bad ^= low
+    if len(color_mask) != state.color_count:
+        problems.append(f"{len(color_mask)} distinct colors used, color_count={state.color_count}")
     if len(state.clique) != state.color_count:
         problems.append(f"clique size {len(state.clique)} != color_count {state.color_count}")
     members = sorted(state.clique)
@@ -201,21 +233,32 @@ def diagnose_state(state: ColoringState) -> list[str]:
             if not g.has_edge(u, v):
                 problems.append(f"clique members ({u},{v}) are not adjacent")
     # Replay the order. Optimality is certified by the (coloring, clique)
-    # pair above, so a record only needs live, non-adjacent parents here;
-    # two-pair-ness is how records are found, not what makes them valid.
-    cur = g
+    # pair above, so a record only needs live, distinct, non-adjacent
+    # parents and a fresh z here; two-pair-ness is how records are found,
+    # not what makes them valid.
+    cls = {v: 1 << p for p, v in enumerate(ids)}
+    nb = dict(zip(ids, adj))
     for rec in state.order:
-        if rec.x not in cur or rec.y not in cur:
-            problems.append(f"order record ({rec.x},{rec.y},{rec.z}) references dead vertex")
+        x, y, z = rec.x, rec.y, rec.z
+        if x not in cls or y not in cls:
+            problems.append(f"order record ({x},{y},{z}) references dead vertex")
             return problems
-        if cur.has_edge(rec.x, rec.y):
-            problems.append(f"order record ({rec.x},{rec.y},{rec.z}) contracts an edge")
+        if nb[x] & cls[y]:
+            problems.append(f"order record ({x},{y},{z}) contracts an edge")
             return problems
-        cur, _ = cur.contract_pair(rec.x, rec.y, rec.z)
-    if not _is_complete(cur):
+        if x == y:
+            problems.append(f"order record ({x},{y},{z}) pairs a vertex with itself")
+            return problems
+        if z in cls:
+            problems.append(f"order record ({x},{y},{z}) reuses live id {z}")
+            return problems
+        cls[z] = cls.pop(x) | cls.pop(y)
+        nb[z] = nb.pop(x) | nb.pop(y)
+    live = list(cls)
+    if not all(nb[a] & cls[b] for i, a in enumerate(live) for b in live[i + 1 :]):
         problems.append("order replay does not end in a clique")
-    elif cur.n != state.color_count:
-        problems.append(f"replayed clique has {cur.n} vertices, expected {state.color_count}")
+    elif len(live) != state.color_count:
+        problems.append(f"replayed clique has {len(live)} vertices, expected {state.color_count}")
     return problems
 
 

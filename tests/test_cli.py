@@ -131,6 +131,20 @@ class TestVerify:
         assert code == EXIT_ASSERTION
         assert payload["ok"] is False and payload["problems"]
 
+    def test_record_reusing_live_id_exits_2(self, capsys, tmp_path):
+        state_file = tmp_path / "state.json"
+        assert main(["color", fixture_path(tmp_path, "fig6.json"),
+                     "--out", str(state_file)]) == EXIT_OK
+        capsys.readouterr()
+        blob = json.loads(state_file.read_text())
+        x, y, _ = blob["order"][0]
+        blob["order"][0] = [x, y, x]
+        state_file.write_text(json.dumps(blob))
+        code, payload, err = run_json(capsys, "verify", str(state_file))
+        assert code == EXIT_ASSERTION and not err
+        assert payload == {"ok": False,
+                           "problems": [f"order record ({x},{y},{x}) reuses live id {x}"]}
+
 
 class TestTopology:
     def test_conflict_emits_labeled_graph(self, capsys, tmp_path):

@@ -370,7 +370,7 @@ class TestDropLadder:
                 inside.pop()
 
         def counted_contract(self, *args, **kwargs):
-            if inside:  # verify_state replays the order too
+            if inside:  # the trial's initial static_color contracts too
                 contractions[-1][1] += 1
             return contract(self, *args, **kwargs)
 

@@ -169,3 +169,14 @@ class TestKnownDefects:
     )
     def test_seed3_default_bound(self):
         run_simulation(TrialConfig(seed=3, M=9, N=9, event_count=60, verification_mode=False))
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=TrialAssertionError,
+        reason="known locality defect: the criterion-2 I-3-1 insert at event 185 changes "
+        "10 order pairs under the greedy lenient completion, over the default bound of 8",
+    )
+    def test_seed21_default_bound(self):
+        run_simulation(
+            TrialConfig(seed=21, M=10, N=8, density=0.5, event_count=186, verification_mode=False)
+        )

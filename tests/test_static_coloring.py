@@ -1,17 +1,19 @@
 """Algorithm-2 layer: contraction, lifting, verification, perfection."""
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from timcolor.graph import make_graph
-from timcolor.generators import random_weakly_chordal
+from timcolor.graph import Graph, GraphError, make_graph
+from timcolor.generators import random_convex, random_weakly_chordal
 from timcolor.oracles import oracle_chromatic, oracle_max_clique
 from timcolor.recognition import TwoPair, is_weakly_chordal
 from timcolor.static_coloring import (
     ColoringState,
+    ContractionRecord,
     InvalidContractionError,
     NotWeaklyChordalError,
     SolutionOrder,
@@ -21,6 +23,7 @@ from timcolor.static_coloring import (
     static_color,
     verify_state,
 )
+from timcolor.tim import all_unicast_messages, build_conflict_graph
 
 from conftest import fixture_graph
 
@@ -150,6 +153,109 @@ class TestStaticColor:
         assert chromatic_number(clique(5)) == 5
 
 
+NEW_RECORD_PROBLEM = re.compile(
+    r"order record \(-?\d+,-?\d+,-?\d+\) (pairs a vertex with itself|reuses live id -?\d+)"
+)
+
+
+def graph_replay_diagnose(state, problems):
+    """The verifier as it was before the mask replay: one ``Graph`` per record.
+
+    Appends to ``problems`` as it goes, so the problems found before a
+    ``GraphError`` stay visible to the caller.
+    """
+    g = state.graph
+    if set(state.coloring) != set(g.vertices):
+        problems.append("coloring domain differs from vertex set")
+        return
+    for u, v in g.edges():
+        if state.coloring[u] == state.coloring[v]:
+            problems.append(f"improper coloring on edge ({u},{v})")
+    distinct = len(set(state.coloring.values())) if state.coloring else 0
+    if distinct != state.color_count:
+        problems.append(f"{distinct} distinct colors used, color_count={state.color_count}")
+    if len(state.clique) != state.color_count:
+        problems.append(f"clique size {len(state.clique)} != color_count {state.color_count}")
+    members = sorted(state.clique)
+    for i, u in enumerate(members):
+        for v in members[i + 1 :]:
+            if not g.has_edge(u, v):
+                problems.append(f"clique members ({u},{v}) are not adjacent")
+    cur = g
+    for rec in state.order:
+        if rec.x not in cur or rec.y not in cur:
+            problems.append(f"order record ({rec.x},{rec.y},{rec.z}) references dead vertex")
+            return
+        if cur.has_edge(rec.x, rec.y):
+            problems.append(f"order record ({rec.x},{rec.y},{rec.z}) contracts an edge")
+            return
+        cur, _ = cur.contract_pair(rec.x, rec.y, rec.z)
+    if not all(cur.degree(v) == cur.n - 1 for v in cur.vertices):
+        problems.append("order replay does not end in a clique")
+    elif cur.n != state.color_count:
+        problems.append(f"replayed clique has {cur.n} vertices, expected {state.color_count}")
+
+
+CORRUPTIONS = (
+    "recolor", "drop", "swap", "duplicate", "edge", "self", "live", "random", "clique", "count",
+)
+
+
+@st.composite
+def corrupted_states(draw):
+    """A static_color state of a random weakly chordal graph, with 0-3 corruptions.
+
+    Some graphs lose a few vertices first, so that ids and sorted positions
+    differ.
+    """
+    rng = random.Random(draw(st.integers(0, 10_000)))
+    n = rng.randint(1, 12)
+    g = random_weakly_chordal(n, rng.randint(0, 25), rng)
+    g = g.induced_subgraph(rng.sample(g.vertices, n - rng.randint(0, n // 3)))
+    state = static_color(g, rng=rng)
+    ids = g.vertices
+    coloring = dict(state.coloring)
+    count, clique = state.color_count, state.clique
+    records = list(state.order.records)
+    edges = list(g.edges())
+    some_id = st.integers(-1, g.next_id + 2)
+
+    def at(extra=1):
+        return draw(st.integers(0, len(records) - 1 + extra))
+
+    for _ in range(draw(st.sampled_from((0, 1, 2, 3)))):
+        kind = draw(st.sampled_from(CORRUPTIONS))
+        if kind == "recolor":
+            coloring[draw(st.sampled_from(ids))] = draw(st.integers(1, count + 1))
+        elif kind == "drop" and records:
+            del records[at(0)]
+        elif kind == "swap" and len(records) > 1:
+            i, j = at(0), at(0)
+            records[i], records[j] = records[j], records[i]
+        elif kind == "duplicate" and records:
+            i = at(0)
+            records.insert(draw(st.integers(i, len(records))), records[i])
+        elif kind == "edge" and edges:
+            u, v = draw(st.sampled_from(edges))
+            records.insert(at(), ContractionRecord(u, v, g.next_id + 5))
+        elif kind == "self":
+            v = draw(st.sampled_from(ids))
+            records.insert(at(), ContractionRecord(v, v, g.next_id + 5))
+        elif kind == "live" and records:
+            i = at(0)
+            r = records[i]
+            z = draw(st.sampled_from((r.x, r.y)) | st.sampled_from(ids))
+            records[i] = ContractionRecord(r.x, r.y, z)
+        elif kind == "random":
+            rec = ContractionRecord(draw(some_id), draw(some_id), draw(some_id))
+            records.insert(at(), rec)
+        elif kind == "clique":
+            clique = frozenset(draw(st.sets(st.sampled_from(ids), max_size=count + 1)))
+        elif kind == "count":
+            count += draw(st.sampled_from((-1, 1)))
+    return ColoringState(g, coloring, count, clique, SolutionOrder(records))
+
+
 class TestVerifyState:
     def test_accepts_valid(self, fig6):
         assert verify_state(static_color(fig6))
@@ -176,6 +282,47 @@ class TestVerifyState:
         st_ = static_color(fig6)
         corrupt = ColoringState(st_.graph, st_.coloring, 4, st_.clique, st_.order)
         assert not verify_state(corrupt)
+
+    def test_self_pair_record_reported(self, fig6):
+        st_ = static_color(fig6)
+        bad = SolutionOrder([ContractionRecord(0, 0, 99)] + st_.order.records)
+        corrupt = ColoringState(st_.graph, st_.coloring, st_.color_count, st_.clique, bad)
+        assert diagnose_state(corrupt) == ["order record (0,0,99) pairs a vertex with itself"]
+
+    def test_live_id_record_reported(self, fig6):
+        st_ = static_color(fig6)
+        x, y, _ = st_.order.records[0].as_list()
+        bad = SolutionOrder([ContractionRecord(x, y, x)] + st_.order.records[1:])
+        corrupt = ColoringState(st_.graph, st_.coloring, st_.color_count, st_.clique, bad)
+        assert diagnose_state(corrupt) == [f"order record ({x},{y},{x}) reuses live id {x}"]
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_graph_replay(self, data):
+        state = data.draw(corrupted_states())
+        expected: list[str] = []
+        try:
+            graph_replay_diagnose(state, expected)
+        except GraphError:
+            # the two record kinds the Graph replay raises on
+            got = diagnose_state(state)
+            assert got[:-1] == expected
+            assert NEW_RECORD_PROBLEM.fullmatch(got[-1])
+            assert not verify_state(state)
+        else:
+            assert diagnose_state(state) == expected
+            assert verify_state(state) == (not expected)
+
+    def test_no_graph_contraction(self, monkeypatch):
+        topo = random_convex(30, 30, random.Random(1))
+        state = static_color(build_conflict_graph(topo, all_unicast_messages(topo)).graph)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("verify_state built a contracted Graph")
+
+        monkeypatch.setattr(Graph, "contract_pair", forbidden)
+        assert len(state.order) > 20
+        assert verify_state(state)
 
 
 class TestSolutionOrderSerialization:
