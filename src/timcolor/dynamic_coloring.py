@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .graph import Graph
-from .recognition import candidate_pairs, is_two_pair
+from .recognition import _bits, candidate_pairs, is_two_pair
 from .static_coloring import (
     ColoringState,
     ContractionRecord,
@@ -124,13 +124,6 @@ def _growth_witness(state: ColoringState, u: int, v: int) -> Optional[frozenset[
         return None
     ids = g.vertices
     return frozenset({u, v} | {ids[p] for p in _bits(mask)})
-
-
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def clique_grows(state: ColoringState, u: int, v: int) -> bool:
@@ -484,44 +477,36 @@ def delete_update(state: ColoringState, u: int, v: int) -> tuple[ColoringState, 
     turn. The final quotient stays complete: were two of its classes
     non-adjacent, merging them would color G-uv with k-1 colors below the
     surviving k-clique.
+
+    Otherwise the strict two-pair replay decides omega(G-uv). It contracts
+    only two-pairs, and contracting a two-pair of a weakly chordal graph
+    keeps it weakly chordal and keeps chi and omega (Hayward-Hoang-Maffray),
+    so the replay ends in a clique of k' = omega(G-uv) vertices, and the
+    lift threads a k'-clique of G-uv back through it. One deleted edge
+    lowers omega by at most one, so k' is k (D-1, certified by the lifted
+    clique) or k-1 (D-2). A lenient replay to target k' then confines the
+    order delta to the records the deletion hits; when it fails the strict
+    replay stands. In D-2 every k-clique of G contained the edge, so the
+    held clique minus u certifies k-1 as well, and a lenient D-2 keeps it.
     """
     g2 = state.graph.delete_edge(u, v)  # raises if absent
     if u not in state.clique or v not in state.clique:
         return _unchanged(state, g2, "delete", "D-1", u, v)
     omega_b = state.color_count
     fallback = False
-
-    def attempt(strict: bool):
-        if strict:
-            res = replay_repair(g2, state.order, {u, v}, strict=True)
-            lifted_coloring, clique, k = lift(res.records, res.chain)
-        else:
-            # exact recount, searched over the whole graph (exponential in
-            # the worst case, not local): omega is unchanged iff g-(u,v)
-            # still has an omega clique, and when it drops every old maximum
-            # clique contained the edge, so state.clique - {u} certifies
-            # omega - 1
-            ids = g2.vertices
-            mask = _find_clique(g2.adj_masks(), (1 << g2.n) - 1, omega_b)
-            if mask is not None:
-                target = omega_b
-                clique = frozenset(ids[p] for p in _bits(mask))
-            else:
-                target = omega_b - 1
-                clique = state.clique - {u}
-            res = replay_repair(g2, state.order, {u, v}, strict=False, target=target)
-            lifted_coloring, k = lift_coloring(res.records, res.chain)
-            if k != target:
-                raise NotWeaklyChordalError("lenient repair missed the recounted omega")
+    try:
+        strict = replay_repair(g2, state.order, {u, v}, strict=True)
+        strict_coloring, clique, k = lift(strict.records, strict.chain)
         if k not in (omega_b, omega_b - 1):
             raise NotWeaklyChordalError(f"deletion changed clique size {omega_b} -> {k}")
-        return res, lifted_coloring, clique, k
-
-    try:
         try:
-            res, lifted_coloring, clique, k = attempt(strict=False)
+            res = replay_repair(g2, state.order, {u, v}, strict=False, target=k)
         except NotWeaklyChordalError:
-            res, lifted_coloring, clique, k = attempt(strict=True)
+            res, lifted_coloring = strict, strict_coloring
+        else:
+            lifted_coloring, _ = lift_coloring(res.records, res.chain)
+            if k < omega_b:
+                clique = state.clique - {u}
         removed, added = res.removed, res.added
         order = SolutionOrder(res.records)
         if k == omega_b:

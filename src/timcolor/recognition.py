@@ -8,6 +8,7 @@ immutable graphs.
 
 from __future__ import annotations
 
+import heapq
 import random
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
@@ -252,54 +253,169 @@ def is_two_pair(g: Graph, x: int, y: int) -> bool:
     return not _bfs_reach(adj, px, allowed) >> py & 1
 
 
-def candidate_pairs(
-    g: Graph, near: Iterable[int] = (), rng: Optional[random.Random] = None
-) -> Iterator[tuple[int, int, bool]]:
+def _bits(mask: int) -> Iterator[int]:
+    """Set bit positions of a mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _rank_entry(
+    adj: Sequence[int], ids: Sequence[int], sa: int, sb: int, rng: Optional[random.Random]
+) -> tuple:
+    """Rank entry ``(rank, a, b, sa, sb)`` of the non-adjacent pair at slots sa, sb.
+
+    The ids come in ascending order (a < b). Without an rng the rank is the
+    negated common-neighborhood size, so entries sort by descending common
+    neighborhood, then ascending ids: large common neighborhoods are the
+    likeliest to disconnect the pair. With an rng it is a fresh random draw,
+    and entries sort into a uniformly random order (used for
+    order-independence checks).
+    """
+    a, b = ids[sa], ids[sb]
+    if a > b:
+        a, b, sa, sb = b, a, sb, sa
+    rank = rng.random() if rng is not None else -(adj[sa] & adj[sb]).bit_count()
+    return rank, a, b, sa, sb
+
+
+def _rank_entries(g: Graph, rng: Optional[random.Random]) -> list[tuple]:
+    """One rank entry per non-adjacent pair of g, slots being sorted positions."""
+    adj, ids = g.adj_masks(), g.vertices
+    return [
+        _rank_entry(adj, ids, i, j, rng)
+        for i in range(g.n)
+        for j in _bits(((1 << g.n) - 1) & ~adj[i] & ~((2 << i) - 1))
+    ]
+
+
+class PairRanking:
+    """The non-adjacent pairs of a graph under contraction, ranked best first.
+
+    Built once per contraction loop: ``pop_two_pair`` hands out the best
+    current two-pair, ``contract`` replays the loop's contraction of it.
+    Vertices sit at fixed slots (the graph's sorted positions, then one new
+    slot per contracted id), so no mask is renumbered, and the entries live
+    in a heap with lazy invalidation: an entry is current while both its
+    slots are live and, without an rng, its rank is still the pair's
+    negated common-neighborhood count. Every live non-adjacent pair keeps a current
+    entry (see ``contract``), so the heap pops current entries in the order
+    of ``_rank_entry``, and ``pop_two_pair`` returns the first two-pair of
+    that order: the pair a sort of all pairs would find first.
+    """
+
+    def __init__(self, g: Graph, rng: Optional[random.Random] = None):
+        self._rng = rng
+        self._ids = list(g.vertices)  # slot -> id
+        self._slot = {v: s for s, v in enumerate(self._ids)}
+        self._adj = g.adj_masks()  # slot -> neighbor slots; 0 once dead
+        self._live = (1 << g.n) - 1
+        self._heap = _rank_entries(g, rng)
+        heapq.heapify(self._heap)
+
+    def pop_two_pair(self) -> Optional[tuple[int, int]]:
+        """The best current two-pair as ids (a, b), a < b, or None.
+
+        The two-pair test runs lazily, from the top of the heap down; the
+        pairs passed over stay queued for later contractions, the returned
+        pair does not (the caller contracts it).
+        """
+        heap, adj, live = self._heap, self._adj, self._live
+        skipped = []
+        found = None
+        while heap:
+            entry = heapq.heappop(heap)
+            rank, a, b, sa, sb = entry
+            if not live >> sa & live >> sb & 1:
+                continue
+            common = adj[sa] & adj[sb]
+            if self._rng is None and rank != -common.bit_count():
+                continue  # stale: the current count has its own entry
+            if _bfs_reach(adj, sa, live & ~common) >> sb & 1:
+                skipped.append(entry)
+            else:
+                found = a, b
+                break
+        for entry in skipped:
+            heapq.heappush(heap, entry)
+        return found
+
+    def contract(self, x: int, y: int, z: int) -> None:
+        """Merge the non-adjacent x and y into the fresh id z, as Graph.contract_pair does.
+
+        Pairs with x or y die; each pair of z with a live non-neighbor gets
+        an entry. Of the other pairs, only those inside N(z) = N(x) | N(y)
+        change rank: common(a, b) loses x only when a and b both lie in
+        N(x), loses y likewise, and gains z only when both lie in N(z).
+        Split N(z) into X = N(x) - N(y), Y = N(y) - N(x) and B = N(x) & N(y).
+        A pair across X and Y gains z and lost nothing (+1), a pair inside B
+        loses x and y and gains z (-1), and every other pair inside N(z)
+        swaps one of x, y for z (unchanged). Only the +1 and -1 pairs get a
+        fresh entry; with an rng, ranks ignore common neighborhoods and no
+        pair is re-ranked.
+        """
+        adj, ids, slot, heap = self._adj, self._ids, self._slot, self._heap
+        sx, sy, sz = slot.pop(x), slot.pop(y), len(ids)
+        ids.append(z)
+        slot[z] = sz
+        nx, ny = adj[sx], adj[sy]
+        adj[sx] = adj[sy] = 0
+        gone, zbit = 1 << sx | 1 << sy, 1 << sz
+        for s in _bits(nx | ny):
+            adj[s] = adj[s] & ~gone | zbit
+        adj.append(nx | ny)
+        self._live = live = self._live & ~gone | zbit
+        rng = self._rng
+        for s in _bits(live & ~adj[sz] & ~zbit):
+            heapq.heappush(heap, _rank_entry(adj, ids, s, sz, rng))
+        if rng is not None:
+            return
+        only_x, only_y, both = nx & ~ny, ny & ~nx, nx & ny
+        for s in _bits(only_x):
+            for t in _bits(only_y & ~adj[s]):
+                heapq.heappush(heap, _rank_entry(adj, ids, s, t, rng))
+        for s in _bits(both):
+            for t in _bits(both & ~adj[s] & ~((2 << s) - 1)):
+                heapq.heappush(heap, _rank_entry(adj, ids, s, t, rng))
+
+
+def candidate_pairs(g: Graph, near: Iterable[int] = ()) -> Iterator[tuple[int, int, bool]]:
     """Every non-adjacent pair as (x, y, is_two_pair), best first.
 
     Pairs with an endpoint in `near` or adjacent to it form the first tier,
     the rest the second. Within a tier the two-pairs come before the other
-    pairs, each in descending common-neighborhood size, then ascending ids
-    (large common neighborhoods are the likeliest to disconnect the pair),
-    or in an rng shuffle (used for order-independence checks). Two-pair
-    tests run lazily, so a caller that stops at the first two-pair pays only
-    for the pairs ranked before it.
+    pairs, each in ``PairRanking``'s order without an rng. Two-pair tests
+    run lazily, so a caller that stops at the first two-pair pays only for
+    the pairs ranked before it.
     """
     adj = g.adj_masks()
-    ids = g.vertices
     full = (1 << g.n) - 1
-    pairs = [(i, j) for i in range(g.n) for j in range(i + 1, g.n) if not adj[i] >> j & 1]
-    if rng is not None:
-        rng.shuffle(pairs)
-    else:
-        pairs.sort(key=lambda p: (-(adj[p[0]] & adj[p[1]]).bit_count(), ids[p[0]], ids[p[1]]))
+    pairs = sorted(_rank_entries(g, None))
     zone = 0
     for w in near:
         if w in g:
             zone |= adj[g.pos(w)] | 1 << g.pos(w)
-    hit = lambda p: (zone >> p[0] | zone >> p[1]) & 1
-    # without a zone skip the split: static_color's search pays per pair
-    tiers = ([p for p in pairs if hit(p)], [p for p in pairs if not hit(p)]) if zone else (pairs,)
+    hit = lambda e: (zone >> e[3] | zone >> e[4]) & 1
+    tiers = ([e for e in pairs if hit(e)], [e for e in pairs if not hit(e)]) if zone else (pairs,)
     for tier in tiers:
         others = []
-        for px, py in tier:
+        for _, x, y, px, py in tier:
             if _bfs_reach(adj, px, full & ~(adj[px] & adj[py])) >> py & 1:
-                others.append((ids[px], ids[py], False))
+                others.append((x, y, False))
             else:
-                yield ids[px], ids[py], True
+                yield x, y, True
         yield from others
 
 
 def find_two_pair(g: Graph, rng: Optional[random.Random] = None) -> Optional[TwoPair]:
-    """Some two-pair of g, or None.
+    """The first two-pair of g in ``PairRanking``'s order, or None.
 
     Deterministic without an rng. On a weakly chordal graph that is not a
     clique this never returns None.
     """
-    for x, y, two in candidate_pairs(g, rng=rng):
-        if two:
-            return TwoPair(x, y)
-    return None
+    pair = PairRanking(g, rng).pop_two_pair()
+    return None if pair is None else TwoPair(*pair)
 
 
 def _chordless_paths_all_two_edges(g: Graph, x: int, y: int) -> bool:

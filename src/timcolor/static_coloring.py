@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .graph import Graph
-from .recognition import TwoPair, find_two_pair, is_two_pair, is_weakly_chordal
+from .recognition import PairRanking, TwoPair, is_two_pair, is_weakly_chordal
 
 
 class NotWeaklyChordalError(ValueError):
@@ -72,9 +72,9 @@ class ColoringState:
         }
 
 
-def contract(g: Graph, pair: TwoPair, z: Optional[int] = None, check: bool = True) -> tuple[Graph, int]:
+def contract(g: Graph, pair: TwoPair, z: Optional[int] = None) -> tuple[Graph, int]:
     """Merge a two-pair into a fresh vertex adjacent to the union neighborhood."""
-    if check and not is_two_pair(g, pair.x, pair.y):
+    if not is_two_pair(g, pair.x, pair.y):
         raise InvalidContractionError(f"({pair.x},{pair.y}) is not a two-pair")
     return g.contract_pair(pair.x, pair.y, z)
 
@@ -94,20 +94,20 @@ def run_contractions(
     Returns the records and the graph chain (chain[i] is the graph before
     records[i]; the last entry is the final clique). Raises if the final
     graph is not complete, or, in verify mode, if weak chordality breaks.
+    Each step contracts the first two-pair in ``PairRanking``'s order,
+    which one ranking kept across the loop hands out.
     """
     records: list[ContractionRecord] = []
     chain = [g]
     cur = g
-    while True:
-        pair = find_two_pair(cur, rng)
-        if pair is None:
-            break
-        cur, z = contract(cur, pair, check=False)
+    ranking = PairRanking(g, rng)
+    while (pair := ranking.pop_two_pair()) is not None:
+        x, y = pair
+        cur, z = cur.contract_pair(x, y)
+        ranking.contract(x, y, z)
         if verify and not is_weakly_chordal(cur):
-            raise NotWeaklyChordalError(
-                f"contraction of ({pair.x},{pair.y}) broke weak chordality"
-            )
-        records.append(ContractionRecord(pair.x, pair.y, z))
+            raise NotWeaklyChordalError(f"contraction of ({x},{y}) broke weak chordality")
+        records.append(ContractionRecord(x, y, z))
         chain.append(cur)
     if not _is_complete(cur):
         raise NotWeaklyChordalError(

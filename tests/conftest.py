@@ -1,8 +1,11 @@
 import json
+import random
 from importlib import resources
 
 import pytest
+from hypothesis import strategies as st
 
+from timcolor.generators import random_weakly_chordal
 from timcolor.graph import Graph, from_dict
 
 
@@ -13,6 +16,17 @@ def load_fixture(name: str) -> dict:
 
 def fixture_graph(name: str) -> Graph:
     return from_dict(load_fixture(name))
+
+
+@st.composite
+def weakly_chordal_graphs(draw):
+    """A random weakly chordal graph; some lose vertices, so ids are not contiguous."""
+    rng = random.Random(draw(st.integers(0, 10_000)))
+    n = rng.randint(1, 16)
+    g = random_weakly_chordal(n, rng.randint(0, 3 * n), rng)
+    if draw(st.booleans()):
+        g = g.induced_subgraph(rng.sample(g.vertices, n - rng.randint(0, n // 2)))
+    return g
 
 
 @pytest.fixture

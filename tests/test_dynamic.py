@@ -17,7 +17,7 @@ from timcolor.dynamic_coloring import (
     matching_records,
     replay_repair,
 )
-from timcolor.generators import random_weakly_chordal
+from timcolor.generators import random_convex, random_weakly_chordal
 from timcolor.graph import Graph, GraphError, make_graph
 from timcolor.harness import TrialConfig, gen_event, run_simulation
 from timcolor.oracles import oracle_chromatic
@@ -29,6 +29,7 @@ from timcolor.static_coloring import (
     static_color,
     verify_state,
 )
+from timcolor.tim import all_unicast_messages, build_conflict_graph
 
 from conftest import fixture_graph
 
@@ -161,6 +162,37 @@ class TestDelete:
     def test_missing_edge_rejected(self, fig6):
         with pytest.raises(GraphError):
             delete_update(static_color(fig6), 0, 3)
+
+    def test_replay_decides_omega_without_clique_search(self, monkeypatch):
+        """Deletions inside the held clique are decided by the strict replay.
+
+        The exponential whole-graph clique search is never called, and the
+        decided color count is chi.
+        """
+        topo = random_convex(30, 30, random.Random(1))
+        state = static_color(build_conflict_graph(topo, all_unicast_messages(topo)).graph)
+        searches = []
+        find_clique = dynamic_coloring._find_clique
+
+        def counted(*args):
+            searches.append(args)
+            return find_clique(*args)
+
+        monkeypatch.setattr(dynamic_coloring, "_find_clique", counted)
+        rng = random.Random(2)
+        cases = []
+        for _ in range(12):
+            inside = [
+                (u, v)
+                for u, v in itertools.combinations(sorted(state.clique), 2)
+                if stays_weakly_chordal_after_delete(state.graph, u, v)
+            ]
+            state, rep = delete_update(state, *rng.choice(inside))
+            assert verify_state(state) and not rep.fallback_used
+            assert state.color_count == static_color(state.graph).color_count
+            cases.append(rep.case_label)
+        assert searches == []
+        assert {"D-1", "D-2"} <= set(cases)
 
 
 class TestReportShape:

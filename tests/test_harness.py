@@ -160,6 +160,31 @@ class TestRunSimulation:
         assert rep.events and rep.fallback_count == 0
 
 
+class TestScale:
+    N84 = dict(seed=2, M=13, N=13, density=0.5, event_count=100)
+
+    def test_n84_dynamic_equals_static(self):
+        """At n = 84 every state verifies, matches a fresh static_color, no fallback."""
+        report = run_simulation(TrialConfig(**self.N84, assert_bound=False))
+        assert len(report.events) == 100
+        assert report.equivalence_checks == 100
+        assert report.fallback_count == 0
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=TrialAssertionError,
+        reason="known locality defect: at n = 84, 7 of 100 updates go over the default "
+        "bound of 8, all D-2 deletions, with up to 25 changed order pairs",
+    )
+    def test_n84_default_bound(self):
+        """The bound over every update: the harness itself gates only insertions."""
+        cfg = TrialConfig(**self.N84)
+        for event in run_simulation(cfg).events:
+            if max(event.pairs_changed, len(event.recolored)) > cfg.bound:
+                message = f"{event.case_label} over bound {cfg.bound}"
+                raise TrialAssertionError(message, event.to_dict())
+
+
 class TestKnownDefects:
     @pytest.mark.xfail(
         strict=True,

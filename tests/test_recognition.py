@@ -17,6 +17,7 @@ from timcolor.patterns import (
 )
 from timcolor.recognition import (
     OracleCapExceeded,
+    candidate_pairs,
     enumerate_two_pairs,
     find_hole,
     find_two_pair,
@@ -30,7 +31,7 @@ from timcolor.recognition import (
 )
 from timcolor.tim import all_unicast_messages, build_conflict_graph
 
-from conftest import fixture_graph
+from conftest import fixture_graph, weakly_chordal_graphs
 
 
 def path(n):
@@ -43,6 +44,27 @@ def cycle(n):
 
 def clique(n):
     return make_graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+
+
+def reference_candidate_pairs(g, near=()):
+    """candidate_pairs as a list-and-sort over neighbor sets: the reference ranking."""
+    ids = g.vertices
+    pairs = sorted(
+        (-len(set(g.neighbors(a)) & set(g.neighbors(b))), a, b)
+        for i, a in enumerate(ids)
+        for b in ids[i + 1 :]
+        if not g.has_edge(a, b)
+    )
+    zone = set()
+    for w in near:
+        if w in g:
+            zone |= {w, *g.neighbors(w)}
+    out = []
+    for first in (True, False):
+        tier = [(a, b) for _, a, b in pairs if (a in zone or b in zone) == first]
+        out += [(a, b, True) for a, b in tier if is_two_pair(g, a, b)]
+        out += [(a, b, False) for a, b in tier if not is_two_pair(g, a, b)]
+    return out
 
 
 class TestFindHole:
@@ -211,6 +233,16 @@ class TestTwoPairs:
                 assert not pairs
             else:
                 assert frozenset(tp) in pairs
+
+    @given(weakly_chordal_graphs(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_candidate_pairs_match_reference(self, g, data):
+        near = data.draw(st.lists(st.integers(-1, g.next_id), max_size=3))
+        expected = reference_candidate_pairs(g, near)
+        assert list(candidate_pairs(g, near)) == expected
+        first = next(((x, y) for x, y, two in reference_candidate_pairs(g) if two), None)
+        tp = find_two_pair(g)
+        assert (tp.x, tp.y) == first if tp else first is None
 
 
 class TestPatternLibrary:

@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from timcolor.graph import Graph, GraphError, make_graph
-from timcolor.generators import random_convex, random_weakly_chordal
+from timcolor.generators import random_chordal_bipartite, random_convex, random_weakly_chordal
 from timcolor.oracles import oracle_chromatic, oracle_max_clique
-from timcolor.recognition import TwoPair, is_weakly_chordal
+from timcolor.recognition import TwoPair, is_two_pair, is_weakly_chordal
 from timcolor.static_coloring import (
     ColoringState,
     ContractionRecord,
@@ -20,12 +20,13 @@ from timcolor.static_coloring import (
     chromatic_number,
     contract,
     diagnose_state,
+    run_contractions,
     static_color,
     verify_state,
 )
 from timcolor.tim import all_unicast_messages, build_conflict_graph
 
-from conftest import fixture_graph
+from conftest import fixture_graph, weakly_chordal_graphs
 
 
 def path(n):
@@ -38,6 +39,28 @@ def cycle(n):
 
 def clique(n):
     return make_graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+
+
+def reference_contractions(g):
+    """Records of the per-step list-and-sort loop: the reference for run_contractions.
+
+    Every step sorts all non-adjacent pairs by descending common
+    neighborhood, then ascending ids, and contracts the first two-pair.
+    """
+    records = []
+    while True:
+        ids = g.vertices
+        ranked = sorted(
+            (-len(set(g.neighbors(a)) & set(g.neighbors(b))), a, b)
+            for i, a in enumerate(ids)
+            for b in ids[i + 1 :]
+            if not g.has_edge(a, b)
+        )
+        pair = next(((a, b) for _, a, b in ranked if is_two_pair(g, a, b)), None)
+        if pair is None:
+            return records
+        g, z = g.contract_pair(*pair)
+        records.append(ContractionRecord(*pair, z))
 
 
 def provenance_classes(state):
@@ -147,6 +170,30 @@ class TestStaticColor:
                 static_color(g, rng=random.Random(k)).color_count for k in range(8)
             }
             assert len(counts) == 1
+
+    @given(weakly_chordal_graphs(), st.integers(0, 10_000))
+    @settings(max_examples=150, deadline=None)
+    def test_records_match_reference(self, g, seed):
+        """Same records as the sorting loop, on ids that are not contiguous too."""
+        expected = reference_contractions(g)
+        records, chain = run_contractions(g)
+        assert records == expected
+        assert run_contractions(g, verify=True)[0] == expected
+        assert [c.n for c in chain] == list(range(g.n, g.n - len(records) - 1, -1))
+        # the rng path draws another order with the same color count
+        shuffled = static_color(g, rng=random.Random(seed))
+        assert verify_state(shuffled)
+        assert shuffled.color_count == g.n - len(expected)
+
+    def test_conflict_graph_records_match_reference(self):
+        rng = random.Random(29)
+        for size in (6, 8, 10, 12):
+            for topo in (
+                random_chordal_bipartite(size, size, 0.5, rng),
+                random_convex(3 * size, 3 * size, rng),
+            ):
+                g = build_conflict_graph(topo, all_unicast_messages(topo)).graph
+                assert run_contractions(g)[0] == reference_contractions(g)
 
     def test_chromatic_number_helper(self, c5=None):
         assert chromatic_number(cycle(4)) == 2
