@@ -11,7 +11,9 @@ Subcommands::
     verify <state.json>           check a saved coloring state
     oracle <graph.json>           brute-force chromatic/clique numbers
 
-Exit codes: 0 = success, 1 = usage or I/O error, 2 = assertion failure.
+Exit codes: 0 = success, 1 = usage or I/O error, 2 = assertion failure
+(including an input state that ``verify`` would reject, given to
+``insert``/``delete``).
 State JSON (written by ``color``, consumed by ``insert``/``delete``/
 ``verify``) bundles the graph with the coloring so a step is replayable
 from a single file.
@@ -139,15 +141,20 @@ def _cmd_schedule(args) -> int:
 
 def _cmd_step(args, kind: str) -> int:
     state = _load_state(args.state)
+    problems = diagnose_state(state)
+    if problems:
+        _emit({"error": "input state failed verification", "problems": problems}, args.out)
+        return EXIT_ASSERTION
     step = insert_update if kind == "insert" else delete_update
     new_state, report = step(state, args.u, args.v)
     if args.verify and not verify_state(new_state):
         _emit({"error": "post-step verification failed", "report": report.to_dict()},
               args.out)
         return EXIT_ASSERTION
-    if args.bound is not None and kind == "insert":
-        if len(report.recolored) > args.bound or report.pairs_changed > args.bound:
-            _emit({"error": f"locality bound {args.bound} exceeded",
+    bound = getattr(args, "bound", None)  # only insert takes --bound
+    if bound is not None:
+        if len(report.recolored) > bound or report.pairs_changed > bound:
+            _emit({"error": f"locality bound {bound} exceeded",
                    "report": report.to_dict()}, args.out)
             return EXIT_ASSERTION
     _emit({"report": report.to_dict(), "state": state_to_dict(new_state)}, args.out)
@@ -190,6 +197,16 @@ def _cmd_oracle(args) -> int:
     return EXIT_OK
 
 
+# Each subcommand registers only the options it reads.
+OPTIONS = {
+    "--out": dict(help="write the result to this file (or dir for simulate)"),
+    "--verify": dict(action="store_true", help="run full verification on produced states"),
+    "--seed": dict(type=int, default=None, help="RNG seed override"),
+    "--oracle-cap": dict(type=int, default=None, help="vertex cap for brute-force oracles"),
+    "--bound": dict(type=int, default=None, help="asserted locality bound for insertions"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="timcolor",
@@ -200,52 +217,47 @@ def build_parser() -> argparse.ArgumentParser:
                    help="emit machine-readable error JSON on stderr")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        sp.add_argument("--out", help="write the result to this file (or dir for simulate)")
-        sp.add_argument("--verify", action="store_true",
-                        help="run full verification on produced states")
-        sp.add_argument("--seed", type=int, default=None, help="RNG seed override")
-        sp.add_argument("--oracle-cap", type=int, default=None,
-                        help="vertex cap for brute-force oracles")
-        sp.add_argument("--bound", type=int, default=None,
-                        help="asserted locality bound for insertions")
+    def options(sp, *names):
+        for name in names:
+            sp.add_argument(name, **OPTIONS[name])
 
     sp = sub.add_parser("color", help="optimal static coloring")
     sp.add_argument("graph")
-    common(sp)
+    options(sp, "--out", "--verify")
     sp.set_defaults(func=_cmd_color)
 
     sp = sub.add_parser("conflict", help="build the message conflict graph")
     sp.add_argument("topology")
-    common(sp)
+    options(sp, "--out")
     sp.set_defaults(func=_cmd_conflict)
 
     sp = sub.add_parser("schedule", help="TDMA schedule and DoF report")
     sp.add_argument("topology")
-    common(sp)
+    options(sp, "--out", "--verify")
     sp.set_defaults(func=_cmd_schedule)
 
-    for kind in ("insert", "delete"):
+    for kind, names in (("insert", ("--out", "--verify", "--bound")),
+                        ("delete", ("--out", "--verify"))):
         sp = sub.add_parser(kind, help=f"one dynamic edge-{kind} step")
         sp.add_argument("state")
         sp.add_argument("u", type=int)
         sp.add_argument("v", type=int)
-        common(sp)
+        options(sp, *names)
         sp.set_defaults(func=lambda a, k=kind: _cmd_step(a, k))
 
     sp = sub.add_parser("simulate", help="run a seeded adversarial trial")
     sp.add_argument("config")
-    common(sp)
+    options(sp, *OPTIONS)
     sp.set_defaults(func=_cmd_simulate)
 
     sp = sub.add_parser("verify", help="check a saved coloring state")
     sp.add_argument("state")
-    common(sp)
+    options(sp, "--out")
     sp.set_defaults(func=_cmd_verify)
 
     sp = sub.add_parser("oracle", help="brute-force chromatic and clique numbers")
     sp.add_argument("graph")
-    common(sp)
+    options(sp, "--out", "--oracle-cap")
     sp.set_defaults(func=_cmd_oracle)
     return p
 

@@ -23,7 +23,6 @@ from .static_coloring import (
     ContractionRecord,
     NotWeaklyChordalError,
     SolutionOrder,
-    _is_complete,
     lift,
     lift_coloring,
     run_contractions,
@@ -138,7 +137,6 @@ def clique_grows(state: ColoringState, u: int, v: int) -> bool:
 @dataclass
 class RepairResult:
     records: list[ContractionRecord]
-    chain: list[Graph]
     removed: list[ContractionRecord]
     added: list[ContractionRecord]
 
@@ -173,7 +171,6 @@ def replay_repair(
     through `lift`.
     """
     cur = graph
-    chain = [graph]
     kept: list[ContractionRecord] = []
     affected = set(hint)
     # Sweep the order to a fixpoint: a record that is not a two-pair right
@@ -199,7 +196,6 @@ def replay_repair(
                 if live and (not strict or is_two_pair(cur, rec.x, rec.y)):
                     cur, _ = cur.contract_pair(rec.x, rec.y, rec.z)
                     kept.append(rec)
-                    chain.append(cur)
                     progress = True
                 else:
                     deferred.append(rec)
@@ -218,12 +214,12 @@ def replay_repair(
         rec = ContractionRecord(*pair, z)
         kept.append(rec)
         added.append(rec)
-        chain.append(cur)
         affected.add(z)
         cur, pending = sweep(cur, pending)
-    if not _is_complete(cur) or (target is not None and cur.n != target):
+    complete = 2 * cur.edge_count() == cur.n * (cur.n - 1)
+    if not complete or (target is not None and cur.n != target):
         raise NotWeaklyChordalError("order repair did not terminate in a clique")
-    return RepairResult(kept, chain, dropped + pending, added)
+    return RepairResult(kept, dropped + pending, added)
 
 
 # ---------------------------------------------------------------------------
@@ -305,8 +301,8 @@ def _greedy_recolor(g: Graph, coloring: dict[int, int], w: int, palette: int) ->
 
 def _fallback(graph: Graph, old: ColoringState) -> tuple[ColoringState, frozenset[int]]:
     log.warning("dynamic repair exhausted; falling back to full static recompute")
-    records, chain = run_contractions(graph)
-    coloring, clique, k = lift(records, chain)
+    records = run_contractions(graph)
+    coloring, clique, k = lift(graph, records)
     coloring, recolored = _match_palette(coloring, old.coloring, k)
     return ColoringState(graph, coloring, k, clique, SolutionOrder(records)), recolored
 
@@ -373,7 +369,7 @@ def insert_update(state: ColoringState, u: int, v: int) -> tuple[ColoringState, 
     def attempt(strict: bool):
         if strict:
             res = replay_repair(h, state.order, {u, v}, strict=True)
-            lifted_coloring, lifted_clique, k = lift(res.records, res.chain)
+            lifted_coloring, lifted_clique, k = lift(h, res.records)
             if k != expected:
                 raise NotWeaklyChordalError(f"repair clique size {k}, expected {expected}")
             return res, lifted_coloring, lifted_clique, k
@@ -396,7 +392,7 @@ def insert_update(state: ColoringState, u: int, v: int) -> tuple[ColoringState, 
                     )
                 except NotWeaklyChordalError:
                     continue
-                lifted_coloring, k = lift_coloring(res.records, res.chain)
+                lifted_coloring, k = lift_coloring(h, res.records)
                 if k != expected:
                     continue
                 pc = len(res.removed) + len(res.added)
@@ -496,7 +492,7 @@ def delete_update(state: ColoringState, u: int, v: int) -> tuple[ColoringState, 
     fallback = False
     try:
         strict = replay_repair(g2, state.order, {u, v}, strict=True)
-        strict_coloring, clique, k = lift(strict.records, strict.chain)
+        strict_coloring, clique, k = lift(g2, strict.records)
         if k not in (omega_b, omega_b - 1):
             raise NotWeaklyChordalError(f"deletion changed clique size {omega_b} -> {k}")
         try:
@@ -504,7 +500,7 @@ def delete_update(state: ColoringState, u: int, v: int) -> tuple[ColoringState, 
         except NotWeaklyChordalError:
             res, lifted_coloring = strict, strict_coloring
         else:
-            lifted_coloring, _ = lift_coloring(res.records, res.chain)
+            lifted_coloring, _ = lift_coloring(g2, res.records)
             if k < omega_b:
                 clique = state.clique - {u}
         removed, added = res.removed, res.added

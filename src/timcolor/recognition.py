@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .graph import Graph
+from .graph import Graph, GraphError
 
 ORACLE_CAP = 14
 
@@ -341,8 +341,15 @@ class PairRanking:
             heapq.heappush(heap, entry)
         return found
 
+    def complete(self) -> bool:
+        """Whether the live vertices are pairwise adjacent."""
+        live = self._live
+        return all(live & ~self._adj[s] == 1 << s for s in _bits(live))
+
     def contract(self, x: int, y: int, z: int) -> None:
         """Merge the non-adjacent x and y into the fresh id z, as Graph.contract_pair does.
+
+        A z that is already live raises ``GraphError``, as there.
 
         Pairs with x or y die; each pair of z with a live non-neighbor gets
         an entry. Of the other pairs, only those inside N(z) = N(x) | N(y)
@@ -356,6 +363,8 @@ class PairRanking:
         pair is re-ranked.
         """
         adj, ids, slot, heap = self._adj, self._ids, self._slot, self._heap
+        if z in slot:
+            raise GraphError(f"contracted id {z} already live")
         sx, sy, sz = slot.pop(x), slot.pop(y), len(ids)
         ids.append(z)
         slot[z] = sz

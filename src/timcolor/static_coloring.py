@@ -2,7 +2,8 @@
 
 The static procedure repeatedly contracts a two-pair until the graph is a
 clique, records the contraction sequence (the solution order), and then
-lifts the trivial clique coloring and clique back through the sequence.
+lifts the trivial clique coloring and clique back through the sequence,
+reading the quotient from class bitmasks of the original graph.
 The recorded order is replayable, which is what the dynamic update layer
 relies on.
 """
@@ -14,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .graph import Graph
-from .recognition import PairRanking, TwoPair, is_two_pair, is_weakly_chordal
+from .recognition import PairRanking, TwoPair, _bits, is_two_pair, is_weakly_chordal
 
 
 class NotWeaklyChordalError(ValueError):
@@ -79,86 +80,103 @@ def contract(g: Graph, pair: TwoPair, z: Optional[int] = None) -> tuple[Graph, i
     return g.contract_pair(pair.x, pair.y, z)
 
 
-def _is_complete(g: Graph) -> bool:
-    n = g.n
-    return all(g.degree(v) == n - 1 for v in g.vertices)
-
-
 def run_contractions(
     g: Graph,
     rng: Optional[random.Random] = None,
     verify: bool = False,
-) -> tuple[list[ContractionRecord], list[Graph]]:
-    """Contract two-pairs until none remains.
+) -> list[ContractionRecord]:
+    """Contract two-pairs until none remains; returns the records.
 
-    Returns the records and the graph chain (chain[i] is the graph before
-    records[i]; the last entry is the final clique). Raises if the final
-    graph is not complete, or, in verify mode, if weak chordality breaks.
     Each step contracts the first two-pair in ``PairRanking``'s order,
-    which one ranking kept across the loop hands out.
+    which one ranking kept across the loop hands out. The fresh ids count
+    up from ``g.next_id``, as ``Graph.contract_pair`` hands them out; one
+    that is already live raises ``GraphError``. Raises if the final
+    quotient is not complete, or, in verify mode, which also contracts a
+    ``Graph`` copy per step, if weak chordality breaks.
     """
     records: list[ContractionRecord] = []
-    chain = [g]
-    cur = g
     ranking = PairRanking(g, rng)
+    cur, z = g, g.next_id
     while (pair := ranking.pop_two_pair()) is not None:
         x, y = pair
-        cur, z = cur.contract_pair(x, y)
         ranking.contract(x, y, z)
-        if verify and not is_weakly_chordal(cur):
-            raise NotWeaklyChordalError(f"contraction of ({x},{y}) broke weak chordality")
+        if verify:
+            cur, _ = cur.contract_pair(x, y, z)
+            if not is_weakly_chordal(cur):
+                raise NotWeaklyChordalError(f"contraction of ({x},{y}) broke weak chordality")
         records.append(ContractionRecord(x, y, z))
-        chain.append(cur)
-    if not _is_complete(cur):
+        z += 1
+    if not ranking.complete():
         raise NotWeaklyChordalError(
             "no two-pair on a non-complete graph; input is not weakly chordal"
         )
-    return records, chain
+    return records
+
+
+def _lift_classes(
+    g: Graph, records: Sequence[ContractionRecord]
+) -> tuple[dict[int, int], dict[int, int], list[int], dict[int, int]]:
+    """Class masks of every id, the sorted final ids and the coloring by class.
+
+    ``cls[id]`` is the mask of the sorted positions of ``g`` that the id
+    stands for, ``nb[id]`` the OR of their adjacency masks; a record's
+    parents keep theirs. The final classes take colors 1..k by ascending
+    id, and each member takes its class's color.
+    """
+    ids = g.vertices
+    cls = {v: 1 << p for p, v in enumerate(ids)}
+    nb = dict(zip(ids, g.adj_masks()))
+    for rec in records:
+        cls[rec.z] = cls[rec.x] | cls[rec.y]
+        nb[rec.z] = nb[rec.x] | nb[rec.y]
+    final = sorted(set(cls) - {w for rec in records for w in (rec.x, rec.y)})
+    color_at = [0] * len(ids)
+    for c, f in enumerate(final, 1):
+        for p in _bits(cls[f]):
+            color_at[p] = c
+    return cls, nb, final, dict(zip(ids, color_at))
 
 
 def lift_coloring(
-    records: Sequence[ContractionRecord], chain: Sequence[Graph]
+    g: Graph, records: Sequence[ContractionRecord]
 ) -> tuple[dict[int, int], int]:
     """Coloring part of the lift only: classes get colors, no clique threading."""
-    final = chain[-1]
-    base = sorted(final.vertices)
-    coloring = {v: i + 1 for i, v in enumerate(base)}
-    for rec in reversed(records):
-        c = coloring.pop(rec.z)
-        coloring[rec.x] = c
-        coloring[rec.y] = c
-    return coloring, len(base)
+    _, _, final, coloring = _lift_classes(g, records)
+    return coloring, len(final)
 
 
-def lift(records: Sequence[ContractionRecord], chain: Sequence[Graph]) -> tuple[dict[int, int], frozenset[int], int]:
-    """Lift clique and coloring from the final clique back to the original graph.
+def lift(
+    g: Graph, records: Sequence[ContractionRecord]
+) -> tuple[dict[int, int], frozenset[int], int]:
+    """Lift clique and coloring from the final clique back to the graph ``g``.
 
-    The base clique takes colors 1..k by ascending vertex id. Each
-    un-contraction copies the merged vertex's color to both parents; the
-    clique is patched only when it contains the merged vertex.
+    The coloring is ``lift_coloring``'s. The clique starts as the final
+    ids and is threaded back through the records: undoing a record whose z
+    is in the clique puts back the parent adjacent to every other member.
+
+    Adjacency is read from class masks, not from a ``Graph`` per record.
+    Before a record fires, live ids a and b are adjacent in the quotient
+    iff ``nb[a] & cls[b]`` is non-zero; the proof is ``diagnose_state``'s.
+    The clique members other than z are live before the record too, so
+    the test is exact. It needs every id named once, by a base vertex or
+    by one record's z, since the masks are keyed by id. Orders made by
+    this library never reuse an id, and ``diagnose_state`` reports any
+    order that does.
     """
-    final = chain[-1]
-    base = sorted(final.vertices)
-    coloring = {v: i + 1 for i, v in enumerate(base)}
-    clique = set(base)
-    for i in range(len(records) - 1, -1, -1):
-        rec = records[i]
-        pre = chain[i]  # graph in which rec.x, rec.y are live
-        c = coloring.pop(rec.z)
-        coloring[rec.x] = c
-        coloring[rec.y] = c
+    cls, nb, final, coloring = _lift_classes(g, records)
+    clique = set(final)
+    for rec in reversed(records):
         if rec.z in clique:
             clique.discard(rec.z)
-            rest = clique
-            if all(pre.has_edge(rec.x, w) for w in rest):
+            if all(nb[rec.x] & cls[w] for w in clique):
                 clique.add(rec.x)
-            elif all(pre.has_edge(rec.y, w) for w in rest):
+            elif all(nb[rec.y] & cls[w] for w in clique):
                 clique.add(rec.y)
             else:
                 raise NotWeaklyChordalError(
                     "clique lift failed: neither parent completes the clique"
                 )
-    return coloring, frozenset(clique), len(base)
+    return coloring, frozenset(clique), len(final)
 
 
 def static_color(
@@ -171,8 +189,8 @@ def static_color(
         raise NotWeaklyChordalError("input graph is not weakly chordal")
     if g.n == 0:
         return ColoringState(g, {}, 0, frozenset(), SolutionOrder())
-    records, chain = run_contractions(g, rng, verify)
-    coloring, clique, k = lift(records, chain)
+    records = run_contractions(g, rng, verify)
+    coloring, clique, k = lift(g, records)
     return ColoringState(g, coloring, k, clique, SolutionOrder(records))
 
 
@@ -234,10 +252,12 @@ def diagnose_state(state: ColoringState) -> list[str]:
                 problems.append(f"clique members ({u},{v}) are not adjacent")
     # Replay the order. Optimality is certified by the (coloring, clique)
     # pair above, so a record only needs live, distinct, non-adjacent
-    # parents and a fresh z here; two-pair-ness is how records are found,
-    # not what makes them valid.
+    # parents and a z that no base vertex or earlier record has taken
+    # (``lift`` keys its masks by id); two-pair-ness is how records are
+    # found, not what makes them valid.
     cls = {v: 1 << p for p, v in enumerate(ids)}
     nb = dict(zip(ids, adj))
+    named = set(ids)  # every id a base vertex or an earlier z has taken
     for rec in state.order:
         x, y, z = rec.x, rec.y, rec.z
         if x not in cls or y not in cls:
@@ -252,6 +272,10 @@ def diagnose_state(state: ColoringState) -> list[str]:
         if z in cls:
             problems.append(f"order record ({x},{y},{z}) reuses live id {z}")
             return problems
+        if z in named:
+            problems.append(f"order record ({x},{y},{z}) reuses dead id {z}")
+            return problems
+        named.add(z)
         cls[z] = cls.pop(x) | cls.pop(y)
         nb[z] = nb.pop(x) | nb.pop(y)
     live = list(cls)

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import timcolor
-from timcolor.cli import EXIT_ASSERTION, EXIT_OK, EXIT_USAGE, main
+from timcolor.cli import EXIT_ASSERTION, EXIT_OK, EXIT_USAGE, build_parser, main
 
 from conftest import load_fixture
 
@@ -110,6 +110,28 @@ class TestSteps:
         assert code == EXIT_ASSERTION
         assert "locality bound" in payload["error"]
 
+    @pytest.mark.parametrize("as_json", [False, True])
+    @pytest.mark.parametrize("kind", ["insert", "delete"])
+    def test_invalid_input_state_exits_2(self, capsys, fig6_state, kind, as_json):
+        """A state file that verify rejects is reported, not replayed."""
+        blob = json.loads(fig6_state.read_text())
+        (x, y, z), (x1, y1, z1) = blob["order"][:2]
+        live = min(set(range(6)) - {x, y})
+        corruptions = {
+            # a record naming an id that no record made
+            "references dead vertex": [[x, y, z], [99, y1, z1]] + blob["order"][2:],
+            # a record whose z is a live base vertex
+            f"reuses live id {live}": [[x, y, live]] + blob["order"][1:],
+        }
+        u, v = (1, 4) if kind == "insert" else load_fixture("fig6.json")["edges"][0]
+        for problem, order in corruptions.items():
+            fig6_state.write_text(json.dumps({**blob, "order": order}))
+            argv = ["--json"] * as_json + [kind, str(fig6_state), str(u), str(v)]
+            code, payload, err = run_json(capsys, *argv)
+            assert code == EXIT_ASSERTION and not err
+            assert payload["error"] == "input state failed verification"
+            assert len(payload["problems"]) == 1 and problem in payload["problems"][0]
+
     def test_inserting_existing_edge_is_an_error(self, capsys, fig6_state):
         edge = load_fixture("fig6.json")["edges"][0]
         code, out, err = run(capsys, "insert", str(fig6_state),
@@ -144,6 +166,25 @@ class TestVerify:
         assert code == EXIT_ASSERTION and not err
         assert payload == {"ok": False,
                            "problems": [f"order record ({x},{y},{x}) reuses live id {x}"]}
+
+
+    def test_record_reusing_dead_id_exits_2(self, capsys, tmp_path):
+        """An order that reuses a dead id is rejected by verify and by insert."""
+        state_file = tmp_path / "state.json"
+        state_file.write_text(json.dumps({
+            "graph": {"n": 5, "edges": [[0, 1], [1, 2], [2, 3], [3, 4]]},
+            "colors": {"0": 1, "1": 2, "2": 1, "3": 2, "4": 1},
+            "color_count": 2,
+            "clique": [0, 1],
+            "order": [[0, 2, 5], [1, 3, 0], [4, 5, 7]],
+        }))
+        problems = ["order record (1,3,0) reuses dead id 0"]
+        code, payload, err = run_json(capsys, "verify", str(state_file))
+        assert code == EXIT_ASSERTION and not err
+        assert payload == {"ok": False, "problems": problems}
+        code, payload, err = run_json(capsys, "insert", str(state_file), "0", "4")
+        assert code == EXIT_ASSERTION and not err
+        assert payload["problems"] == problems
 
 
 class TestTopology:
@@ -221,6 +262,30 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+
+    def test_subcommands_register_only_the_options_they_read(self):
+        sub = next(a for a in build_parser()._actions if a.choices and a.dest == "command")
+        options = {
+            name: {o for a in sp._actions for o in a.option_strings} - {"-h", "--help"}
+            for name, sp in sub.choices.items()
+        }
+        assert options == {
+            "color": {"--out", "--verify"},
+            "conflict": {"--out"},
+            "schedule": {"--out", "--verify"},
+            "insert": {"--out", "--verify", "--bound"},
+            "delete": {"--out", "--verify"},
+            "simulate": {"--out", "--verify", "--seed", "--oracle-cap", "--bound"},
+            "verify": {"--out"},
+            "oracle": {"--out", "--oracle-cap"},
+        }
+
+    def test_option_a_command_does_not_read_is_a_parse_error(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["conflict", fixture_path(tmp_path, "fig1_topology.json"), "--seed", "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed" in capsys.readouterr().err
 
 
 def test_import_loads_no_numpy_or_scipy():

@@ -295,7 +295,7 @@ class TestShortcuts:
         new, rep = insert_update(state, u, v)
         h = state.graph.insert_edge(u, v)
         res = replay_repair(h, state.order, {u, v}, strict=False, target=state.color_count)
-        coloring, k = lift_coloring(res.records, res.chain)
+        coloring, k = lift_coloring(h, res.records)
         assert rep.case_label == "I-1"
         assert new.order.records == res.records
         assert k == new.color_count == state.color_count

@@ -7,10 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from timcolor.dynamic_coloring import replay_repair
 from timcolor.graph import Graph, GraphError, make_graph
 from timcolor.generators import random_chordal_bipartite, random_convex, random_weakly_chordal
 from timcolor.oracles import oracle_chromatic, oracle_max_clique
-from timcolor.recognition import TwoPair, is_two_pair, is_weakly_chordal
+from timcolor.recognition import (
+    TwoPair,
+    is_two_pair,
+    is_weakly_chordal,
+    stays_weakly_chordal_after_delete,
+    stays_weakly_chordal_after_insert,
+)
 from timcolor.static_coloring import (
     ColoringState,
     ContractionRecord,
@@ -20,6 +27,8 @@ from timcolor.static_coloring import (
     chromatic_number,
     contract,
     diagnose_state,
+    lift,
+    lift_coloring,
     run_contractions,
     static_color,
     verify_state,
@@ -61,6 +70,43 @@ def reference_contractions(g):
             return records
         g, z = g.contract_pair(*pair)
         records.append(ContractionRecord(*pair, z))
+
+
+def chain_lift(g, records):
+    """The lift as it was before class masks: one ``Graph`` per record.
+
+    Returns (coloring, clique, k); the clique is None where the threading
+    found no parent that completes it.
+    """
+    chain = [g]
+    for rec in records:
+        chain.append(chain[-1].contract_pair(rec.x, rec.y, rec.z)[0])
+    base = sorted(chain[-1].vertices)
+    coloring = {v: i + 1 for i, v in enumerate(base)}
+    clique = set(base)
+    for i in range(len(records) - 1, -1, -1):
+        rec, pre = records[i], chain[i]
+        coloring[rec.x] = coloring[rec.y] = coloring.pop(rec.z)
+        if clique is not None and rec.z in clique:
+            clique.discard(rec.z)
+            if all(pre.has_edge(rec.x, w) for w in clique):
+                clique.add(rec.x)
+            elif all(pre.has_edge(rec.y, w) for w in clique):
+                clique.add(rec.y)
+            else:
+                clique = None
+    return coloring, None if clique is None else frozenset(clique), len(base)
+
+
+def check_lift(g, records):
+    """lift and lift_coloring give the chain lift's results and errors."""
+    coloring, clique, k = chain_lift(g, records)
+    assert lift_coloring(g, records) == (coloring, k)
+    if clique is None:
+        with pytest.raises(NotWeaklyChordalError, match="clique lift failed"):
+            lift(g, records)
+    else:
+        assert lift(g, records) == (coloring, clique, k)
 
 
 def provenance_classes(state):
@@ -144,6 +190,40 @@ class TestStaticColor:
         with pytest.raises(NotWeaklyChordalError):
             static_color(cycle(5), verify=True)
 
+    def test_non_weakly_chordal_rejected_without_verify(self):
+        # no two-pair on C5, and the ranking's masks are not a clique
+        with pytest.raises(NotWeaklyChordalError, match="not weakly chordal"):
+            static_color(cycle(5))
+
+    @pytest.mark.parametrize("verify", [False, True])
+    def test_live_fresh_id_rejected(self, verify):
+        """Fresh ids count up from next_id; one that is live is an error."""
+        g = Graph(range(4), [(0, 1), (1, 2), (2, 3)], next_id=1)
+        with pytest.raises(GraphError, match="contracted id 1 already live"):
+            static_color(g, verify=verify)
+
+    def test_fresh_ids_count_up_from_next_id(self):
+        g = Graph([0, 1, 2, 3], [(0, 1), (2, 3)], next_id=10)
+        assert [r.z for r in run_contractions(g)] == [10, 11]
+
+    def test_static_color_contracts_no_graph(self, monkeypatch):
+        """static_color contracts on the ranking's masks; verify mode adds one Graph per record."""
+        topo = random_convex(30, 30, random.Random(1))
+        g = build_conflict_graph(topo, all_unicast_messages(topo)).graph
+        calls = []
+        real = Graph.contract_pair
+
+        def counted(self, *args, **kwargs):
+            calls.append(args)
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(Graph, "contract_pair", counted)
+        state = static_color(g)
+        assert len(state.order) > 20 and verify_state(state)
+        assert calls == []
+        assert static_color(g, verify=True).order == state.order
+        assert len(calls) == len(state.order)
+
     @given(st.integers(0, 10_000))
     @settings(max_examples=80, deadline=None)
     def test_perfection(self, seed):
@@ -176,10 +256,8 @@ class TestStaticColor:
     def test_records_match_reference(self, g, seed):
         """Same records as the sorting loop, on ids that are not contiguous too."""
         expected = reference_contractions(g)
-        records, chain = run_contractions(g)
-        assert records == expected
-        assert run_contractions(g, verify=True)[0] == expected
-        assert [c.n for c in chain] == list(range(g.n, g.n - len(records) - 1, -1))
+        assert run_contractions(g) == expected
+        assert run_contractions(g, verify=True) == expected
         # the rng path draws another order with the same color count
         shuffled = static_color(g, rng=random.Random(seed))
         assert verify_state(shuffled)
@@ -193,11 +271,63 @@ class TestStaticColor:
                 random_convex(3 * size, 3 * size, rng),
             ):
                 g = build_conflict_graph(topo, all_unicast_messages(topo)).graph
-                assert run_contractions(g)[0] == reference_contractions(g)
+                assert run_contractions(g) == reference_contractions(g)
 
     def test_chromatic_number_helper(self, c5=None):
         assert chromatic_number(cycle(4)) == 2
         assert chromatic_number(clique(5)) == 5
+
+
+def perturbed(g, rng):
+    """A random edge event that keeps g weakly chordal, as (graph after it, u, v), or None."""
+    ids = g.vertices
+    pairs = [(a, b) for i, a in enumerate(ids) for b in ids[i + 1 :]]
+    rng.shuffle(pairs)
+    for u, v in pairs:
+        if g.has_edge(u, v):
+            if stays_weakly_chordal_after_delete(g, u, v):
+                return g.delete_edge(u, v), u, v
+        elif stays_weakly_chordal_after_insert(g, u, v):
+            return g.insert_edge(u, v), u, v
+    return None
+
+
+class TestLift:
+    @given(weakly_chordal_graphs(), st.integers(0, 10_000))
+    @settings(max_examples=150, deadline=None)
+    def test_static_orders_match_chain_lift(self, g, seed):
+        check_lift(g, run_contractions(g))
+        check_lift(g, run_contractions(g, rng=random.Random(seed)))
+
+    @given(weakly_chordal_graphs(), st.integers(0, 10_000))
+    @settings(max_examples=150, deadline=None)
+    def test_replay_results_match_chain_lift(self, g, seed):
+        """Strict and lenient replays of a static order on a perturbed graph.
+
+        Dropping one record leaves dead ids behind, which the masks keep.
+        """
+        rng = random.Random(seed)
+        state = static_color(g, rng=rng)
+        event = perturbed(g, rng)
+        if event is None:
+            return
+        h, u, v = event
+        records = state.order.records
+        drops = [()] + ([(rng.choice(records),)] if records else [])
+        for strict in (True, False):
+            for exclude in drops:
+                try:
+                    res = replay_repair(h, state.order, {u, v}, strict=strict, exclude=exclude)
+                except NotWeaklyChordalError:
+                    continue
+                check_lift(h, res.records)
+
+    def test_conflict_graphs_match_chain_lift(self):
+        rng = random.Random(31)
+        for size in (8, 12):
+            topo = random_convex(3 * size, 3 * size, rng)
+            g = build_conflict_graph(topo, all_unicast_messages(topo)).graph
+            check_lift(g, run_contractions(g))
 
 
 NEW_RECORD_PROBLEM = re.compile(
@@ -207,6 +337,9 @@ NEW_RECORD_PROBLEM = re.compile(
 
 def graph_replay_diagnose(state, problems):
     """The verifier as it was before the mask replay: one ``Graph`` per record.
+
+    It also reports a z that a dead id has taken, which ``contract_pair``
+    accepts and ``diagnose_state`` rejects.
 
     Appends to ``problems`` as it goes, so the problems found before a
     ``GraphError`` stay visible to the caller.
@@ -228,7 +361,7 @@ def graph_replay_diagnose(state, problems):
         for v in members[i + 1 :]:
             if not g.has_edge(u, v):
                 problems.append(f"clique members ({u},{v}) are not adjacent")
-    cur = g
+    cur, named = g, set(g.vertices)
     for rec in state.order:
         if rec.x not in cur or rec.y not in cur:
             problems.append(f"order record ({rec.x},{rec.y},{rec.z}) references dead vertex")
@@ -237,6 +370,10 @@ def graph_replay_diagnose(state, problems):
             problems.append(f"order record ({rec.x},{rec.y},{rec.z}) contracts an edge")
             return
         cur, _ = cur.contract_pair(rec.x, rec.y, rec.z)
+        if rec.z in named:
+            problems.append(f"order record ({rec.x},{rec.y},{rec.z}) reuses dead id {rec.z}")
+            return
+        named.add(rec.z)
     if not all(cur.degree(v) == cur.n - 1 for v in cur.vertices):
         problems.append("order replay does not end in a clique")
     elif cur.n != state.color_count:
@@ -342,6 +479,15 @@ class TestVerifyState:
         bad = SolutionOrder([ContractionRecord(x, y, x)] + st_.order.records[1:])
         corrupt = ColoringState(st_.graph, st_.coloring, st_.color_count, st_.clique, bad)
         assert diagnose_state(corrupt) == [f"order record ({x},{y},{x}) reuses live id {x}"]
+
+    def test_dead_id_record_reported(self):
+        """A z that a base vertex or an earlier record has taken is reported, live or not."""
+        order = SolutionOrder.from_lists([[0, 2, 5], [1, 3, 0], [4, 5, 7]])
+        state = ColoringState(path(5), {0: 1, 1: 2, 2: 1, 3: 2, 4: 1}, 2, frozenset({0, 1}), order)
+        assert diagnose_state(state) == ["order record (1,3,0) reuses dead id 0"]
+        order = SolutionOrder.from_lists([[0, 2, 5], [5, 4, 6], [1, 3, 5]])
+        state = ColoringState(path(5), {0: 1, 1: 2, 2: 1, 3: 2, 4: 1}, 2, frozenset({0, 1}), order)
+        assert diagnose_state(state) == ["order record (1,3,5) reuses dead id 5"]
 
     @given(st.data())
     @settings(max_examples=300, deadline=None)
