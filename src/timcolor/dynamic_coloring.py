@@ -5,9 +5,9 @@ solution order: membership of the event edge in the order (by provenance),
 equality of the endpoint colors, and whether the clique grows or shrinks.
 Repair is local: the recorded contraction sequence is replayed on the
 perturbed graph, invalid records are dropped, and replacements are contracted
-greedily, searched first near the affected vertices. Two cases need no
-repair at all and return the state as it is: I-1, and D-1 when the held
-clique misses an endpoint of the deleted edge.
+greedily, searched first near the affected vertices. Three cases replay
+nothing and keep the order: I-1 and I-2-1, the latter recoloring, and D-1
+when the held clique misses an endpoint of the deleted edge.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .graph import Graph
-from .recognition import _bits, candidate_pairs, is_two_pair
+from .recognition import PairRanking, _bits
 from .static_coloring import (
     ColoringState,
     ContractionRecord,
@@ -155,7 +155,9 @@ def replay_repair(
     dropped), when its pair became an edge, or — in strict mode — when its
     pair is no longer a two-pair. After the valid records replay, fresh
     pairs are contracted greedily, searched first near the affected
-    vertices, each followed by another sweep of the pending records.
+    vertices, each followed by another sweep of the pending records. Both
+    run on one ``PairRanking`` of the perturbed graph, as ``static_color``
+    does: records fire through ``contract``, fresh pairs come from ``pop_pair``.
 
     Strict mode contracts only two-pairs until none is left; by two-pair
     theory (Hayward-Hoang-Maffray) a weakly chordal graph then ends in a
@@ -170,7 +172,7 @@ def replay_repair(
     clique above `target`, which raises; callers certify the result
     through `lift`.
     """
-    cur = graph
+    ranking = PairRanking(graph)
     kept: list[ContractionRecord] = []
     affected = set(hint)
     # Sweep the order to a fixpoint: a record that is not a two-pair right
@@ -181,43 +183,37 @@ def replay_repair(
     dropped = [rec for rec in order if rec in exclude]
     added: list[ContractionRecord] = []
     # fresh ids must not collide with deferred records' ids
-    next_z = 1 + max(
-        [max(graph.vertices, default=-1)] + [rec.z for rec in order], default=-1
-    )
+    next_z = 1 + max([-1, *graph.vertices, *(rec.z for rec in order)])
 
-    def sweep(cur, pending):
+    def sweep(pending):
         """Fire every currently-valid pending record, to a fixpoint."""
         progress = True
         while progress:
             progress = False
             deferred: list[ContractionRecord] = []
             for rec in pending:
-                live = rec.x in cur and rec.y in cur and not cur.has_edge(rec.x, rec.y)
-                if live and (not strict or is_two_pair(cur, rec.x, rec.y)):
-                    cur, _ = cur.contract_pair(rec.x, rec.y, rec.z)
+                if ranking.joinable(rec.x, rec.y, two_only=strict):
+                    ranking.contract(rec.x, rec.y, rec.z)
                     kept.append(rec)
                     progress = True
                 else:
                     deferred.append(rec)
             pending = deferred
-        return cur, pending
+        return pending
 
-    cur, pending = sweep(cur, pending)
-    while cur.n != target:
-        pair = next(
-            ((x, y) for x, y, two in candidate_pairs(cur, affected) if two or not strict), None
-        )
+    pending = sweep(pending)
+    while len(ranking) != target:
+        pair = ranking.pop_pair(affected, two_only=strict)
         if pair is None:
             break
-        cur, z = cur.contract_pair(*pair, next_z)
+        ranking.contract(*pair, next_z)
+        rec = ContractionRecord(*pair, next_z)
         next_z += 1
-        rec = ContractionRecord(*pair, z)
         kept.append(rec)
         added.append(rec)
-        affected.add(z)
-        cur, pending = sweep(cur, pending)
-    complete = 2 * cur.edge_count() == cur.n * (cur.n - 1)
-    if not complete or (target is not None and cur.n != target):
+        affected.add(rec.z)
+        pending = sweep(pending)
+    if not ranking.complete() or (target is not None and len(ranking) != target):
         raise NotWeaklyChordalError("order repair did not terminate in a clique")
     return RepairResult(kept, dropped + pending, added)
 
@@ -346,7 +342,11 @@ def insert_update(state: ColoringState, u: int, v: int) -> tuple[ColoringState, 
     replay ends in a k-clique, so its classes are k independent sets of G,
     and u and v fall in different classes because no record merged their
     sides. The lift colors by class, so it is a proper k-coloring of G+uv,
-    and omega(G+uv) <= chi(G+uv) <= k.
+    and omega(G+uv) <= chi(G+uv) <= k. By the I-1 argument every record
+    still fires in turn and the final quotient stays a k-clique, so the
+    order and the old clique are kept, with no replay. u, else v, takes a
+    free palette color; when neither has one, the order's lift, matched onto
+    the old palette, replaces the coloring.
     """
     g = state.graph
     h = g.insert_edge(u, v)  # raises if present / unknown
@@ -354,15 +354,22 @@ def insert_update(state: ColoringState, u: int, v: int) -> tuple[ColoringState, 
     same_color = state.coloring[u] == state.coloring[v]
     if not matches and not same_color:
         return _unchanged(state, h, "insert", "I-1", u, v)
-    witness = _growth_witness(state, u, v) if matches else None
-    grows = witness is not None
     omega_b = state.color_count
-
-    if matches:
-        case = "I-3-2" if grows else "I-3-1"
-    else:
-        case = "I-2-1"
-
+    if not matches:
+        new_state, report = _unchanged(state, h, "insert", "I-2-1", u, v)
+        for w in (u, v):
+            c = _greedy_recolor(h, new_state.coloring, w, omega_b)
+            if c is not None:
+                new_state.coloring[w] = c
+                report.recolored = frozenset((w,))
+                break
+        else:
+            lifted, _ = lift_coloring(h, state.order)
+            new_state.coloring, report.recolored = _match_palette(lifted, state.coloring, omega_b)
+        return new_state, report
+    witness = _growth_witness(state, u, v)
+    grows = witness is not None
+    case = "I-3-2" if grows else "I-3-1"
     fallback = False
     expected = omega_b + (1 if grows else 0)
 
@@ -413,21 +420,7 @@ def insert_update(state: ColoringState, u: int, v: int) -> tuple[ColoringState, 
         removed, added = res.removed, res.added
         order = SolutionOrder(res.records)
 
-        if case == "I-2-1":
-            coloring = dict(state.coloring)
-            count, clique = omega_b, state.clique
-            c = _greedy_recolor(h, coloring, u, omega_b)
-            if c is not None:
-                coloring[u] = c
-                recolored = frozenset((u,))
-            else:
-                c = _greedy_recolor(h, coloring, v, omega_b)
-                if c is not None:
-                    coloring[v] = c
-                    recolored = frozenset((v,))
-                else:
-                    coloring, recolored = _match_palette(lifted_coloring, state.coloring, k)
-        elif case == "I-3-1":
+        if case == "I-3-1":
             coloring, recolored = _match_palette(lifted_coloring, state.coloring, k)
             count, clique = omega_b, state.clique
         else:  # I-3-2: one endpoint takes the brand-new color

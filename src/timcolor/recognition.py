@@ -280,29 +280,20 @@ def _rank_entry(
     return rank, a, b, sa, sb
 
 
-def _rank_entries(g: Graph, rng: Optional[random.Random]) -> list[tuple]:
-    """One rank entry per non-adjacent pair of g, slots being sorted positions."""
-    adj, ids = g.adj_masks(), g.vertices
-    return [
-        _rank_entry(adj, ids, i, j, rng)
-        for i in range(g.n)
-        for j in _bits(((1 << g.n) - 1) & ~adj[i] & ~((2 << i) - 1))
-    ]
-
-
 class PairRanking:
     """The non-adjacent pairs of a graph under contraction, ranked best first.
 
-    Built once per contraction loop: ``pop_two_pair`` hands out the best
-    current two-pair, ``contract`` replays the loop's contraction of it.
-    Vertices sit at fixed slots (the graph's sorted positions, then one new
-    slot per contracted id), so no mask is renumbered, and the entries live
-    in a heap with lazy invalidation: an entry is current while both its
-    slots are live and, without an rng, its rank is still the pair's
-    negated common-neighborhood count. Every live non-adjacent pair keeps a current
-    entry (see ``contract``), so the heap pops current entries in the order
-    of ``_rank_entry``, and ``pop_two_pair`` returns the first two-pair of
-    that order: the pair a sort of all pairs would find first.
+    One ranking serves a whole contraction loop: ``pop_pair`` hands out the
+    pair to contract next, ``contract`` carries out every contraction, of a
+    popped pair or of a replayed record. Vertices sit at fixed slots (the
+    graph's sorted positions, then one new slot per contracted id), so no
+    mask is renumbered. The entries live in a heap with lazy invalidation,
+    built by the first ``pop_pair`` (until then ``contract`` updates only
+    the masks). An entry is current while both its slots are live and,
+    without an rng, its rank is still the pair's negated common-neighborhood
+    count. Every live non-adjacent pair keeps a current entry (see
+    ``contract``), so the heap pops current entries in ``_rank_entry``'s
+    order: the order a sort of all pairs would give.
     """
 
     def __init__(self, g: Graph, rng: Optional[random.Random] = None):
@@ -311,35 +302,69 @@ class PairRanking:
         self._slot = {v: s for s, v in enumerate(self._ids)}
         self._adj = g.adj_masks()  # slot -> neighbor slots; 0 once dead
         self._live = (1 << g.n) - 1
-        self._heap = _rank_entries(g, rng)
-        heapq.heapify(self._heap)
+        self._heap: Optional[list[tuple]] = None
 
-    def pop_two_pair(self) -> Optional[tuple[int, int]]:
-        """The best current two-pair as ids (a, b), a < b, or None.
+    def __len__(self) -> int:
+        """The number of live vertices."""
+        return self._live.bit_count()
 
-        The two-pair test runs lazily, from the top of the heap down; the
-        pairs passed over stay queued for later contractions, the returned
-        pair does not (the caller contracts it).
+    def joinable(self, x: int, y: int, two_only: bool = True) -> bool:
+        """Whether x and y are live and non-adjacent and, with `two_only`, a
+        two-pair of the current quotient (``is_two_pair``'s test)."""
+        adj, sx, sy = self._adj, self._slot.get(x), self._slot.get(y)
+        if sx is None or sy is None or adj[sx] >> sy & 1:
+            return False
+        return not two_only or not _bfs_reach(adj, sx, self._live & ~(adj[sx] & adj[sy])) >> sy & 1
+
+    def pop_pair(self, near: Iterable[int] = (), two_only: bool = True) -> Optional[tuple[int, int]]:
+        """The pair to contract next as ids (a, b), a < b, or None.
+
+        Pairs with an endpoint in N[near] of the current quotient form the
+        first tier, the other pairs the second; with an empty zone all pairs
+        form one tier. Within a tier the first two-pair in rank order wins,
+        and without `two_only` the tier's best pair comes next. Two-pair tests
+        run lazily. Entries passed over stay queued; the returned pair does
+        not (the caller contracts it).
         """
-        heap, adj, live = self._heap, self._adj, self._live
-        skipped = []
-        found = None
+        adj, live, slot = self._adj, self._live, self._slot
+        if self._heap is None:
+            self._heap = [
+                _rank_entry(adj, self._ids, s, t, self._rng)
+                for s in _bits(live)
+                for t in _bits(live & ~adj[s] & ~((2 << s) - 1))
+            ]
+            heapq.heapify(self._heap)
+        heap = self._heap
+        zone = 0
+        for w in near:
+            if w in slot:
+                zone |= adj[slot[w]] | 1 << slot[w]
+        first = lambda e: not zone or (zone >> e[3] | zone >> e[4]) & 1
+        skipped: list[tuple] = []  # current entries passed over, in rank order
         while heap:
             entry = heapq.heappop(heap)
             rank, a, b, sa, sb = entry
             if not live >> sa & live >> sb & 1:
                 continue
-            common = adj[sa] & adj[sb]
-            if self._rng is None and rank != -common.bit_count():
+            if self._rng is None and rank != -(adj[sa] & adj[sb]).bit_count():
                 continue  # stale: the current count has its own entry
-            if _bfs_reach(adj, sa, live & ~common) >> sb & 1:
-                skipped.append(entry)
-            else:
-                found = a, b
-                break
-        for entry in skipped:
-            heapq.heappush(heap, entry)
-        return found
+            if first(entry) and self.joinable(a, b):
+                for e in skipped:
+                    heapq.heappush(heap, e)
+                return a, b
+            skipped.append(entry)
+        # Drained with no two-pair in the first tier. That tier holds a pair
+        # whenever one is left: a live vertex of near has a non-neighbor, or
+        # every pair meets N[near]. The sorted entries passed over form a
+        # heap as they are, with the returned one taken out.
+        if two_only:
+            pick = next((e for e in skipped if not first(e) and self.joinable(*e[1:3])), None)
+        else:
+            pick = next(filter(first, skipped), None)
+        if pick is not None:
+            skipped.remove(pick)
+        self._heap = skipped
+        return None if pick is None else pick[1:3]
 
     def complete(self) -> bool:
         """Whether the live vertices are pairwise adjacent."""
@@ -349,7 +374,8 @@ class PairRanking:
     def contract(self, x: int, y: int, z: int) -> None:
         """Merge the non-adjacent x and y into the fresh id z, as Graph.contract_pair does.
 
-        A z that is already live raises ``GraphError``, as there.
+        It raises ``GraphError`` with that method's messages on an adjacent
+        pair, an unknown vertex, a vertex paired with itself and a live z.
 
         Pairs with x or y die; each pair of z with a live non-neighbor gets
         an entry. Of the other pairs, only those inside N(z) = N(x) | N(y)
@@ -360,9 +386,15 @@ class PairRanking:
         loses x and y and gains z (-1), and every other pair inside N(z)
         swaps one of x, y for z (unchanged). Only the +1 and -1 pairs get a
         fresh entry; with an rng, ranks ignore common neighborhoods and no
-        pair is re-ranked.
+        pair is re-ranked. Before the heap is built, only the masks change.
         """
         adj, ids, slot, heap = self._adj, self._ids, self._slot, self._heap
+        if x not in slot or y not in slot:
+            raise GraphError(f"unknown vertex in ({x},{y})")
+        if adj[slot[x]] >> slot[y] & 1:
+            raise GraphError(f"cannot contract adjacent pair ({x},{y})")
+        if x == y:
+            raise GraphError(f"cannot contract {x} with itself")
         if z in slot:
             raise GraphError(f"contracted id {z} already live")
         sx, sy, sz = slot.pop(x), slot.pop(y), len(ids)
@@ -375,6 +407,8 @@ class PairRanking:
             adj[s] = adj[s] & ~gone | zbit
         adj.append(nx | ny)
         self._live = live = self._live & ~gone | zbit
+        if heap is None:
+            return
         rng = self._rng
         for s in _bits(live & ~adj[sz] & ~zbit):
             heapq.heappush(heap, _rank_entry(adj, ids, s, sz, rng))
@@ -389,41 +423,13 @@ class PairRanking:
                 heapq.heappush(heap, _rank_entry(adj, ids, s, t, rng))
 
 
-def candidate_pairs(g: Graph, near: Iterable[int] = ()) -> Iterator[tuple[int, int, bool]]:
-    """Every non-adjacent pair as (x, y, is_two_pair), best first.
-
-    Pairs with an endpoint in `near` or adjacent to it form the first tier,
-    the rest the second. Within a tier the two-pairs come before the other
-    pairs, each in ``PairRanking``'s order without an rng. Two-pair tests
-    run lazily, so a caller that stops at the first two-pair pays only for
-    the pairs ranked before it.
-    """
-    adj = g.adj_masks()
-    full = (1 << g.n) - 1
-    pairs = sorted(_rank_entries(g, None))
-    zone = 0
-    for w in near:
-        if w in g:
-            zone |= adj[g.pos(w)] | 1 << g.pos(w)
-    hit = lambda e: (zone >> e[3] | zone >> e[4]) & 1
-    tiers = ([e for e in pairs if hit(e)], [e for e in pairs if not hit(e)]) if zone else (pairs,)
-    for tier in tiers:
-        others = []
-        for _, x, y, px, py in tier:
-            if _bfs_reach(adj, px, full & ~(adj[px] & adj[py])) >> py & 1:
-                others.append((x, y, False))
-            else:
-                yield x, y, True
-        yield from others
-
-
 def find_two_pair(g: Graph, rng: Optional[random.Random] = None) -> Optional[TwoPair]:
     """The first two-pair of g in ``PairRanking``'s order, or None.
 
     Deterministic without an rng. On a weakly chordal graph that is not a
     clique this never returns None.
     """
-    pair = PairRanking(g, rng).pop_two_pair()
+    pair = PairRanking(g, rng).pop_pair()
     return None if pair is None else TwoPair(*pair)
 
 

@@ -97,7 +97,7 @@ def run_contractions(
     records: list[ContractionRecord] = []
     ranking = PairRanking(g, rng)
     cur, z = g, g.next_id
-    while (pair := ranking.pop_two_pair()) is not None:
+    while (pair := ranking.pop_pair()) is not None:
         x, y = pair
         ranking.contract(x, y, z)
         if verify:

@@ -7,6 +7,11 @@ from hypothesis import strategies as st
 
 from timcolor.generators import random_weakly_chordal
 from timcolor.graph import Graph, from_dict
+from timcolor.recognition import (
+    is_two_pair,
+    stays_weakly_chordal_after_delete,
+    stays_weakly_chordal_after_insert,
+)
 
 
 def load_fixture(name: str) -> dict:
@@ -27,6 +32,47 @@ def weakly_chordal_graphs(draw):
     if draw(st.booleans()):
         g = g.induced_subgraph(rng.sample(g.vertices, n - rng.randint(0, n // 2)))
     return g
+
+
+def reference_candidate_pairs(g, near=()):
+    """Every non-adjacent pair as (a, b, is_two_pair), best first: the reference ranking.
+
+    A list-and-sort over neighbor sets. Pairs with an endpoint in N[near]
+    form the first tier, the rest the second; within a tier the two-pairs
+    come first, each part by descending common neighborhood, then
+    ascending ids.
+    """
+    ids = g.vertices
+    pairs = sorted(
+        (-len(set(g.neighbors(a)) & set(g.neighbors(b))), a, b)
+        for i, a in enumerate(ids)
+        for b in ids[i + 1 :]
+        if not g.has_edge(a, b)
+    )
+    zone = set()
+    for w in near:
+        if w in g:
+            zone |= {w, *g.neighbors(w)}
+    out = []
+    for first in (True, False):
+        tier = [(a, b) for _, a, b in pairs if (a in zone or b in zone) == first]
+        out += [(a, b, True) for a, b in tier if is_two_pair(g, a, b)]
+        out += [(a, b, False) for a, b in tier if not is_two_pair(g, a, b)]
+    return out
+
+
+def perturbed(g, rng):
+    """A random edge event that keeps g weakly chordal, as (graph after it, u, v), or None."""
+    ids = g.vertices
+    pairs = [(a, b) for i, a in enumerate(ids) for b in ids[i + 1 :]]
+    rng.shuffle(pairs)
+    for u, v in pairs:
+        if g.has_edge(u, v):
+            if stays_weakly_chordal_after_delete(g, u, v):
+                return g.delete_edge(u, v), u, v
+        elif stays_weakly_chordal_after_insert(g, u, v):
+            return g.insert_edge(u, v), u, v
+    return None
 
 
 @pytest.fixture

@@ -21,9 +21,11 @@ from timcolor.generators import random_convex, random_weakly_chordal
 from timcolor.graph import Graph, GraphError, make_graph
 from timcolor.harness import TrialConfig, gen_event, run_simulation
 from timcolor.oracles import oracle_chromatic
-from timcolor.recognition import stays_weakly_chordal_after_delete
+from timcolor.recognition import PairRanking, is_two_pair, stays_weakly_chordal_after_delete
 from timcolor.static_coloring import (
     ColoringState,
+    ContractionRecord,
+    NotWeaklyChordalError,
     SolutionOrder,
     lift_coloring,
     static_color,
@@ -31,7 +33,7 @@ from timcolor.static_coloring import (
 )
 from timcolor.tim import all_unicast_messages, build_conflict_graph
 
-from conftest import fixture_graph
+from conftest import fixture_graph, perturbed, reference_candidate_pairs, weakly_chordal_graphs
 
 
 def path(n):
@@ -57,6 +59,92 @@ def replayed_provenances(graph, records):
         g, _ = g.contract_pair(r.x, r.y, r.z)
         out[r.z] = g.provenance(r.z)
     return out
+
+
+def reference_replay_repair(graph, order, hint, strict=True, exclude=(), target=None):
+    """replay_repair on ``Graph`` copies: one contracted graph per fired
+    record, and every pair listed and sorted before each fresh contraction.
+    The reference for the ranking-driven replay."""
+    cur, kept, added, affected = graph, [], [], set(hint)
+    pending = [rec for rec in order if rec not in exclude]
+    dropped = [rec for rec in order if rec in exclude]
+    next_z = 1 + max([max(graph.vertices, default=-1)] + [rec.z for rec in order])
+
+    def sweep(cur, pending):
+        progress = True
+        while progress:
+            progress, deferred = False, []
+            for rec in pending:
+                live = rec.x in cur and rec.y in cur and not cur.has_edge(rec.x, rec.y)
+                if live and (not strict or is_two_pair(cur, rec.x, rec.y)):
+                    cur, _ = cur.contract_pair(rec.x, rec.y, rec.z)
+                    kept.append(rec)
+                    progress = True
+                else:
+                    deferred.append(rec)
+            pending = deferred
+        return cur, pending
+
+    cur, pending = sweep(cur, pending)
+    while cur.n != target:
+        ranked = reference_candidate_pairs(cur, affected)
+        pair = next(((x, y) for x, y, two in ranked if two or not strict), None)
+        if pair is None:
+            break
+        cur, z = cur.contract_pair(*pair, next_z)
+        next_z += 1
+        rec = ContractionRecord(*pair, z)
+        kept.append(rec)
+        added.append(rec)
+        affected.add(z)
+        cur, pending = sweep(cur, pending)
+    if 2 * cur.edge_count() != cur.n * (cur.n - 1) or (target is not None and cur.n != target):
+        raise NotWeaklyChordalError("order repair did not terminate in a clique")
+    return kept, dropped + pending, added
+
+
+def replay_outcome(replay, *args, **kwargs):
+    """(records, removed, added) of a replay, or the type and text of its error."""
+    try:
+        res = replay(*args, **kwargs)
+    except (NotWeaklyChordalError, GraphError) as exc:
+        return type(exc), str(exc)
+    return res if isinstance(res, tuple) else (res.records, res.removed, res.added)
+
+
+class TestReplayRepair:
+    @given(weakly_chordal_graphs(), st.integers(0, 10_000), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_reference(self, g, seed, data):
+        """Strict and lenient replays of a static order on a perturbed graph,
+        with and without a dropped record, to no target and to targets
+        around the color count, give the reference's records or error."""
+        rng = random.Random(seed)
+        state = static_color(g, rng=rng if data.draw(st.booleans()) else None)
+        event = perturbed(g, rng)
+        if event is None:
+            return
+        h, u, v = event
+        records = state.order.records
+        drops = [()] + ([(rng.choice(records),)] if records else [])
+        k = state.color_count
+        for strict in (True, False):
+            for exclude in drops:
+                hint = {u, v} | {w for r in exclude for w in (r.x, r.y)}
+                for target in (None, k - 1, k, k + 1):
+                    args = (h, state.order, hint, strict, exclude, target)
+                    expected = replay_outcome(reference_replay_repair, *args)
+                    assert replay_outcome(replay_repair, *args) == expected
+
+    @pytest.mark.parametrize(
+        "order, message",
+        [([(0, 0, 9)], "cannot contract 0 with itself"), ([(0, 2, 3)], "contracted id 3 already live")],
+    )
+    def test_malformed_records_raise_as_reference(self, order, message):
+        order = SolutionOrder.from_lists(order)
+        expected = replay_outcome(reference_replay_repair, path(4), order, set(), False)
+        assert expected == (GraphError, message)
+        assert replay_outcome(replay_repair, path(4), order, set(), strict=False) == expected
 
 
 class TestCliqueGrows:
@@ -113,6 +201,10 @@ class TestInsert:
         # the unique optimal recolorings of the resulting P4 flip one edge
         assert rep.recolored in (frozenset({0, 1}), frozenset({2, 3}))
         assert verify_state(state)
+        # neither endpoint has a free color, so the order's lift, matched
+        # onto the old palette, replaces the hand-set coloring; the order stays
+        assert state.coloring == {0: 1, 1: 2, 2: 2, 3: 1} != base.coloring
+        assert state.order.records == base.order.records and rep.pairs_changed == 0
 
     def test_i21_single_endpoint_recolor(self):
         # P3 plus an isolated vertex; recoloring the isolated endpoint inside
@@ -273,6 +365,20 @@ def i1_events(state):
                 yield u, v
 
 
+def i21_events(state):
+    """Same-colored non-edges off every order pair."""
+    g, col = state.graph, state.coloring
+    ids = g.vertices
+    for i, u in enumerate(ids):
+        for v in ids[i + 1 :]:
+            if (
+                not g.has_edge(u, v)
+                and col[u] == col[v]
+                and not matching_records(g, state.order, u, v)
+            ):
+                yield u, v
+
+
 def d1_shortcut_events(state):
     """Admissible deletions with an endpoint outside the held clique."""
     g = state.graph
@@ -306,6 +412,21 @@ class TestShortcuts:
         assert rep.recolored == frozenset()
         assert verify_state(new)
 
+    def check_i21(self, state, u, v):
+        """The order is kept, as rung 0 of the ladder it skips keeps it."""
+        new, rep = insert_update(state, u, v)
+        h = state.graph.insert_edge(u, v)
+        res = replay_repair(h, state.order, {u, v}, strict=False, target=state.color_count)
+        coloring, k = lift_coloring(h, res.records)
+        assert rep.case_label == "I-2-1" and k == state.color_count
+        assert new.order.records == res.records == state.order.records
+        assert res.removed == res.added == [] and rep.pairs_changed == 0
+        assert new.clique == state.clique and new.color_count == rep.colors_after == k
+        if len(rep.recolored) != 1:  # neither endpoint had a free color
+            assert (new.coloring, rep.recolored) == _match_palette(coloring, state.coloring, k)
+        assert verify_state(new)
+        return rep
+
     def check_d1(self, state, u, v):
         new, rep = delete_update(state, u, v)
         assert rep.case_label == "D-1"
@@ -337,6 +458,23 @@ class TestShortcuts:
                 self.check_d1(state, u, v)
                 checked += 1
         assert checked > 0
+
+    def test_i21_along_walks(self):
+        """Static colorings are lifts, so I-2-1 needs states that updates
+        recolored; both the recolor and the lift branch are reached."""
+        checked = lifted = 0
+        for seed in range(12):
+            state, rng = random_static_state(seed)
+            for seq in range(12):
+                for u, v in i21_events(state):
+                    checked += 1
+                    lifted += len(self.check_i21(state, u, v).recolored) != 1
+                ev = gen_event(state.graph, rng, 0.5, seq, 200)
+                if ev is None:
+                    break
+                update = insert_update if ev.kind == "insert" else delete_update
+                state, _ = update(state, ev.u, ev.v)
+        assert checked and lifted
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)
@@ -383,14 +521,17 @@ class TestDropLadder:
 
         The I-3-1 insert at event 55 of this stream fails rung 0 and every
         single-record drop, so it makes every replay the ladder allows.
-        Every contraction removes a vertex, so a greedy replay makes at most
-        n - 1 of them on an n-vertex graph.
+        Every contraction removes a vertex, so a replay makes at most n - 1
+        of them on an n-vertex graph, all on its ranking: none contracts a
+        ``Graph``.
         """
         calls = []  # [order length, replay_repair calls] per update
-        contractions = []  # [graph.n, contract_pair calls] per replay
+        contractions = []  # [graph.n, PairRanking.contract calls] per replay
+        graph_contractions = []  # Graph.contract_pair calls inside a replay
         inside = []  # open replay_repair calls
         replay = dynamic_coloring.replay_repair
-        contract = Graph.contract_pair
+        contract = PairRanking.contract
+        contract_pair = Graph.contract_pair
 
         def counted_replay(graph, *args, **kwargs):
             calls[-1][1] += 1
@@ -406,6 +547,11 @@ class TestDropLadder:
                 contractions[-1][1] += 1
             return contract(self, *args, **kwargs)
 
+        def counted_contract_pair(self, *args, **kwargs):
+            if inside:
+                graph_contractions.append(args)
+            return contract_pair(self, *args, **kwargs)
+
         def counted(update):
             def run(state, u, v):
                 calls.append([len(state.order), 0])
@@ -414,7 +560,8 @@ class TestDropLadder:
             return run
 
         monkeypatch.setattr(dynamic_coloring, "replay_repair", counted_replay)
-        monkeypatch.setattr(Graph, "contract_pair", counted_contract)
+        monkeypatch.setattr(PairRanking, "contract", counted_contract)
+        monkeypatch.setattr(Graph, "contract_pair", counted_contract_pair)
         monkeypatch.setattr(harness, "insert_update", counted(insert_update))
         monkeypatch.setattr(harness, "delete_update", counted(delete_update))
         cfg = TrialConfig(
@@ -425,5 +572,6 @@ class TestDropLadder:
         assert (event.kind, event.case_label) == ("insert", "I-3-1")
         order_len, replays = calls[55]
         assert replays <= order_len + 2
-        assert contractions
+        assert any(count for _, count in contractions)
         assert all(count <= n - 1 for n, count in contractions)
+        assert graph_contractions == []

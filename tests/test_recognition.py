@@ -1,12 +1,13 @@
 """Recognition layer: holes, weak chordality, two-pairs, pattern scan."""
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from timcolor.graph import make_graph
+from timcolor.graph import GraphError, make_graph
 from timcolor.generators import random_chordal_bipartite, random_weakly_chordal
 from timcolor.oracles import brute_is_weakly_chordal, enumerate_chordless_cycles
 from timcolor.patterns import (
@@ -17,7 +18,7 @@ from timcolor.patterns import (
 )
 from timcolor.recognition import (
     OracleCapExceeded,
-    candidate_pairs,
+    PairRanking,
     enumerate_two_pairs,
     find_hole,
     find_two_pair,
@@ -31,7 +32,7 @@ from timcolor.recognition import (
 )
 from timcolor.tim import all_unicast_messages, build_conflict_graph
 
-from conftest import fixture_graph, weakly_chordal_graphs
+from conftest import fixture_graph, reference_candidate_pairs, weakly_chordal_graphs
 
 
 def path(n):
@@ -44,27 +45,6 @@ def cycle(n):
 
 def clique(n):
     return make_graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
-
-
-def reference_candidate_pairs(g, near=()):
-    """candidate_pairs as a list-and-sort over neighbor sets: the reference ranking."""
-    ids = g.vertices
-    pairs = sorted(
-        (-len(set(g.neighbors(a)) & set(g.neighbors(b))), a, b)
-        for i, a in enumerate(ids)
-        for b in ids[i + 1 :]
-        if not g.has_edge(a, b)
-    )
-    zone = set()
-    for w in near:
-        if w in g:
-            zone |= {w, *g.neighbors(w)}
-    out = []
-    for first in (True, False):
-        tier = [(a, b) for _, a, b in pairs if (a in zone or b in zone) == first]
-        out += [(a, b, True) for a, b in tier if is_two_pair(g, a, b)]
-        out += [(a, b, False) for a, b in tier if not is_two_pair(g, a, b)]
-    return out
 
 
 class TestFindHole:
@@ -237,12 +217,55 @@ class TestTwoPairs:
     @given(weakly_chordal_graphs(), st.data())
     @settings(max_examples=150, deadline=None)
     def test_candidate_pairs_match_reference(self, g, data):
-        near = data.draw(st.lists(st.integers(-1, g.next_id), max_size=3))
-        expected = reference_candidate_pairs(g, near)
-        assert list(candidate_pairs(g, near)) == expected
+        """Every pop_pair of one ranking under contraction, tiers and two_only
+        drawn per step, is the first qualifying pair of the reference ranking
+        of the contracted graph."""
+        ranking, cur = PairRanking(g), g
+        while True:
+            near = data.draw(st.lists(st.integers(-1, cur.next_id), max_size=3))
+            two_only = data.draw(st.booleans())
+            ranked = reference_candidate_pairs(cur, near)
+            pair = ranking.pop_pair(near, two_only)
+            assert pair == next(((x, y) for x, y, two in ranked if two or not two_only), None)
+            if pair is None:
+                break
+            cur, z = cur.contract_pair(*pair)
+            ranking.contract(*pair, z)
         first = next(((x, y) for x, y, two in reference_candidate_pairs(g) if two), None)
         tp = find_two_pair(g)
         assert (tp.x, tp.y) == first if tp else first is None
+
+    @pytest.mark.parametrize(
+        "n, edges, near, two_only, expected",
+        [
+            (6, [(0, 2), (0, 4), (0, 5), (1, 3), (1, 4), (2, 3), (3, 5)], [1], True, (2, 5)),
+            (6, [(0, 2), (0, 4), (0, 5), (1, 3), (1, 4), (2, 3), (3, 5)], [1], False, (0, 3)),
+            (7, [(0, 2), (0, 5), (1, 3), (1, 5), (2, 3), (2, 6), (3, 6), (4, 5)], [6], True, (0, 4)),
+            (7, [(0, 2), (0, 5), (1, 3), (1, 5), (2, 3), (2, 6), (3, 6), (4, 5)], [6], False, (0, 3)),
+        ],
+    )
+    def test_pop_pair_on_quotients_with_holes(self, n, edges, near, two_only, expected):
+        """A lenient replay's quotient need not be weakly chordal. In these
+        the first tier (pairs meeting N[near]) holds no two-pair: without
+        two_only its best pair wins, with it the second tier's first
+        two-pair, past the non-two-pair (0, 1) of the second graph."""
+        g = make_graph(n, edges)
+        ranked = reference_candidate_pairs(g, near)
+        assert next(((x, y) for x, y, two in ranked if two or not two_only), None) == expected
+        assert PairRanking(g).pop_pair(near, two_only) == expected
+
+    @pytest.mark.parametrize("pop_first", [False, True])
+    @pytest.mark.parametrize("x, y, z", [(0, 1, 9), (0, 2, 3), (0, 7, 9), (2, 2, 9), (0, 0, 9)])
+    def test_contract_rejects_what_contract_pair_rejects(self, x, y, z, pop_first):
+        """Same GraphError and message as Graph.contract_pair, before and
+        after the heap is built."""
+        with pytest.raises(GraphError) as expected:
+            path(4).contract_pair(x, y, z)
+        ranking = PairRanking(path(4))
+        if pop_first:
+            ranking.pop_pair()
+        with pytest.raises(GraphError, match=re.escape(str(expected.value))):
+            ranking.contract(x, y, z)
 
 
 class TestPatternLibrary:

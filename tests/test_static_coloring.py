@@ -11,13 +11,7 @@ from timcolor.dynamic_coloring import replay_repair
 from timcolor.graph import Graph, GraphError, make_graph
 from timcolor.generators import random_chordal_bipartite, random_convex, random_weakly_chordal
 from timcolor.oracles import oracle_chromatic, oracle_max_clique
-from timcolor.recognition import (
-    TwoPair,
-    is_two_pair,
-    is_weakly_chordal,
-    stays_weakly_chordal_after_delete,
-    stays_weakly_chordal_after_insert,
-)
+from timcolor.recognition import TwoPair, is_two_pair, is_weakly_chordal
 from timcolor.static_coloring import (
     ColoringState,
     ContractionRecord,
@@ -35,7 +29,7 @@ from timcolor.static_coloring import (
 )
 from timcolor.tim import all_unicast_messages, build_conflict_graph
 
-from conftest import fixture_graph, weakly_chordal_graphs
+from conftest import fixture_graph, perturbed, weakly_chordal_graphs
 
 
 def path(n):
@@ -276,20 +270,6 @@ class TestStaticColor:
     def test_chromatic_number_helper(self, c5=None):
         assert chromatic_number(cycle(4)) == 2
         assert chromatic_number(clique(5)) == 5
-
-
-def perturbed(g, rng):
-    """A random edge event that keeps g weakly chordal, as (graph after it, u, v), or None."""
-    ids = g.vertices
-    pairs = [(a, b) for i, a in enumerate(ids) for b in ids[i + 1 :]]
-    rng.shuffle(pairs)
-    for u, v in pairs:
-        if g.has_edge(u, v):
-            if stays_weakly_chordal_after_delete(g, u, v):
-                return g.delete_edge(u, v), u, v
-        elif stays_weakly_chordal_after_insert(g, u, v):
-            return g.insert_edge(u, v), u, v
-    return None
 
 
 class TestLift:
