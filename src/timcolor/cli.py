@@ -11,9 +11,10 @@ Subcommands::
     verify <state.json>           check a saved coloring state
     oracle <graph.json>           brute-force chromatic/clique numbers
 
-Exit codes: 0 = success, 1 = usage or I/O error, 2 = assertion failure
-(including an input state that ``verify`` would reject, given to
-``insert``/``delete``).
+Exit codes: 0 = success, 1 = usage or I/O error (including an
+``insert``/``delete`` event that would leave the graph not weakly
+chordal), 2 = assertion failure (including an input state that
+``verify`` would reject, given to ``insert``/``delete``).
 State JSON (written by ``color``, consumed by ``insert``/``delete``/
 ``verify``) bundles the graph with the coloring so a step is replayable
 from a single file.
@@ -30,7 +31,12 @@ from . import __version__
 from .graph import Graph, GraphError, from_dict
 from .harness import TrialAssertionError, TrialConfig, run_simulation
 from .oracles import oracle_chromatic, oracle_max_clique
-from .recognition import ORACLE_CAP, OracleCapExceeded
+from .recognition import (
+    ORACLE_CAP,
+    OracleCapExceeded,
+    stays_weakly_chordal_after_delete,
+    stays_weakly_chordal_after_insert,
+)
 from .static_coloring import (
     ColoringState,
     NotWeaklyChordalError,
@@ -145,7 +151,13 @@ def _cmd_step(args, kind: str) -> int:
     if problems:
         _emit({"error": "input state failed verification", "problems": problems}, args.out)
         return EXIT_ASSERTION
-    step = insert_update if kind == "insert" else delete_update
+    step, admissible = (
+        (insert_update, stays_weakly_chordal_after_insert) if kind == "insert"
+        else (delete_update, stays_weakly_chordal_after_delete)
+    )
+    if not admissible(state.graph, args.u, args.v):
+        raise NotWeaklyChordalError(
+            f"{kind} ({args.u},{args.v}) would leave the graph not weakly chordal")
     new_state, report = step(state, args.u, args.v)
     if args.verify and not verify_state(new_state):
         _emit({"error": "post-step verification failed", "report": report.to_dict()},

@@ -95,14 +95,21 @@ def matching_records(graph: Graph, order: SolutionOrder, u: int, v: int) -> list
 # clique growth detection
 # ---------------------------------------------------------------------------
 
-def _find_clique(adj: list[int], cand: int, size: int) -> Optional[int]:
-    """A clique of `size` inside the candidate position set, as a bitmask."""
+def _find_clique(adj: list[int], cand: int, size: int, classes: list[int]) -> Optional[int]:
+    """A clique of `size` inside the candidate position set, as a bitmask.
+
+    `classes` are the position masks of the color classes of a proper
+    coloring. A clique takes one vertex from each of `size` distinct
+    classes, so a branch whose candidates meet fewer classes holds none
+    and is cut. Only branches without a clique are cut, so the search
+    still returns the first clique the uncut search returns.
+    """
     if size <= 0:
         return 0
-    while cand.bit_count() >= size:
+    while sum(1 for m in classes if m & cand) >= size:
         low = cand & -cand
         p = low.bit_length() - 1
-        rest = _find_clique(adj, cand & adj[p], size - 1)
+        rest = _find_clique(adj, cand & adj[p], size - 1, classes)
         if rest is not None:
             return rest | low
         cand ^= low
@@ -117,8 +124,12 @@ def _growth_witness(state: ColoringState, u: int, v: int) -> Optional[frozenset[
     """
     g = state.graph
     target = state.color_count - 1
-    common = g.adj_mask(u) & g.adj_mask(v)
-    mask = _find_clique(g.adj_masks(), common, target) if target > 0 else 0
+    if target <= 0:
+        return frozenset((u, v))
+    classes: dict[int, int] = {}
+    for w, c in state.coloring.items():
+        classes[c] = classes.get(c, 0) | 1 << g.pos(w)
+    mask = _find_clique(g.adj_masks(), g.adj_mask(u) & g.adj_mask(v), target, list(classes.values()))
     if mask is None:
         return None
     ids = g.vertices

@@ -155,6 +155,22 @@ class Graph:
         """Adjacency bitmasks in positional order (a fresh list)."""
         return list(self._adj)
 
+    def insert_positions(self, u: int, v: int) -> tuple[int, int]:
+        """Positions of u and v, where (u,v) may be inserted; else GraphError."""
+        if u not in self._pos or v not in self._pos:
+            raise GraphError(f"unknown vertex in ({u},{v})")
+        if u == v:
+            raise GraphError(f"self-loop at {u}")
+        if self.has_edge(u, v):
+            raise GraphError(f"edge ({u},{v}) already present")
+        return self._pos[u], self._pos[v]
+
+    def delete_positions(self, u: int, v: int) -> tuple[int, int]:
+        """Positions of u and v, where (u,v) may be deleted; else GraphError."""
+        if not self.has_edge(u, v):
+            raise GraphError(f"edge ({u},{v}) absent")
+        return self._pos[u], self._pos[v]
+
     # -- value-like mutation ----------------------------------------------
 
     def _clone(self, edges, ids=None, prov=None) -> "Graph":
@@ -172,18 +188,10 @@ class Graph:
         return Graph._from_masks(self._ids, self._pos, adj, self._prov, self._next_id)
 
     def insert_edge(self, u: int, v: int) -> "Graph":
-        if u not in self._pos or v not in self._pos:
-            raise GraphError(f"unknown vertex in ({u},{v})")
-        if u == v:
-            raise GraphError(f"self-loop at {u}")
-        if self.has_edge(u, v):
-            raise GraphError(f"edge ({u},{v}) already present")
-        return self._with_edge_flipped(self._pos[u], self._pos[v])
+        return self._with_edge_flipped(*self.insert_positions(u, v))
 
     def delete_edge(self, u: int, v: int) -> "Graph":
-        if not self.has_edge(u, v):
-            raise GraphError(f"edge ({u},{v}) absent")
-        return self._with_edge_flipped(self._pos[u], self._pos[v])
+        return self._with_edge_flipped(*self.delete_positions(u, v))
 
     def contract_pair(self, x: int, y: int, z: Optional[int] = None) -> tuple["Graph", int]:
         """Merge non-adjacent x and y into a fresh vertex z.

@@ -3,7 +3,8 @@
 Holes (chordless cycles of length >= 5), antiholes, weak chordality,
 chordal bipartiteness, two-pair detection, and induced-subgraph scanning
 for a forbidden-pattern library. Everything here is a pure function of
-immutable graphs.
+immutable graphs, except ``PairRanking``: the mutable ranking of candidate
+pairs that one contraction loop owns and updates in place.
 """
 
 from __future__ import annotations
@@ -37,6 +38,14 @@ class TwoPair:
 # ---------------------------------------------------------------------------
 # bitmask BFS helpers
 # ---------------------------------------------------------------------------
+
+def _bits(mask: int) -> Iterator[int]:
+    """Set bit positions of a mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
 
 def _bfs_reach(adj: Sequence[int], start: int, allowed: int) -> int:
     """Positions reachable from `start` staying inside the `allowed` mask."""
@@ -142,55 +151,123 @@ def find_hole(g: Graph) -> Optional[list[int]]:
     return None
 
 
-def _find_hole_through_vertex(g: Graph, v: int) -> Optional[list[int]]:
-    adj = g.adj_masks()
-    pb = g.pos(v)
-    for pa, pc in _triples_centered(g, adj, pb):
-        cycle = _hole_through_triple(g, adj, pa, pb, pc)
-        if cycle is not None:
-            return cycle
-    return None
-
-
-def _find_hole_through_edge(g: Graph, u: int, v: int) -> Optional[list[int]]:
-    adj = g.adj_masks()
-    for b, a in ((u, v), (v, u)):
-        pb, pa = g.pos(b), g.pos(a)
-        m = adj[pb] & ~adj[pa] & ~(1 << pa)
-        while m:
-            low = m & -m
-            pc = low.bit_length() - 1
-            cycle = _hole_through_triple(g, adj, pa, pb, pc)
-            if cycle is not None:
-                return cycle
-            m ^= low
-    return None
-
-
 def is_weakly_chordal(g: Graph) -> bool:
     """Hole-free and antihole-free."""
     return find_hole(g) is None and find_hole(g.complement()) is None
 
 
+# ---------------------------------------------------------------------------
+# admission of one edge event
+# ---------------------------------------------------------------------------
+
+def _hole_through_edge(adj: Sequence[int], pu: int, pv: int) -> bool:
+    """Whether a hole of H (adjacency masks `adj`) contains the edge at positions pu, pv.
+
+    One orientation suffices: in a hole through the edge ab, b has a
+    second hole neighbour c, non-adjacent to a, so the triple a-b-c lies
+    on the hole whichever endpoint is b. Take as b the endpoint with fewer
+    neighbours outside N[a]. The path from a to c along the hole runs
+    through H - N[b] and starts at a neighbour of a there, so its interior
+    lies in R, the part of H - N[b] reachable from N(a) - N[b], and c is a
+    vertex of N(b) - N[a] that touches R. It also misses N(a) & N(c), or
+    the hole would be a 4-cycle. So for each such c a BFS from a to c
+    inside (R - N(a) & N(c)) | {a, c} finds a path whenever the hole
+    exists. Any path it finds gives a hole, so a True is always sound: a
+    shortest path through that set is chordless, has at least 3 edges
+    (a and c are non-adjacent and have no common neighbour there), and
+    closes through b, which misses its interior.
+    """
+    pb, pa = pu, pv
+    if (adj[pu] & ~adj[pv]).bit_count() > (adj[pv] & ~adj[pu]).bit_count():
+        pb, pa = pv, pu
+    na = adj[pa]
+    outside = (1 << len(adj)) - 1 & ~adj[pb] & ~(1 << pb)
+    region = _bfs_reach(adj, pa, outside | 1 << pa) & ~(1 << pa)
+    touching = 0
+    for p in _bits(region):
+        touching |= adj[p]
+    for pc in _bits(adj[pb] & ~na & ~(1 << pa) & touching):
+        allowed = region & ~(na & adj[pc]) | 1 << pa | 1 << pc
+        if _bfs_reach(adj, pa, allowed) >> pc & 1:
+            return True
+    return False
+
+
+def _hole_through_pair(adj: Sequence[int], pu: int, pv: int) -> bool:
+    """Whether a hole of H (adjacency masks `adj`) contains the non-adjacent positions pu and pv.
+
+    Centre the search at b, the one of the two with the smaller degree,
+    and call the other o. In a hole through b and o, b has two
+    non-adjacent hole neighbours a and c, and the path between them that
+    passes o runs through H - N[b]. So its interior lies in K, the
+    component of o in H - N[b], and a and c both touch K. The path misses
+    N(a) & N(c), or the hole would be a 4-cycle; in particular o is not in
+    N(a) & N(c), and such pairs are skipped. For every other non-adjacent
+    pair a, c of neighbours of b that touch K, a BFS from a to c inside
+    (K - N(a) & N(c)) | {a, c} finds a path whenever that hole exists.
+    As in ``_hole_through_edge``, any path it finds closes into a hole
+    through b, so a True is always sound.
+    """
+    pb, po = (pu, pv) if adj[pu].bit_count() <= adj[pv].bit_count() else (pv, pu)
+    outside = (1 << len(adj)) - 1 & ~adj[pb] & ~(1 << pb)
+    component = _bfs_reach(adj, po, outside)
+    touching = 0
+    for p in _bits(component):
+        touching |= adj[p]
+    ends = adj[pb] & touching
+    for pa in _bits(ends):
+        na = adj[pa]
+        partners = ends & ~na & ~((2 << pa) - 1)
+        if na >> po & 1:
+            partners &= ~adj[po]
+        for pc in _bits(partners):
+            allowed = component & ~(na & adj[pc]) | 1 << pa | 1 << pc
+            if _bfs_reach(adj, pa, allowed) >> pc & 1:
+                return True
+    return False
+
+
+def _flip(g: Graph, pu: int, pv: int) -> list[int]:
+    """g's adjacency masks with the pair at positions pu, pv flipped."""
+    adj = g.adj_masks()
+    adj[pu] ^= 1 << pv
+    adj[pv] ^= 1 << pu
+    return adj
+
+
+def _complement(adj: Sequence[int]) -> list[int]:
+    """The complement's adjacency masks."""
+    full = (1 << len(adj)) - 1
+    return [full ^ m ^ (1 << p) for p, m in enumerate(adj)]
+
+
 def stays_weakly_chordal_after_insert(g: Graph, u: int, v: int) -> bool:
     """Whether G + (u,v) is weakly chordal, given that G already is.
 
-    Any new hole must traverse the inserted edge; any new antihole must pass
-    through both endpoints in the complement (the inserted edge was its only
-    complement chord), so a hole search through one endpoint suffices.
+    Raises ``GraphError`` as ``Graph.insert_edge`` does. A hole of G + uv
+    that misses the edge uv is a hole of G, so every new hole contains uv.
+    An antihole of G + uv is a hole of its complement, which is the
+    complement of G minus the pair uv; a hole there that misses u or v is
+    a hole of the complement of G, so every new antihole contains both u
+    and v. Both searches only ever report real holes, so a rejection is
+    sound even when G is not weakly chordal.
     """
-    h = g.insert_edge(u, v)
-    if _find_hole_through_edge(h, u, v) is not None:
-        return False
-    return _find_hole_through_vertex(h.complement(), u) is None
+    pu, pv = g.insert_positions(u, v)
+    adj = _flip(g, pu, pv)
+    return not _hole_through_edge(adj, pu, pv) and not _hole_through_pair(_complement(adj), pu, pv)
 
 
 def stays_weakly_chordal_after_delete(g: Graph, u: int, v: int) -> bool:
-    """Whether G - (u,v) is weakly chordal, given that G already is."""
-    h = g.delete_edge(u, v)
-    if _find_hole_through_vertex(h, u) is not None:
-        return False
-    return _find_hole_through_edge(h.complement(), u, v) is None
+    """Whether G - (u,v) is weakly chordal, given that G already is.
+
+    Raises ``GraphError`` as ``Graph.delete_edge`` does. The insert case
+    with G and its complement swapped: every new hole of G - uv contains
+    both u and v, and every new antihole contains the edge uv of the
+    complement of G - uv.
+    """
+    pu, pv = g.delete_positions(u, v)
+    adj = _flip(g, pu, pv)
+    return not _hole_through_pair(adj, pu, pv) and not _hole_through_edge(_complement(adj), pu, pv)
 
 
 # ---------------------------------------------------------------------------
@@ -251,14 +328,6 @@ def is_two_pair(g: Graph, x: int, y: int) -> bool:
     common = adj[px] & adj[py]
     allowed = (1 << g.n) - 1 & ~common
     return not _bfs_reach(adj, px, allowed) >> py & 1
-
-
-def _bits(mask: int) -> Iterator[int]:
-    """Set bit positions of a mask, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def _rank_entry(

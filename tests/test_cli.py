@@ -139,6 +139,23 @@ class TestSteps:
         assert code == EXIT_USAGE
         assert not out
 
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_inadmissible_event_is_refused(self, capsys, caplog, tmp_path, n):
+        """Closing a path into a hole is refused before any repair runs.
+
+        Without the admission check, P6 + (0,5) was repaired into a state of
+        the hole C6, and P5 + (0,4) fell back to a static recompute that failed.
+        """
+        graph, state, bad = (tmp_path / name for name in ("path.json", "state.json", "bad.json"))
+        graph.write_text(json.dumps({"n": n, "edges": [[i, i + 1] for i in range(n - 1)]}))
+        assert main(["color", str(graph), "--out", str(state)]) == EXIT_OK
+        code, out, err = run(capsys, "insert", str(state), "0", str(n - 1),
+                             "--verify", "--out", str(bad))
+        assert code == EXIT_USAGE and not out
+        assert f"insert (0,{n - 1}) would leave the graph not weakly chordal" in err
+        assert not bad.exists()
+        assert "falling back" not in caplog.text
+
 
 class TestVerify:
     def test_corrupt_state_exits_2(self, capsys, tmp_path):

@@ -103,6 +103,20 @@ def reference_replay_repair(graph, order, hint, strict=True, exclude=(), target=
     return kept, dropped + pending, added
 
 
+def reference_find_clique(adj, cand, size):
+    """The clique search without the color bound: the reference for `_find_clique`."""
+    if size <= 0:
+        return 0
+    while cand.bit_count() >= size:
+        low = cand & -cand
+        p = low.bit_length() - 1
+        rest = reference_find_clique(adj, cand & adj[p], size - 1)
+        if rest is not None:
+            return rest | low
+        cand ^= low
+    return None
+
+
 def replay_outcome(replay, *args, **kwargs):
     """(records, removed, added) of a replay, or the type and text of its error."""
     try:
@@ -156,6 +170,31 @@ class TestCliqueGrows:
 
     def test_fig6_diagonal_does_not_grow(self, fig6):
         assert not clique_grows(static_color(fig6), 1, 4)
+
+    @given(st.integers(0, 10_000), st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_color_bound_keeps_first_clique(self, seed, convex):
+        """The color-bounded search returns the mask the unbounded one returns."""
+        rng = random.Random(seed)
+        if convex:
+            topo = random_convex(rng.randint(3, 8), rng.randint(3, 8), rng)
+            g = build_conflict_graph(topo, all_unicast_messages(topo)).graph
+        else:
+            g = random_weakly_chordal(rng.randint(3, 30), rng.randint(0, 90), rng)
+        state = static_color(g)
+        classes = {}
+        for w, c in state.coloring.items():
+            classes[c] = classes.get(c, 0) | 1 << g.pos(w)
+        adj, k = g.adj_masks(), state.color_count
+        cands = [(1 << g.n) - 1]
+        for _ in range(8):
+            u, v = rng.sample(g.vertices, 2)
+            cands.append(g.adj_mask(u) & g.adj_mask(v))
+        for cand in cands:
+            for size in sorted({1, k - 1, k, k + 1}):
+                assert dynamic_coloring._find_clique(adj, cand, size, list(classes.values())) == (
+                    reference_find_clique(adj, cand, size)
+                )
 
 
 class TestInsert:

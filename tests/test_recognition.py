@@ -1,5 +1,6 @@
 """Recognition layer: holes, weak chordality, two-pairs, pattern scan."""
 
+import itertools
 import random
 import re
 
@@ -7,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from timcolor.graph import GraphError, make_graph
-from timcolor.generators import random_chordal_bipartite, random_weakly_chordal
+from timcolor.graph import Graph, GraphError, make_graph
+from timcolor.generators import random_chordal_bipartite, random_convex, random_weakly_chordal
 from timcolor.oracles import brute_is_weakly_chordal, enumerate_chordless_cycles
 from timcolor.patterns import (
     MAX_PATTERN_VERTICES,
@@ -18,6 +19,10 @@ from timcolor.patterns import (
 )
 from timcolor.recognition import (
     OracleCapExceeded,
+    _hole_through_edge,
+    _hole_through_pair,
+    _hole_through_triple,
+    _triples_centered,
     PairRanking,
     enumerate_two_pairs,
     find_hole,
@@ -135,6 +140,160 @@ class TestWeaklyChordal:
                 assert stays_weakly_chordal_after_delete(g, u, v) == (
                     is_weakly_chordal(g.delete_edge(u, v))
                 )
+
+
+def reference_hole_through_vertex(g, v):
+    adj = g.adj_masks()
+    pb = g.pos(v)
+    for pa, pc in _triples_centered(g, adj, pb):
+        cycle = _hole_through_triple(g, adj, pa, pb, pc)
+        if cycle is not None:
+            return cycle
+    return None
+
+
+def reference_hole_through_edge(g, u, v):
+    adj = g.adj_masks()
+    for b, a in ((u, v), (v, u)):
+        pb, pa = g.pos(b), g.pos(a)
+        m = adj[pb] & ~adj[pa] & ~(1 << pa)
+        while m:
+            low = m & -m
+            pc = low.bit_length() - 1
+            cycle = _hole_through_triple(g, adj, pa, pb, pc)
+            if cycle is not None:
+                return cycle
+            m ^= low
+    return None
+
+
+def reference_after_insert(g, u, v):
+    """Admission of an insertion by whole-graph copies: the reference."""
+    h = g.insert_edge(u, v)
+    if reference_hole_through_edge(h, u, v) is not None:
+        return False
+    return reference_hole_through_vertex(h.complement(), u) is None
+
+
+def reference_after_delete(g, u, v):
+    """Admission of a deletion by whole-graph copies: the reference."""
+    h = g.delete_edge(u, v)
+    if reference_hole_through_vertex(h, u) is not None:
+        return False
+    return reference_hole_through_edge(h.complement(), u, v) is None
+
+
+ADMISSION = {
+    "insert": (stays_weakly_chordal_after_insert, reference_after_insert),
+    "delete": (stays_weakly_chordal_after_delete, reference_after_delete),
+}
+
+
+@st.composite
+def admission_graphs(draw):
+    """A weakly chordal graph: a convex conflict graph, a grown one with 6 to 40
+    vertices whose ids are not always contiguous, or a small G(n, p) sample."""
+    rng = random.Random(draw(st.integers(0, 10_000)))
+    source = draw(st.sampled_from(["convex", "grown", "gnp"]))
+    if source == "convex":
+        topo = random_convex(rng.randint(3, 12), rng.randint(3, 12), rng)
+        return build_conflict_graph(topo, all_unicast_messages(topo)).graph
+    if source == "grown":
+        n = rng.randint(6, 40)
+        g = random_weakly_chordal(n, rng.randint(0, 3 * n), rng)
+        if rng.random() < 0.5:
+            g = g.induced_subgraph(rng.sample(g.vertices, n - rng.randint(0, n // 3)))
+        return g
+    n, p = rng.randint(6, 10), rng.uniform(0.2, 0.8)
+    while True:  # dense samples hold antiholes, sparse ones holes
+        g = make_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+        if is_weakly_chordal(g):
+            return g
+
+
+class TestAdmission:
+    """The scoped admission checks against whole-graph searches."""
+
+    @given(admission_graphs())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_reference(self, g):
+        ids = g.vertices
+        for i, u in enumerate(ids):
+            for v in ids[i + 1 :]:
+                if g.has_edge(u, v):
+                    (check, ref), after = ADMISSION["delete"], g.delete_edge(u, v)
+                else:
+                    (check, ref), after = ADMISSION["insert"], g.insert_edge(u, v)
+                got = check(g, u, v)
+                assert got == ref(g, u, v), (u, v)
+                if g.n <= 20:
+                    assert got == is_weakly_chordal(after), (u, v)
+
+    @pytest.mark.parametrize(
+        "g, kind, u, v",
+        [
+            (path(6), "insert", 0, 5),  # closes the hole C6
+            (cycle(7).complement().insert_edge(0, 6), "delete", 0, 6),  # opens the antihole of C7
+            (cycle(6).insert_edge(0, 3), "delete", 0, 3),  # reopens the hole C6
+            (cycle(5).insert_edge(0, 3), "delete", 0, 3),  # reopens the hole C5
+            (cycle(6).insert_edge(0, 3).complement(), "insert", 0, 3),  # closes the antihole of C6
+        ],
+    )
+    def test_rejections(self, g, kind, u, v):
+        check, ref = ADMISSION[kind]
+        assert is_weakly_chordal(g)
+        assert check(g, u, v) is False and ref(g, u, v) is False
+
+    @pytest.mark.parametrize(
+        "kind, u, v, message",
+        [
+            ("insert", 0, 1, "edge (0,1) already present"),
+            ("insert", 0, 9, "unknown vertex in (0,9)"),
+            ("insert", 2, 2, "self-loop at 2"),
+            ("delete", 0, 2, "edge (0,2) absent"),
+            ("delete", 0, 9, "edge (0,9) absent"),
+            ("delete", 2, 2, "edge (2,2) absent"),
+        ],
+    )
+    def test_errors_match_reference(self, kind, u, v, message):
+        for fn in ADMISSION[kind]:
+            with pytest.raises(GraphError, match=re.escape(message)):
+                fn(path(5), u, v)
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=60, deadline=None)
+    def test_helpers_against_cycle_enumeration(self, seed):
+        """The two hole searches on arbitrary small graphs.
+
+        A hole through an edge is found exactly. A hole through two
+        non-adjacent vertices is always found, and what is found is a hole
+        through one of them.
+        """
+        rng = random.Random(seed)
+        n, p = rng.randint(5, 8), rng.uniform(0.2, 0.8)
+        g = make_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+        holes = enumerate_chordless_cycles(g, min_len=5)
+        adj = g.adj_masks()
+        for u in range(n):
+            for v in range(u + 1, n):
+                both = any({u, v} <= hole for hole in holes)
+                if g.has_edge(u, v):
+                    assert _hole_through_edge(adj, u, v) == both, (u, v)
+                    continue
+                found = _hole_through_pair(adj, u, v)
+                assert found or not both, (u, v)
+                assert not found or any(u in hole or v in hole for hole in holes), (u, v)
+
+    def test_builds_no_graph(self, monkeypatch):
+        g = random_weakly_chordal(20, 40, random.Random(4))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("admission built a Graph")
+
+        monkeypatch.setattr(Graph, "__init__", refuse)
+        monkeypatch.setattr(Graph, "_from_masks", refuse)
+        for u, v in itertools.combinations(g.vertices, 2):
+            ADMISSION["delete" if g.has_edge(u, v) else "insert"][0](g, u, v)
 
 
 class TestChordalBipartite:
