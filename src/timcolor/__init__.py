@@ -25,7 +25,6 @@ from .static_coloring import (
     ContractionRecord,
     InvalidContractionError,
     NotWeaklyChordalError,
-    SolutionOrder,
     chromatic_number,
     contract,
     static_color,
@@ -74,7 +73,6 @@ __all__ = [
     "ContractionRecord",
     "InvalidContractionError",
     "NotWeaklyChordalError",
-    "SolutionOrder",
     "chromatic_number",
     "contract",
     "static_color",

@@ -39,8 +39,8 @@ from .recognition import (
 )
 from .static_coloring import (
     ColoringState,
+    ContractionRecord,
     NotWeaklyChordalError,
-    SolutionOrder,
     diagnose_state,
     static_color,
     verify_state,
@@ -95,7 +95,7 @@ def state_from_dict(d: dict) -> ColoringState:
         coloring={int(k): v for k, v in d["colors"].items()},
         color_count=int(d["color_count"]),
         clique=frozenset(d["clique"]),
-        order=SolutionOrder.from_lists(d["order"]),
+        order=tuple(ContractionRecord(*map(int, r)) for r in d["order"]),
     )
 
 

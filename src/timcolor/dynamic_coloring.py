@@ -1,7 +1,8 @@
 """Dynamic maintenance of an optimal coloring under single-edge events.
 
 The maintained ``ColoringState`` is updated by case analysis on the
-solution order: membership of the event edge in the order (by provenance),
+solution order: membership of the event edge in the order (whether a record
+merged the class of one endpoint with the class of the other),
 equality of the endpoint colors, and whether the clique grows or shrinks.
 Repair is local: the recorded contraction sequence is replayed on the
 perturbed graph, invalid records are dropped, and replacements are contracted
@@ -22,7 +23,6 @@ from .static_coloring import (
     ColoringState,
     ContractionRecord,
     NotWeaklyChordalError,
-    SolutionOrder,
     lift,
     lift_coloring,
     run_contractions,
@@ -65,29 +65,29 @@ class UpdateReport:
 
 
 # ---------------------------------------------------------------------------
-# order membership by provenance
+# order membership by class
 # ---------------------------------------------------------------------------
 
-def order_provenances(graph: Graph, order: SolutionOrder) -> dict[int, frozenset[int]]:
-    """Provenance of every id the order ever references, base graph included."""
-    prov = {w: graph.provenance(w) for w in graph.vertices}
-    for rec in order:
-        prov[rec.z] = prov[rec.x] | prov[rec.y]
-    return prov
-
-
-def matching_records(graph: Graph, order: SolutionOrder, u: int, v: int) -> list[ContractionRecord]:
+def matching_records(
+    graph: Graph, order: tuple[ContractionRecord, ...], u: int, v: int
+) -> list[ContractionRecord]:
     """Records whose contraction merged u's side with v's side.
 
     The event edge (u,v) belongs to the order iff u and v fall into the two
-    provenance sides of some record.
+    classes a record merges. Membership is all this needs, so the class
+    masks keep only two bits, u's (1) and v's (2): ``cls[z]`` is
+    ``cls[x] | cls[y]``, and an id no record has given a bit reads 0. The
+    order is trusted, as ``insert_update`` trusts it; ``order_classes`` is
+    the replay that validates one.
     """
-    prov = order_provenances(graph, order)
+    cls = {u: 1, v: 2}
     out = []
     for rec in order:
-        px, py = prov[rec.x], prov[rec.y]
-        if (u in px and v in py) or (v in px and u in py):
-            out.append(rec)
+        cx, cy = cls.get(rec.x, 0), cls.get(rec.y, 0)
+        if cx | cy:
+            cls[rec.z] = cx | cy
+            if cx & 1 and cy & 2 or cx & 2 and cy & 1:
+                out.append(rec)
     return out
 
 
@@ -147,14 +147,14 @@ def clique_grows(state: ColoringState, u: int, v: int) -> bool:
 
 @dataclass
 class RepairResult:
-    records: list[ContractionRecord]
+    records: tuple[ContractionRecord, ...]
     removed: list[ContractionRecord]
     added: list[ContractionRecord]
 
 
 def replay_repair(
     graph: Graph,
-    order: SolutionOrder,
+    order: tuple[ContractionRecord, ...],
     hint: set[int],
     strict: bool = True,
     exclude: tuple[ContractionRecord, ...] = (),
@@ -226,7 +226,7 @@ def replay_repair(
         pending = sweep(pending)
     if not ranking.complete() or (target is not None and len(ranking) != target):
         raise NotWeaklyChordalError("order repair did not terminate in a clique")
-    return RepairResult(kept, dropped + pending, added)
+    return RepairResult(tuple(kept), dropped + pending, added)
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +311,7 @@ def _fallback(graph: Graph, old: ColoringState) -> tuple[ColoringState, frozense
     records = run_contractions(graph)
     coloring, clique, k = lift(graph, records)
     coloring, recolored = _match_palette(coloring, old.coloring, k)
-    return ColoringState(graph, coloring, k, clique, SolutionOrder(records)), recolored
+    return ColoringState(graph, coloring, k, clique, records), recolored
 
 
 def _unchanged(
@@ -319,9 +319,7 @@ def _unchanged(
 ) -> tuple[ColoringState, UpdateReport]:
     """`state` moved onto the perturbed `graph` with coloring, clique and order kept."""
     k = state.color_count
-    new_state = ColoringState(
-        graph, dict(state.coloring), k, state.clique, SolutionOrder(list(state.order))
-    )
+    new_state = ColoringState(graph, dict(state.coloring), k, state.clique, state.order)
     report = UpdateReport(
         kind=kind,
         u=u,
@@ -429,7 +427,7 @@ def insert_update(state: ColoringState, u: int, v: int) -> tuple[ColoringState, 
         except NotWeaklyChordalError:
             res, lifted_coloring, lifted_clique, k = attempt(strict=True)
         removed, added = res.removed, res.added
-        order = SolutionOrder(res.records)
+        order = res.records
 
         if case == "I-3-1":
             coloring, recolored = _match_palette(lifted_coloring, state.coloring, k)
@@ -508,7 +506,7 @@ def delete_update(state: ColoringState, u: int, v: int) -> tuple[ColoringState, 
             if k < omega_b:
                 clique = state.clique - {u}
         removed, added = res.removed, res.added
-        order = SolutionOrder(res.records)
+        order = res.records
         if k == omega_b:
             case = "D-1"
             coloring, recolored = dict(state.coloring), frozenset()

@@ -1,9 +1,8 @@
 """Undirected simple graphs with stable vertex identities.
 
-Vertices are integer ids that survive derived constructions; every vertex
-carries a provenance set recording which original vertices were merged into
-it (a singleton for ordinary vertices, a union for merged ones). Graphs are
-value-like: every mutating operation returns a new ``Graph``.
+Vertices are integer ids that survive derived constructions, and a
+contraction names its merged vertex with a fresh id. Graphs are value-like:
+every mutating operation returns a new ``Graph``.
 
 Internally the live ids are kept sorted, and adjacency is one python-int
 bitmask per vertex, indexed by sorted position: bit j of the mask at
@@ -31,13 +30,12 @@ class Graph:
     O(1); neighbor iteration is O(deg).
     """
 
-    __slots__ = ("_ids", "_pos", "_adj", "_prov", "_next_id")
+    __slots__ = ("_ids", "_pos", "_adj", "_next_id")
 
     def __init__(
         self,
         ids: Sequence[int],
         edges: Iterable[tuple[int, int]],
-        provenance: Optional[Mapping[int, frozenset[int]]] = None,
         next_id: Optional[int] = None,
     ):
         self._ids: tuple[int, ...] = tuple(sorted(ids))
@@ -47,10 +45,6 @@ class Graph:
         self._adj = [0] * len(self._ids)
         for u, v in edges:
             self._add_edge_unchecked(u, v)
-        if provenance is None:
-            self._prov = {v: frozenset((v,)) for v in self._ids}
-        else:
-            self._prov = {v: frozenset(provenance[v]) for v in self._ids}
         if next_id is None:
             next_id = max(self._ids, default=-1) + 1
         self._next_id = next_id
@@ -61,7 +55,6 @@ class Graph:
         ids: tuple[int, ...],
         pos: dict[int, int],
         adj: list[int],
-        prov: dict[int, frozenset[int]],
         next_id: int,
     ) -> "Graph":
         """Wrap already-consistent parts without validation.
@@ -71,7 +64,7 @@ class Graph:
         them after construction.
         """
         g = cls.__new__(cls)
-        g._ids, g._pos, g._adj, g._prov, g._next_id = ids, pos, adj, prov, next_id
+        g._ids, g._pos, g._adj, g._next_id = ids, pos, adj, next_id
         return g
 
     def _add_edge_unchecked(self, u: int, v: int) -> None:
@@ -132,9 +125,6 @@ class Graph:
     def edge_count(self) -> int:
         return sum(m.bit_count() for m in self._adj) // 2
 
-    def provenance(self, v: int) -> frozenset[int]:
-        return self._prov[v]
-
     @property
     def next_id(self) -> int:
         return self._next_id
@@ -173,19 +163,14 @@ class Graph:
 
     # -- value-like mutation ----------------------------------------------
 
-    def _clone(self, edges, ids=None, prov=None) -> "Graph":
-        return Graph(
-            self._ids if ids is None else ids,
-            edges,
-            self._prov if prov is None else prov,
-            self._next_id,
-        )
+    def _clone(self, edges, ids=None) -> "Graph":
+        return Graph(self._ids if ids is None else ids, edges, self._next_id)
 
     def _with_edge_flipped(self, pu: int, pv: int) -> "Graph":
         adj = list(self._adj)
         adj[pu] ^= 1 << pv
         adj[pv] ^= 1 << pu
-        return Graph._from_masks(self._ids, self._pos, adj, self._prov, self._next_id)
+        return Graph._from_masks(self._ids, self._pos, adj, self._next_id)
 
     def insert_edge(self, u: int, v: int) -> "Graph":
         return self._with_edge_flipped(*self.insert_positions(u, v))
@@ -196,8 +181,7 @@ class Graph:
     def contract_pair(self, x: int, y: int, z: Optional[int] = None) -> tuple["Graph", int]:
         """Merge non-adjacent x and y into a fresh vertex z.
 
-        z is adjacent to N(x) | N(y) and its provenance is the union of the
-        parents' provenances. Two-pair validity is *not* checked here; the
+        z is adjacent to N(x) | N(y). Two-pair validity is *not* checked here; the
         coloring layer owns that contract.
 
         Each surviving mask loses the bits of x and y, and gains a bit at z's
@@ -237,17 +221,15 @@ class Graph:
             adj[low.bit_length() - 1] |= zbit
             nb ^= low
         adj.insert(q, zmask)
-        prov = dict(self._prov)
-        prov[z] = prov.pop(x) | prov.pop(y)
         pos = {v: i for i, v in enumerate(ids)}
-        return Graph._from_masks(ids, pos, adj, prov, max(self._next_id, z + 1)), z
+        return Graph._from_masks(ids, pos, adj, max(self._next_id, z + 1)), z
 
     # -- derived constructions ---------------------------------------------
 
     def complement(self) -> "Graph":
         full = (1 << len(self._ids)) - 1
         adj = [full & ~m & ~(1 << i) for i, m in enumerate(self._adj)]
-        return Graph._from_masks(self._ids, self._pos, adj, self._prov, self._next_id)
+        return Graph._from_masks(self._ids, self._pos, adj, self._next_id)
 
     def square(self) -> "Graph":
         adj = self._adj
@@ -262,19 +244,17 @@ class Graph:
     def line_graph(self) -> "Graph":
         """One vertex per edge; adjacency iff the edges share an endpoint.
 
-        Output vertex ids are 0..m-1 in sorted-edge order; provenance of each
-        output vertex is the incident endpoint pair of the source edge.
+        Output vertex ids are 0..m-1 in sorted-edge order.
         """
         es = sorted(self.edges())
         ids = list(range(len(es)))
-        prov = {i: frozenset(es[i]) for i in ids}
         edges = [
             (i, j)
             for i in ids
             for j in ids[i + 1 :]
             if set(es[i]) & set(es[j])
         ]
-        return Graph(ids, edges, prov)
+        return Graph(ids, edges)
 
     def induced_subgraph(self, keep: Iterable[int]) -> "Graph":
         keep = set(keep)
@@ -283,8 +263,7 @@ class Graph:
             raise GraphError(f"unknown vertices {sorted(unknown)}")
         ids = [v for v in self._ids if v in keep]
         edges = [(u, v) for u, v in self.edges() if u in keep and v in keep]
-        prov = {v: self._prov[v] for v in ids}
-        return self._clone(edges, ids=ids, prov=prov)
+        return self._clone(edges, ids=ids)
 
     # -- equality / serialization ------------------------------------------
 

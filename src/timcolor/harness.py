@@ -17,7 +17,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import Optional, get_type_hints
 
 from .dynamic_coloring import UpdateReport, delete_update, insert_update
 from .generators import random_chordal_bipartite
@@ -56,6 +56,15 @@ class PerturbationEvent:
     seq: int
 
 
+# accepted JSON values per declared field type, and how an error names them
+_FIELD_TYPES = {
+    int: (int, "an integer"),
+    float: ((int, float), "a number"),
+    bool: (bool, "true or false"),
+    Optional[str]: ((str, type(None)), "a string or null"),
+}
+
+
 @dataclass
 class TrialConfig:
     seed: int = 0
@@ -73,10 +82,19 @@ class TrialConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "TrialConfig":
-        known = {f for f in TrialConfig.__dataclass_fields__}
-        unknown = set(d) - known
+        """A config from a JSON object; a non-object, an unknown field or a
+        value of the wrong type raises ``ValueError``. A bool is not an int,
+        and an int is accepted as a float."""
+        if not isinstance(d, dict):
+            raise ValueError(f"config must be a JSON object, not {type(d).__name__}")
+        hints = get_type_hints(TrialConfig)
+        unknown = set(d) - set(hints)
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
+        for name, value in d.items():
+            types, what = _FIELD_TYPES[hints[name]]
+            if isinstance(value, bool) != (hints[name] is bool) or not isinstance(value, types):
+                raise ValueError(f"config field {name} must be {what}, not {json.dumps(value)}")
         return TrialConfig(**d)
 
     def to_dict(self) -> dict:
@@ -139,10 +157,14 @@ def gen_event(
     chordal, up to `cap` attempts.
     """
     ids = g.vertices
-    edges = list(g.edges())
-    non_edges = [
-        (u, v) for i, u in enumerate(ids) for v in ids[i + 1 :] if not g.has_edge(u, v)
-    ]
+    n = len(ids)
+    edges: list[tuple[int, int]] = []
+    non_edges: list[tuple[int, int]] = []
+    # both lists in (position, later position) order, as g.edges() lists edges
+    for i, m in enumerate(g.adj_masks()):
+        u = ids[i]
+        for j in range(i + 1, n):
+            (edges if m >> j & 1 else non_edges).append((u, ids[j]))
     for _ in range(cap):
         want_insert = rng.random() < insert_fraction
         if want_insert and not non_edges:

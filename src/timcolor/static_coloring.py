@@ -11,7 +11,7 @@ relies on.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .graph import Graph
@@ -23,7 +23,12 @@ class NotWeaklyChordalError(ValueError):
 
 
 class InvalidContractionError(ValueError):
-    """Attempted contraction of a pair that is not a two-pair."""
+    """A contraction that may not fire.
+
+    Raised by ``contract`` for a pair that is not a two-pair, and by
+    ``order_classes`` for an order record that references a dead vertex,
+    contracts an edge, pairs a vertex with itself, or reuses an id.
+    """
 
 
 @dataclass(frozen=True)
@@ -37,39 +42,25 @@ class ContractionRecord:
 
 
 @dataclass
-class SolutionOrder:
-    records: list[ContractionRecord] = field(default_factory=list)
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-    def __iter__(self):
-        return iter(self.records)
-
-    def to_lists(self) -> list[list[int]]:
-        return [r.as_list() for r in self.records]
-
-    @staticmethod
-    def from_lists(rows: Sequence[Sequence[int]]) -> "SolutionOrder":
-        return SolutionOrder([ContractionRecord(*map(int, r)) for r in rows])
-
-
-@dataclass
 class ColoringState:
-    """A graph together with its maintained optimal-coloring artifacts."""
+    """A graph together with its maintained optimal-coloring artifacts.
+
+    ``order`` is the solution order, the contraction records in firing
+    order; it is a tuple, so states share it instead of copying it.
+    """
 
     graph: Graph
     coloring: dict[int, int]
     color_count: int
     clique: frozenset[int]
-    order: SolutionOrder
+    order: tuple[ContractionRecord, ...]
 
     def to_dict(self) -> dict:
         return {
             "colors": {str(v): c for v, c in sorted(self.coloring.items())},
             "color_count": self.color_count,
             "clique": sorted(self.clique),
-            "order": self.order.to_lists(),
+            "order": [r.as_list() for r in self.order],
         }
 
 
@@ -84,7 +75,7 @@ def run_contractions(
     g: Graph,
     rng: Optional[random.Random] = None,
     verify: bool = False,
-) -> list[ContractionRecord]:
+) -> tuple[ContractionRecord, ...]:
     """Contract two-pairs until none remains; returns the records.
 
     Each step contracts the first two-pair in ``PairRanking``'s order,
@@ -110,39 +101,80 @@ def run_contractions(
         raise NotWeaklyChordalError(
             "no two-pair on a non-complete graph; input is not weakly chordal"
         )
-    return records
+    return tuple(records)
 
 
-def _lift_classes(
+def order_classes(
     g: Graph, records: Sequence[ContractionRecord]
-) -> tuple[dict[int, int], dict[int, int], list[int], dict[int, int]]:
-    """Class masks of every id, the sorted final ids and the coloring by class.
+) -> tuple[dict[int, int], dict[int, int], list[int]]:
+    """Replay an order on class masks: the masks of every id and the sorted final ids.
 
     ``cls[id]`` is the mask of the sorted positions of ``g`` that the id
     stands for, ``nb[id]`` the OR of their adjacency masks; a record's
-    parents keep theirs. The final classes take colors 1..k by ascending
-    id, and each member takes its class's color.
+    parents keep theirs, so ``cls`` and ``nb`` hold every id the order
+    names. The final ids are the ones live after the last record.
+
+    A record fires only on live, distinct, non-adjacent parents and a z
+    that no base vertex or earlier record has taken, so every id is named
+    once and the masks, keyed by id, are unambiguous. A record that breaks
+    this raises ``InvalidContractionError``; the checks run in the order
+    dead vertex, edge, self-pair, live id, dead id. Two-pair-ness is how
+    records are found, not what makes them valid: optimality is certified
+    by a coloring and a clique of the same size.
+
+    This is the certificate that a replay through ``Graph.contract_pair``
+    computes. Claim: in that replay, live ids a and b are adjacent iff
+    ``nb[a] & cls[b]`` is non-zero, and each class is an independent set.
+    Singletons satisfy this. A record fires only on non-adjacent parents,
+    so the union of two independent classes with no edge between them is
+    independent again. ``contract_pair`` makes z adjacent to exactly
+    N(x) | N(y), that is, to each class some member of x or of y touches,
+    and ``nb[x] | nb[y]`` meets ``cls[w]`` exactly then. So every adjacency
+    test of the replay, the completeness of the final quotient and its size
+    read the same on both sides.
     """
     ids = g.vertices
     cls = {v: 1 << p for p, v in enumerate(ids)}
     nb = dict(zip(ids, g.adj_masks()))
+    live = set(ids)
     for rec in records:
-        cls[rec.z] = cls[rec.x] | cls[rec.y]
-        nb[rec.z] = nb[rec.x] | nb[rec.y]
-    final = sorted(set(cls) - {w for rec in records for w in (rec.x, rec.y)})
-    color_at = [0] * len(ids)
+        x, y, z = rec.x, rec.y, rec.z
+        if x not in live or y not in live:
+            problem = "references dead vertex"
+        elif nb[x] & cls[y]:
+            problem = "contracts an edge"
+        elif x == y:
+            problem = "pairs a vertex with itself"
+        elif z in live:
+            problem = f"reuses live id {z}"
+        elif z in cls:
+            problem = f"reuses dead id {z}"
+        else:
+            cls[z] = cls[x] | cls[y]
+            nb[z] = nb[x] | nb[y]
+            live.remove(x)
+            live.remove(y)
+            live.add(z)
+            continue
+        raise InvalidContractionError(f"order record ({x},{y},{z}) {problem}")
+    return cls, nb, sorted(live)
+
+
+def _class_coloring(g: Graph, cls: dict[int, int], final: list[int]) -> dict[int, int]:
+    """Final classes take colors 1..k by ascending id; members take their class's."""
+    color_at = [0] * g.n
     for c, f in enumerate(final, 1):
         for p in _bits(cls[f]):
             color_at[p] = c
-    return cls, nb, final, dict(zip(ids, color_at))
+    return dict(zip(g.vertices, color_at))
 
 
 def lift_coloring(
     g: Graph, records: Sequence[ContractionRecord]
 ) -> tuple[dict[int, int], int]:
     """Coloring part of the lift only: classes get colors, no clique threading."""
-    _, _, final, coloring = _lift_classes(g, records)
-    return coloring, len(final)
+    cls, _, final = order_classes(g, records)
+    return _class_coloring(g, cls, final), len(final)
 
 
 def lift(
@@ -154,16 +186,14 @@ def lift(
     ids and is threaded back through the records: undoing a record whose z
     is in the clique puts back the parent adjacent to every other member.
 
-    Adjacency is read from class masks, not from a ``Graph`` per record.
-    Before a record fires, live ids a and b are adjacent in the quotient
-    iff ``nb[a] & cls[b]`` is non-zero; the proof is ``diagnose_state``'s.
-    The clique members other than z are live before the record too, so
-    the test is exact. It needs every id named once, by a base vertex or
-    by one record's z, since the masks are keyed by id. Orders made by
-    this library never reuse an id, and ``diagnose_state`` reports any
-    order that does.
+    Adjacency is read from the class masks of ``order_classes``, not from a
+    ``Graph`` per record: before a record fires, live ids a and b are
+    adjacent in the quotient iff ``nb[a] & cls[b]`` is non-zero. The clique
+    members other than z are live before the record too, so the test is
+    exact. ``order_classes`` raises ``InvalidContractionError`` on an order
+    that names an id twice or fires a record that may not fire.
     """
-    cls, nb, final, coloring = _lift_classes(g, records)
+    cls, nb, final = order_classes(g, records)
     clique = set(final)
     for rec in reversed(records):
         if rec.z in clique:
@@ -176,7 +206,7 @@ def lift(
                 raise NotWeaklyChordalError(
                     "clique lift failed: neither parent completes the clique"
                 )
-    return coloring, frozenset(clique), len(final)
+    return _class_coloring(g, cls, final), frozenset(clique), len(final)
 
 
 def static_color(
@@ -188,10 +218,10 @@ def static_color(
     if verify and not is_weakly_chordal(g):
         raise NotWeaklyChordalError("input graph is not weakly chordal")
     if g.n == 0:
-        return ColoringState(g, {}, 0, frozenset(), SolutionOrder())
+        return ColoringState(g, {}, 0, frozenset(), ())
     records = run_contractions(g, rng, verify)
     coloring, clique, k = lift(g, records)
-    return ColoringState(g, coloring, k, clique, SolutionOrder(records))
+    return ColoringState(g, coloring, k, clique, records)
 
 
 def chromatic_number(g: Graph) -> int:
@@ -204,22 +234,13 @@ def diagnose_state(state: ColoringState) -> list[str]:
     A valid state has a proper coloring with ``color_count`` colors, a
     ``color_count``-clique, and an order whose replay on the graph ends in
     a ``color_count``-clique. Problems come in that order; the coloring's
-    bad edges come in ``g.edges()`` order.
+    bad edges come in ``g.edges()`` order, and the first record that may
+    not fire is the last problem.
 
-    The order is replayed on class bitmasks over the sorted positions of
-    ``state.graph``, without building a ``Graph`` per record. Each live id
-    stands for a class: ``cls[id]`` is the mask of its member positions
-    and ``nb[id]`` the OR of their adjacency masks. This is the certificate
-    that a replay through ``Graph.contract_pair`` computes. Claim: in that
-    replay, live ids a and b are adjacent iff ``nb[a] & cls[b]`` is
-    non-zero, and each class is an independent set. Singletons satisfy
-    this. A record fires only on non-adjacent parents, so the union of two
-    independent classes with no edge between them is independent again.
-    ``contract_pair`` makes z adjacent to exactly N(x) | N(y), that is, to
-    each class some member of x or of y touches, and ``nb[x] | nb[y]``
-    meets ``cls[w]`` exactly then. So every adjacency test of the replay,
-    the completeness of the final quotient and its size read the same on
-    both sides.
+    The order is replayed by ``order_classes``, on class bitmasks over the
+    sorted positions of ``state.graph``, without building a ``Graph`` per
+    record; its docstring holds the proof that the masks read the same as
+    a ``Graph.contract_pair`` replay.
     """
     problems: list[str] = []
     g = state.graph
@@ -228,14 +249,13 @@ def diagnose_state(state: ColoringState) -> list[str]:
         problems.append("coloring domain differs from vertex set")
         return problems
     ids = g.vertices
-    adj = g.adj_masks()
     # One mask per color: position p has a bad edge to a later position
     # iff its adjacency meets its own color's mask above bit p.
     color_at = [coloring[v] for v in ids]
     color_mask: dict = {}
     for p, c in enumerate(color_at):
         color_mask[c] = color_mask.get(c, 0) | 1 << p
-    for p, m in enumerate(adj):
+    for p, m in enumerate(g.adj_masks()):
         bad = (m & color_mask[color_at[p]]) >> (p + 1)
         while bad:
             low = bad & -bad
@@ -250,39 +270,15 @@ def diagnose_state(state: ColoringState) -> list[str]:
         for v in members[i + 1 :]:
             if not g.has_edge(u, v):
                 problems.append(f"clique members ({u},{v}) are not adjacent")
-    # Replay the order. Optimality is certified by the (coloring, clique)
-    # pair above, so a record only needs live, distinct, non-adjacent
-    # parents and a z that no base vertex or earlier record has taken
-    # (``lift`` keys its masks by id); two-pair-ness is how records are
-    # found, not what makes them valid.
-    cls = {v: 1 << p for p, v in enumerate(ids)}
-    nb = dict(zip(ids, adj))
-    named = set(ids)  # every id a base vertex or an earlier z has taken
-    for rec in state.order:
-        x, y, z = rec.x, rec.y, rec.z
-        if x not in cls or y not in cls:
-            problems.append(f"order record ({x},{y},{z}) references dead vertex")
-            return problems
-        if nb[x] & cls[y]:
-            problems.append(f"order record ({x},{y},{z}) contracts an edge")
-            return problems
-        if x == y:
-            problems.append(f"order record ({x},{y},{z}) pairs a vertex with itself")
-            return problems
-        if z in cls:
-            problems.append(f"order record ({x},{y},{z}) reuses live id {z}")
-            return problems
-        if z in named:
-            problems.append(f"order record ({x},{y},{z}) reuses dead id {z}")
-            return problems
-        named.add(z)
-        cls[z] = cls.pop(x) | cls.pop(y)
-        nb[z] = nb.pop(x) | nb.pop(y)
-    live = list(cls)
-    if not all(nb[a] & cls[b] for i, a in enumerate(live) for b in live[i + 1 :]):
+    try:
+        cls, nb, final = order_classes(g, state.order)
+    except InvalidContractionError as exc:
+        problems.append(str(exc))
+        return problems
+    if not all(nb[a] & cls[b] for i, a in enumerate(final) for b in final[i + 1 :]):
         problems.append("order replay does not end in a clique")
-    elif len(live) != state.color_count:
-        problems.append(f"replayed clique has {len(live)} vertices, expected {state.color_count}")
+    elif len(final) != state.color_count:
+        problems.append(f"replayed clique has {len(final)} vertices, expected {state.color_count}")
     return problems
 
 

@@ -12,6 +12,7 @@ from timcolor.recognition import (
     stays_weakly_chordal_after_delete,
     stays_weakly_chordal_after_insert,
 )
+from timcolor.static_coloring import ContractionRecord
 
 
 def load_fixture(name: str) -> dict:
@@ -59,6 +60,27 @@ def reference_candidate_pairs(g, near=()):
         out += [(a, b, True) for a, b in tier if is_two_pair(g, a, b)]
         out += [(a, b, False) for a, b in tier if not is_two_pair(g, a, b)]
     return out
+
+
+def order_of(rows):
+    """An order, a tuple of records, from rows [x, y, z]."""
+    return tuple(ContractionRecord(*row) for row in rows)
+
+
+def replay_chain(graph, records):
+    """Replay an order through ``Graph.contract_pair``: the reference for class masks.
+
+    Returns the graphs before and after each record, and the member set of
+    every id the order names, base vertices included. Each record must
+    fire on the graph before it, so an order that may not fire raises
+    ``GraphError`` here.
+    """
+    chain = [graph]
+    members = {v: frozenset((v,)) for v in graph.vertices}
+    for r in records:
+        chain.append(chain[-1].contract_pair(r.x, r.y, r.z)[0])
+        members[r.z] = members[r.x] | members[r.y]
+    return chain, members
 
 
 def perturbed(g, rng):

@@ -267,6 +267,14 @@ class TestSimulate:
         code, out, err = run(capsys, "simulate", str(cfg_file))
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("cfg", [{"M": "5"}, {"insert_fraction": "x"}, [1]])
+    def test_mistyped_config_is_usage_error(self, capsys, tmp_path, cfg):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps(cfg))
+        code, out, err = run(capsys, "simulate", str(cfg_file))
+        assert code == EXIT_USAGE
+        assert not out and err.startswith("timcolor: error: config ")
+
 
 class TestParser:
     def test_version_flag(self, capsys):

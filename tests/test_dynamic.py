@@ -26,14 +26,20 @@ from timcolor.static_coloring import (
     ColoringState,
     ContractionRecord,
     NotWeaklyChordalError,
-    SolutionOrder,
     lift_coloring,
     static_color,
     verify_state,
 )
 from timcolor.tim import all_unicast_messages, build_conflict_graph
 
-from conftest import fixture_graph, perturbed, reference_candidate_pairs, weakly_chordal_graphs
+from conftest import (
+    fixture_graph,
+    order_of,
+    perturbed,
+    reference_candidate_pairs,
+    replay_chain,
+    weakly_chordal_graphs,
+)
 
 
 def path(n):
@@ -50,15 +56,6 @@ def clique(n):
 
 def pair_sets(records):
     return {frozenset((r.x, r.y)) for r in records}
-
-
-def replayed_provenances(graph, records):
-    """Map each record's merged vertex to its provenance on a fresh replay."""
-    g, out = graph, {}
-    for r in records:
-        g, _ = g.contract_pair(r.x, r.y, r.z)
-        out[r.z] = g.provenance(r.z)
-    return out
 
 
 def reference_replay_repair(graph, order, hint, strict=True, exclude=(), target=None):
@@ -100,7 +97,7 @@ def reference_replay_repair(graph, order, hint, strict=True, exclude=(), target=
         cur, pending = sweep(cur, pending)
     if 2 * cur.edge_count() != cur.n * (cur.n - 1) or (target is not None and cur.n != target):
         raise NotWeaklyChordalError("order repair did not terminate in a clique")
-    return kept, dropped + pending, added
+    return tuple(kept), dropped + pending, added
 
 
 def reference_find_clique(adj, cand, size):
@@ -139,7 +136,7 @@ class TestReplayRepair:
         if event is None:
             return
         h, u, v = event
-        records = state.order.records
+        records = state.order
         drops = [()] + ([(rng.choice(records),)] if records else [])
         k = state.color_count
         for strict in (True, False):
@@ -155,7 +152,7 @@ class TestReplayRepair:
         [([(0, 0, 9)], "cannot contract 0 with itself"), ([(0, 2, 3)], "contracted id 3 already live")],
     )
     def test_malformed_records_raise_as_reference(self, order, message):
-        order = SolutionOrder.from_lists(order)
+        order = order_of(order)
         expected = replay_outcome(reference_replay_repair, path(4), order, set(), False)
         assert expected == (GraphError, message)
         assert replay_outcome(replay_repair, path(4), order, set(), strict=False) == expected
@@ -231,7 +228,7 @@ class TestInsert:
         g = make_graph(4, [(0, 1), (2, 3)])
         base = ColoringState(
             g, {0: 1, 1: 2, 2: 1, 3: 2}, 2, frozenset({0, 1}),
-            SolutionOrder.from_lists([[0, 3, 4], [1, 2, 5]]),
+            order_of([[0, 3, 4], [1, 2, 5]]),
         )
         assert verify_state(base)
         state, rep = insert_update(base, 0, 2)
@@ -243,7 +240,7 @@ class TestInsert:
         # neither endpoint has a free color, so the order's lift, matched
         # onto the old palette, replaces the hand-set coloring; the order stays
         assert state.coloring == {0: 1, 1: 2, 2: 2, 3: 1} != base.coloring
-        assert state.order.records == base.order.records and rep.pairs_changed == 0
+        assert state.order == base.order and rep.pairs_changed == 0
 
     def test_i21_single_endpoint_recolor(self):
         # P3 plus an isolated vertex; recoloring the isolated endpoint inside
@@ -251,7 +248,7 @@ class TestInsert:
         g = make_graph(4, [(0, 1), (1, 2)])
         base = ColoringState(
             g, {0: 1, 1: 2, 2: 1, 3: 1}, 2, frozenset({0, 1}),
-            SolutionOrder.from_lists([[0, 2, 4], [1, 3, 5]]),
+            order_of([[0, 2, 4], [1, 3, 5]]),
         )
         assert verify_state(base)
         state, rep = insert_update(base, 2, 3)
@@ -280,8 +277,8 @@ class TestDelete:
         assert (rep.colors_before, rep.colors_after) == (3, 2)
         assert not rep.fallback_used
         # the one extra contraction merges v1 with the {v4,v7} class
-        provs = replayed_provenances(state.graph, state.order.records)
-        assert frozenset({0, 3, 6}) in provs.values()
+        _, members = replay_chain(state.graph, state.order)
+        assert frozenset({0, 3, 6}) in {members[r.z] for r in state.order}
         assert verify_state(state)
 
     def test_k3_edge_d2(self):
@@ -381,10 +378,23 @@ class TestEquivalence:
             assert state.color_count == static_color(state.graph).color_count
             assert state.color_count == oracle_chromatic(state.graph)
 
-    def test_matching_records_by_provenance(self, fig6):
+    def test_matching_records_by_class(self, fig6):
         base = static_color(fig6)
         hits = matching_records(fig6, base.order, 1, 4)
         assert pair_sets(hits) >= {frozenset((1, 4))}
+
+    @given(weakly_chordal_graphs(), st.integers(0, 10_000))
+    @settings(max_examples=100, deadline=None)
+    def test_matching_records_match_member_sets(self, g, seed):
+        """Every pair of vertices, against the member sets of a ``Graph`` replay."""
+        order = static_color(g, rng=random.Random(seed)).order
+        _, members = replay_chain(g, order)
+        for u, v in itertools.combinations(g.vertices, 2):
+            expected = [
+                r for r in order
+                if u in members[r.x] and v in members[r.y] or v in members[r.x] and u in members[r.y]
+            ]
+            assert matching_records(g, order, u, v) == expected
 
 
 FIGURES = ("fig2_case1.json", "fig6.json", "fig8.json", "fig9.json")
@@ -442,7 +452,7 @@ class TestShortcuts:
         res = replay_repair(h, state.order, {u, v}, strict=False, target=state.color_count)
         coloring, k = lift_coloring(h, res.records)
         assert rep.case_label == "I-1"
-        assert new.order.records == res.records
+        assert new.order == res.records
         assert k == new.color_count == state.color_count
         # static_color's coloring is the lift of its order
         assert new.coloring == coloring == state.coloring
@@ -458,7 +468,7 @@ class TestShortcuts:
         res = replay_repair(h, state.order, {u, v}, strict=False, target=state.color_count)
         coloring, k = lift_coloring(h, res.records)
         assert rep.case_label == "I-2-1" and k == state.color_count
-        assert new.order.records == res.records == state.order.records
+        assert new.order == res.records == state.order
         assert res.removed == res.added == [] and rep.pairs_changed == 0
         assert new.clique == state.clique and new.color_count == rep.colors_after == k
         if len(rep.recolored) != 1:  # neither endpoint had a free color
@@ -470,7 +480,7 @@ class TestShortcuts:
         new, rep = delete_update(state, u, v)
         assert rep.case_label == "D-1"
         assert new.clique == state.clique
-        assert new.order.records == state.order.records
+        assert new.order == state.order
         assert new.coloring == state.coloring
         assert rep.pairs_changed == 0 and rep.recolored == frozenset()
         assert verify_state(new)

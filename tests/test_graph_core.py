@@ -1,4 +1,4 @@
-"""Graph substrate: construction, derived graphs, provenance, interchange."""
+"""Graph substrate: construction, derived graphs, contraction, interchange."""
 
 import json
 
@@ -46,10 +46,6 @@ class TestMakeGraph:
         assert g.edge_count() == 4
         assert all(g.degree(v) == 2 for v in g.vertices)
 
-    def test_singleton_provenance(self):
-        g = path(3)
-        assert all(g.provenance(v) == frozenset([v]) for v in g.vertices)
-
     @pytest.mark.parametrize("edges", [[(0, 0)], [(0, 3)], [(0, 1), (1, 0)]])
     def test_rejects_bad_edges(self, edges):
         with pytest.raises(GraphError):
@@ -93,10 +89,9 @@ class TestInsertDelete:
 
 
 class TestContraction:
-    def test_merges_neighborhoods_and_provenance(self):
+    def test_merges_neighborhoods(self):
         g = path(4)  # 0-1-2-3; {0,3} nonadjacent
         h, z = g.contract_pair(0, 3)
-        assert h.provenance(z) == frozenset({0, 3})
         assert h.has_edge(z, 1) and h.has_edge(z, 2)
         assert h.n == 3
 
@@ -104,14 +99,6 @@ class TestContraction:
         g = path(4)
         _, z1 = g.contract_pair(0, 3)
         assert z1 not in g.vertices
-
-    def test_provenance_disjointness(self):
-        g = make_graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)])
-        h, _ = g.contract_pair(0, 2)
-        h, _ = h.contract_pair(3, 5)
-        provs = [h.provenance(v) for v in h.vertices]
-        assert sum(len(p) for p in provs) == 6
-        assert len(frozenset().union(*provs)) == 6
 
 
 class TestLineGraph:
@@ -225,23 +212,17 @@ class TestInterchange:
 
 @st.composite
 def labelled_graphs(draw, max_n=8):
-    """Graphs with sparse ids, merged provenances and a next_id above them."""
+    """Graphs with sparse ids and a next_id above them."""
     ids = sorted(draw(st.sets(st.integers(0, 30), max_size=max_n)))
     pairs = [(u, v) for i, u in enumerate(ids) for v in ids[i + 1 :]]
     edges = draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
-    prov = {v: frozenset({v, 100 + v}) if v % 3 == 0 else frozenset({v}) for v in ids}
     next_id = max(ids, default=-1) + 1 + draw(st.integers(0, 3))
-    return Graph(ids, edges, prov, next_id)
-
-
-def provenances(g):
-    return {v: g.provenance(v) for v in g.vertices}
+    return Graph(ids, edges, next_id)
 
 
 def assert_same_graph(g, ref):
     assert g.vertices == ref.vertices
     assert g.adj_masks() == ref.adj_masks()
-    assert provenances(g) == provenances(ref)
     assert g.next_id == ref.next_id
     assert list(g.edges()) == list(ref.edges())
 
@@ -252,9 +233,7 @@ def rebuilt_contraction(g, x, y, z):
     ids = [v for v in g.vertices if v not in (x, y)] + [z]
     edges = [e for e in g.edges() if x not in e and y not in e]
     edges += [(z, w) for w in sorted(merged)]
-    prov = {v: g.provenance(v) for v in g.vertices if v not in (x, y)}
-    prov[z] = g.provenance(x) | g.provenance(y)
-    return Graph(ids, edges, prov, max(g.next_id, z + 1))
+    return Graph(ids, edges, max(g.next_id, z + 1))
 
 
 def non_edges(g):
@@ -298,18 +277,18 @@ class TestMaskNative:
         pairs = non_edges(g)
         if pairs:
             u, v = data.draw(st.sampled_from(pairs))
-            ref = Graph(g.vertices, edges + [(u, v)], provenances(g), g.next_id)
+            ref = Graph(g.vertices, edges + [(u, v)], g.next_id)
             assert_same_graph(g.insert_edge(v, u), ref)
         if edges:
             u, v = data.draw(st.sampled_from(edges))
             rest = [e for e in edges if e != (u, v)]
-            ref = Graph(g.vertices, rest, provenances(g), g.next_id)
+            ref = Graph(g.vertices, rest, g.next_id)
             assert_same_graph(g.delete_edge(v, u), ref)
 
     @given(labelled_graphs())
     @settings(max_examples=100, deadline=None)
     def test_complement(self, g):
-        ref = Graph(g.vertices, non_edges(g), provenances(g), g.next_id)
+        ref = Graph(g.vertices, non_edges(g), g.next_id)
         assert_same_graph(g.complement(), ref)
         assert_same_graph(g.complement().complement(), g)
 

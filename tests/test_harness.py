@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+from timcolor.generators import random_weakly_chordal
 from timcolor.graph import make_graph
 from timcolor.harness import (
     CSV_COLUMNS,
@@ -93,6 +94,34 @@ class TestGenEvent:
             assert is_weakly_chordal(h)
             g = h
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_candidates_in_reference_order(self, seed):
+        """Candidates are drawn from ``g.edges()`` and from a ``has_edge`` scan
+        of every pair, in those orders, so a seeded stream draws the events
+        it always drew; on graphs with sparse ids too."""
+        rng = random.Random(seed)
+        g = random_weakly_chordal(rng.randint(2, 14), rng.randint(0, 40), rng)
+        g = g.induced_subgraph(rng.sample(g.vertices, g.n - rng.randint(0, g.n // 3)))
+        drawn = []
+
+        class Recording(random.Random):
+            def choice(self, seq):
+                drawn.append(seq)
+                return super().choice(seq)
+
+        events = Recording(seed)
+        for seq in range(10):
+            ids = g.vertices
+            pairs = [(u, v) for i, u in enumerate(ids) for v in ids[i + 1 :]]
+            lists = (list(g.edges()), [p for p in pairs if not g.has_edge(*p)])
+            drawn.clear()
+            ev = gen_event(g, events, 0.5, seq, 50)
+            assert all(cands in lists for cands in drawn)
+            if ev is None:
+                break
+            assert drawn
+            g = g.insert_edge(ev.u, ev.v) if ev.kind == "insert" else g.delete_edge(ev.u, ev.v)
+
 
 class TestTrialConfig:
     def test_rejects_unknown_fields(self):
@@ -102,6 +131,33 @@ class TestTrialConfig:
     def test_roundtrip(self):
         cfg = TrialConfig(seed=9, M=3, N=4, event_count=5)
         assert TrialConfig.from_dict(cfg.to_dict()) == cfg
+
+    @pytest.mark.parametrize(
+        "d, message",
+        [
+            ({"M": "5"}, 'config field M must be an integer, not "5"'),
+            ({"M": True}, "config field M must be an integer, not true"),
+            ({"event_count": 5.0}, "config field event_count must be an integer, not 5.0"),
+            ({"insert_fraction": "x"}, 'config field insert_fraction must be a number, not "x"'),
+            ({"density": False}, "config field density must be a number, not false"),
+            ({"verification_mode": 1}, "config field verification_mode must be true or false, not 1"),
+            ({"topology_file": 3}, "config field topology_file must be a string or null, not 3"),
+            ({"topology_file": True}, "config field topology_file must be a string or null, not true"),
+            ([1], "config must be a JSON object, not list"),
+            ("M", "config must be a JSON object, not str"),
+        ],
+    )
+    def test_rejects_mistyped_input(self, d, message):
+        with pytest.raises(ValueError) as exc:
+            TrialConfig.from_dict(d)
+        assert str(exc.value) == message
+
+    def test_accepts_declared_types(self):
+        d = {"density": 1, "insert_fraction": 0.25, "topology_file": None, "assert_bound": False}
+        cfg = TrialConfig.from_dict(d)
+        assert (cfg.density, cfg.insert_fraction, cfg.topology_file) == (1, 0.25, None)
+        assert cfg.assert_bound is False
+        assert TrialConfig.from_dict({"topology_file": "t.json"}).topology_file == "t.json"
 
 
 class TestRunSimulation:

@@ -2,11 +2,14 @@
 
 import random
 import re
+from functools import reduce
+from operator import or_
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from timcolor.cli import state_from_dict, state_to_dict
 from timcolor.dynamic_coloring import replay_repair
 from timcolor.graph import Graph, GraphError, make_graph
 from timcolor.generators import random_chordal_bipartite, random_convex, random_weakly_chordal
@@ -17,19 +20,19 @@ from timcolor.static_coloring import (
     ContractionRecord,
     InvalidContractionError,
     NotWeaklyChordalError,
-    SolutionOrder,
     chromatic_number,
     contract,
     diagnose_state,
     lift,
     lift_coloring,
+    order_classes,
     run_contractions,
     static_color,
     verify_state,
 )
 from timcolor.tim import all_unicast_messages, build_conflict_graph
 
-from conftest import fixture_graph, perturbed, weakly_chordal_graphs
+from conftest import fixture_graph, order_of, perturbed, replay_chain, weakly_chordal_graphs
 
 
 def path(n):
@@ -61,7 +64,7 @@ def reference_contractions(g):
         )
         pair = next(((a, b) for _, a, b in ranked if is_two_pair(g, a, b)), None)
         if pair is None:
-            return records
+            return tuple(records)
         g, z = g.contract_pair(*pair)
         records.append(ContractionRecord(*pair, z))
 
@@ -92,8 +95,34 @@ def chain_lift(g, records):
     return coloring, None if clique is None else frozenset(clique), len(base)
 
 
+def check_order_classes(g, records):
+    """order_classes gives the member sets and adjacency of a ``Graph`` replay.
+
+    ``cls`` is each id's member mask and ``nb`` the OR of its members'
+    adjacency. A merged id z is checked against every id live beside it
+    right after its record fires: two live ids keep their adjacency until
+    one of them is merged, and the later-named one was checked against the
+    other when it was made. The final classes partition the vertices.
+    """
+    chain, members = replay_chain(g, records)
+    cls, nb, final = order_classes(g, records)
+    adj = g.adj_masks()
+    assert set(cls) == set(nb) == set(members)
+    for w, m in members.items():
+        assert cls[w] == reduce(or_, (1 << g.pos(v) for v in m))
+        assert nb[w] == reduce(or_, (adj[g.pos(v)] for v in m))
+    for rec, quotient in zip(records, chain[1:]):
+        z = rec.z
+        for w in quotient.vertices:
+            assert quotient.has_edge(z, w) == bool(nb[z] & cls[w]) == bool(nb[w] & cls[z])
+    assert final == list(chain[-1].vertices)
+    assert reduce(or_, (cls[f] for f in final), 0) == (1 << g.n) - 1
+    assert sum(cls[f].bit_count() for f in final) == g.n
+
+
 def check_lift(g, records):
     """lift and lift_coloring give the chain lift's results and errors."""
+    check_order_classes(g, records)
     coloring, clique, k = chain_lift(g, records)
     assert lift_coloring(g, records) == (coloring, k)
     if clique is None:
@@ -103,12 +132,10 @@ def check_lift(g, records):
         assert lift(g, records) == (coloring, clique, k)
 
 
-def provenance_classes(state):
-    """Provenances of the contracted aliases of state.clique members."""
-    g = state.graph
-    for rec in state.order.records:
-        g, _ = g.contract_pair(rec.x, rec.y, rec.z)
-    return {g.provenance(v) for v in g.vertices}
+def final_classes(state):
+    """Member sets of the final ids of the state's order, on a ``Graph`` replay."""
+    chain, members = replay_chain(state.graph, state.order)
+    return {members[v] for v in chain[-1].vertices}
 
 
 class TestContract:
@@ -123,16 +150,17 @@ class TestContract:
 
     def test_fig6_paper_sequence_reaches_k3(self, fig6):
         # contract (v2,v5), (v1,v4), (v3,v6); result is K3 on the
-        # provenance classes {v2,v5}, {v1,v4}, {v3,v6}
+        # classes {v2,v5}, {v1,v4}, {v3,v6}
         g = fig6
         g, z25 = contract(g, TwoPair(1, 4))
         g, z14 = contract(g, TwoPair(0, 3))
         g, z36 = contract(g, TwoPair(2, 5))
         assert g.n == 3
         assert g.has_edge(z25, z14) and g.has_edge(z14, z36) and g.has_edge(z25, z36)
-        assert g.provenance(z14) == frozenset({0, 3})
-        assert g.provenance(z25) == frozenset({1, 4})
-        assert g.provenance(z36) == frozenset({2, 5})
+        _, members = replay_chain(fig6, order_of([[1, 4, z25], [0, 3, z14], [2, 5, z36]]))
+        assert members[z14] == frozenset({0, 3})
+        assert members[z25] == frozenset({1, 4})
+        assert members[z36] == frozenset({2, 5})
 
     def test_rejects_non_two_pair(self):
         with pytest.raises(InvalidContractionError):
@@ -156,19 +184,19 @@ class TestStaticColor:
         st_ = static_color(clique(4))
         assert st_.color_count == 4
         assert st_.clique == frozenset(range(4))
-        assert st_.order.records == []
+        assert st_.order == ()
         assert sorted(st_.coloring.values()) == [1, 2, 3, 4]
 
     def test_c4(self):
         st_ = static_color(cycle(4))
-        assert st_.color_count == 2 and len(st_.order.records) == 2
+        assert st_.color_count == 2 and len(st_.order) == 2
         assert verify_state(st_)
 
     def test_fig6(self, fig6):
         st_ = static_color(fig6)
         assert st_.color_count == 3
-        assert len(st_.order.records) == 3
-        assert provenance_classes(st_) == {
+        assert len(st_.order) == 3
+        assert final_classes(st_) == {
             frozenset({0, 3}),
             frozenset({1, 4}),
             frozenset({2, 5}),
@@ -234,7 +262,7 @@ class TestStaticColor:
         for _ in range(20):
             g = random_weakly_chordal(rng.randint(1, 11), rng.randint(0, 18), rng)
             st_ = static_color(g)
-            assert len(st_.order.records) == g.n - len(st_.clique)
+            assert len(st_.order) == g.n - len(st_.clique)
 
     def test_order_independence(self):
         rng = random.Random(19)
@@ -292,7 +320,7 @@ class TestLift:
         if event is None:
             return
         h, u, v = event
-        records = state.order.records
+        records = state.order
         drops = [()] + ([(rng.choice(records),)] if records else [])
         for strict in (True, False):
             for exclude in drops:
@@ -301,6 +329,12 @@ class TestLift:
                 except NotWeaklyChordalError:
                     continue
                 check_lift(h, res.records)
+
+    def test_order_classes_partition(self):
+        g = make_graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)])
+        cls, _, final = order_classes(g, order_of([[0, 2, 6], [3, 5, 7]]))
+        assert final == [1, 4, 6, 7]
+        assert [cls[f] for f in final] == [0b10, 0b10000, 0b101, 0b101000]
 
     def test_conflict_graphs_match_chain_lift(self):
         rng = random.Random(31)
@@ -361,7 +395,8 @@ def graph_replay_diagnose(state, problems):
 
 
 CORRUPTIONS = (
-    "recolor", "drop", "swap", "duplicate", "edge", "self", "live", "random", "clique", "count",
+    "recolor", "drop", "swap", "duplicate", "edge", "self", "live", "dead", "random", "clique",
+    "count",
 )
 
 
@@ -380,7 +415,7 @@ def corrupted_states(draw):
     ids = g.vertices
     coloring = dict(state.coloring)
     count, clique = state.color_count, state.clique
-    records = list(state.order.records)
+    records = list(state.order)
     edges = list(g.edges())
     some_id = st.integers(-1, g.next_id + 2)
 
@@ -410,6 +445,11 @@ def corrupted_states(draw):
             r = records[i]
             z = draw(st.sampled_from((r.x, r.y)) | st.sampled_from(ids))
             records[i] = ContractionRecord(r.x, r.y, z)
+        elif kind == "dead" and len(records) > 1:
+            # a z that a parent of an earlier record held
+            i = draw(st.integers(1, len(records) - 1))
+            r, q = records[i], records[draw(st.integers(0, i - 1))]
+            records[i] = ContractionRecord(r.x, r.y, draw(st.sampled_from((q.x, q.y))))
         elif kind == "random":
             rec = ContractionRecord(draw(some_id), draw(some_id), draw(some_id))
             records.insert(at(), rec)
@@ -417,7 +457,7 @@ def corrupted_states(draw):
             clique = frozenset(draw(st.sets(st.sampled_from(ids), max_size=count + 1)))
         elif kind == "count":
             count += draw(st.sampled_from((-1, 1)))
-    return ColoringState(g, coloring, count, clique, SolutionOrder(records))
+    return ColoringState(g, coloring, count, clique, tuple(records))
 
 
 class TestVerifyState:
@@ -449,23 +489,23 @@ class TestVerifyState:
 
     def test_self_pair_record_reported(self, fig6):
         st_ = static_color(fig6)
-        bad = SolutionOrder([ContractionRecord(0, 0, 99)] + st_.order.records)
+        bad = (ContractionRecord(0, 0, 99),) + st_.order
         corrupt = ColoringState(st_.graph, st_.coloring, st_.color_count, st_.clique, bad)
         assert diagnose_state(corrupt) == ["order record (0,0,99) pairs a vertex with itself"]
 
     def test_live_id_record_reported(self, fig6):
         st_ = static_color(fig6)
-        x, y, _ = st_.order.records[0].as_list()
-        bad = SolutionOrder([ContractionRecord(x, y, x)] + st_.order.records[1:])
+        x, y, _ = st_.order[0].as_list()
+        bad = (ContractionRecord(x, y, x),) + st_.order[1:]
         corrupt = ColoringState(st_.graph, st_.coloring, st_.color_count, st_.clique, bad)
         assert diagnose_state(corrupt) == [f"order record ({x},{y},{x}) reuses live id {x}"]
 
     def test_dead_id_record_reported(self):
         """A z that a base vertex or an earlier record has taken is reported, live or not."""
-        order = SolutionOrder.from_lists([[0, 2, 5], [1, 3, 0], [4, 5, 7]])
+        order = order_of([[0, 2, 5], [1, 3, 0], [4, 5, 7]])
         state = ColoringState(path(5), {0: 1, 1: 2, 2: 1, 3: 2, 4: 1}, 2, frozenset({0, 1}), order)
         assert diagnose_state(state) == ["order record (1,3,0) reuses dead id 0"]
-        order = SolutionOrder.from_lists([[0, 2, 5], [5, 4, 6], [1, 3, 5]])
+        order = order_of([[0, 2, 5], [5, 4, 6], [1, 3, 5]])
         state = ColoringState(path(5), {0: 1, 1: 2, 2: 1, 3: 2, 4: 1}, 2, frozenset({0, 1}), order)
         assert diagnose_state(state) == ["order record (1,3,5) reuses dead id 5"]
 
@@ -486,6 +526,25 @@ class TestVerifyState:
             assert diagnose_state(state) == expected
             assert verify_state(state) == (not expected)
 
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_lift_refuses_what_diagnose_reports(self, data):
+        """lift and lift_coloring raise on exactly the orders with a record
+        problem, with its text; the generator keeps the coloring's domain,
+        so diagnose_state always reaches the order."""
+        state = data.draw(corrupted_states())
+        record_problems = [p for p in diagnose_state(state) if p.startswith("order record")]
+        for run in (lift, lift_coloring):
+            if record_problems:
+                with pytest.raises(InvalidContractionError) as exc:
+                    run(state.graph, state.order)
+                assert [str(exc.value)] == record_problems
+            else:
+                try:
+                    run(state.graph, state.order)
+                except NotWeaklyChordalError:
+                    assert run is lift  # an order that does not end in a clique
+
     def test_no_graph_contraction(self, monkeypatch):
         topo = random_convex(30, 30, random.Random(1))
         state = static_color(build_conflict_graph(topo, all_unicast_messages(topo)).graph)
@@ -501,10 +560,10 @@ class TestVerifyState:
 class TestSolutionOrderSerialization:
     def test_roundtrip(self, fig6):
         st_ = static_color(fig6)
-        lists = st_.order.to_lists()
-        assert lists == [[r.x, r.y, r.z] for r in st_.order.records]
-        back = SolutionOrder.from_lists(lists)
-        assert back.records == st_.order.records
+        d = state_to_dict(st_)
+        assert d["order"] == [[r.x, r.y, r.z] for r in st_.order]
+        back = state_from_dict(d)
+        assert type(back.order) is tuple and back.order == st_.order
 
     def test_state_to_dict_schema(self, fig6):
         d = static_color(fig6).to_dict()
