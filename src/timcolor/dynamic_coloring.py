@@ -69,7 +69,7 @@ class UpdateReport:
 # ---------------------------------------------------------------------------
 
 def matching_records(
-    graph: Graph, order: tuple[ContractionRecord, ...], u: int, v: int
+    order: tuple[ContractionRecord, ...], u: int, v: int
 ) -> list[ContractionRecord]:
     """Records whose contraction merged u's side with v's side.
 
@@ -158,7 +158,6 @@ def replay_repair(
     hint: set[int],
     strict: bool = True,
     exclude: tuple[ContractionRecord, ...] = (),
-    target: Optional[int] = None,
 ) -> RepairResult:
     """Replay the order on a perturbed graph, dropping and replacing records.
 
@@ -170,18 +169,18 @@ def replay_repair(
     run on one ``PairRanking`` of the perturbed graph, as ``static_color``
     does: records fire through ``contract``, fresh pairs come from ``pop_pair``.
 
-    Strict mode contracts only two-pairs until none is left; by two-pair
-    theory (Hayward-Hoang-Maffray) a weakly chordal graph then ends in a
-    clique of chi vertices, and an incomplete end raises. Lenient mode
-    (strict=False) keeps stale-but-non-adjacent records, which confines the
-    order delta to records directly hit by the event, and contracts any
-    non-adjacent pair until the quotient has `target` vertices, the exact
-    class count the caller knows from the local case analysis (chi of the
-    perturbed graph). Every class stays independent, so the count never
-    sinks below chi, and `target` classes are a chi-coloring whose quotient
-    is complete. A greedy merge can instead paint the quotient into a
-    clique above `target`, which raises; callers certify the result
-    through `lift`.
+    Both modes contract until the quotient is complete. Strict mode
+    contracts only two-pairs; by two-pair theory (Hayward-Hoang-Maffray) a
+    weakly chordal graph then ends in a clique of chi vertices, and a run
+    out of two-pairs short of a clique raises. Lenient mode (strict=False)
+    keeps stale-but-non-adjacent records, which confines the order delta to
+    records directly hit by the event, and contracts any non-adjacent pair;
+    ``pop_pair`` returns one while any is left, so a lenient replay always
+    ends complete. Every class stays independent, so the class count
+    ``graph.n - len(records)`` never sinks below chi, and at chi the classes
+    are a chi-coloring. A greedy merge can instead paint the quotient into a
+    clique above chi; callers judge the count against the one the local
+    case analysis knows and certify the result through ``lift``.
     """
     ranking = PairRanking(graph)
     kept: list[ContractionRecord] = []
@@ -213,7 +212,7 @@ def replay_repair(
         return pending
 
     pending = sweep(pending)
-    while len(ranking) != target:
+    while not ranking.complete():
         pair = ranking.pop_pair(affected, two_only=strict)
         if pair is None:
             break
@@ -224,7 +223,7 @@ def replay_repair(
         added.append(rec)
         affected.add(rec.z)
         pending = sweep(pending)
-    if not ranking.complete() or (target is not None and len(ranking) != target):
+    if not ranking.complete():
         raise NotWeaklyChordalError("order repair did not terminate in a clique")
     return RepairResult(tuple(kept), dropped + pending, added)
 
@@ -357,9 +356,8 @@ def insert_update(state: ColoringState, u: int, v: int) -> tuple[ColoringState, 
     free palette color; when neither has one, the order's lift, matched onto
     the old palette, replaces the coloring.
     """
-    g = state.graph
-    h = g.insert_edge(u, v)  # raises if present / unknown
-    matches = matching_records(g, state.order, u, v)
+    h = state.graph.insert_edge(u, v)  # raises if present / unknown
+    matches = matching_records(state.order, u, v)
     same_color = state.coloring[u] == state.coloring[v]
     if not matches and not same_color:
         return _unchanged(state, h, "insert", "I-1", u, v)
@@ -380,72 +378,52 @@ def insert_update(state: ColoringState, u: int, v: int) -> tuple[ColoringState, 
     grows = witness is not None
     case = "I-3-2" if grows else "I-3-1"
     fallback = False
-    expected = omega_b + (1 if grows else 0)
+    expected = omega_b + grows
+    # Lenient ladder: replay everything first; when the quotient completes
+    # above the known color count, retry with each single record broken so
+    # its parents can re-pair with the split classes. Within a rung keep the
+    # smallest order delta: drop choices that strand extra pending records
+    # inflate the pair count needlessly.
+    best = None
+    for level in ([()], [(rec,) for rec in state.order]):
+        for drops in level:
+            hint = {u, v} | {w for r in drops for w in (r.x, r.y)}
+            res = replay_repair(h, state.order, hint, strict=False, exclude=drops)
+            pc = len(res.removed) + len(res.added)
+            if h.n - len(res.records) == expected and (best is None or pc < best[0]):
+                best = (pc, res)
+        if best is not None:
+            break
 
-    def attempt(strict: bool):
-        if strict:
+    try:
+        if best is not None:
+            # Optimality is certified externally: insertion never destroys
+            # cliques, so the old clique witnesses an unchanged omega, and
+            # the growth witness from the case analysis covers omega + 1.
+            res = best[1]
+            lifted_coloring, k = lift_coloring(h, res.records)
+            lifted_clique = witness
+        else:  # the strict two-pair replay, certified by its own lift
             res = replay_repair(h, state.order, {u, v}, strict=True)
             lifted_coloring, lifted_clique, k = lift(h, res.records)
             if k != expected:
                 raise NotWeaklyChordalError(f"repair clique size {k}, expected {expected}")
-            return res, lifted_coloring, lifted_clique, k
-        # Lenient ladder: replay everything first; if the class structure
-        # cannot reach the target color count, retry with each single record
-        # broken so its parents can re-pair with the split classes.
-        # Optimality is certified externally: insertion never destroys
-        # cliques, so the old clique witnesses an unchanged omega, and the
-        # growth witness from the case analysis covers omega + 1.
-        cert_clique = witness if grows else state.clique
-        for level in ([()], [(rec,) for rec in state.order]):
-            # within a rung keep the smallest order delta: drop choices that
-            # strand extra pending records inflate the pair count needlessly
-            best = None
-            for drops in level:
-                hint = {u, v} | {w for r in drops for w in (r.x, r.y)}
-                try:
-                    res = replay_repair(
-                        h, state.order, hint, strict=False, exclude=drops, target=expected
-                    )
-                except NotWeaklyChordalError:
-                    continue
-                lifted_coloring, k = lift_coloring(h, res.records)
-                if k != expected:
-                    continue
-                pc = len(res.removed) + len(res.added)
-                if best is None or pc < best[0]:
-                    best = (pc, res, lifted_coloring, k)
-            if best is not None:
-                _, res, lifted_coloring, k = best
-                return res, lifted_coloring, cert_clique, k
-        raise NotWeaklyChordalError("lenient repair exhausted")
-
-    try:
-        # lenient first: it touches only records hit by the event and is
-        # certified by the lift; fall back to the strict two-pair replay
-        try:
-            res, lifted_coloring, lifted_clique, k = attempt(strict=False)
-        except NotWeaklyChordalError:
-            res, lifted_coloring, lifted_clique, k = attempt(strict=True)
-        removed, added = res.removed, res.added
-        order = res.records
-
-        if case == "I-3-1":
-            coloring, recolored = _match_palette(lifted_coloring, state.coloring, k)
-            count, clique = omega_b, state.clique
-        else:  # I-3-2: one endpoint takes the brand-new color
+        removed, added, order = res.removed, res.added, res.records
+        if grows:  # I-3-2: one endpoint takes the brand-new color
             w = min(u, v)
-            coloring = dict(state.coloring)
-            coloring[w] = omega_b + 1
-            recolored = frozenset((w,))
-            count, clique = omega_b + 1, lifted_clique
+            coloring, recolored = {**state.coloring, w: k}, frozenset((w,))
+            clique = lifted_clique
+        else:
+            coloring, recolored = _match_palette(lifted_coloring, state.coloring, k)
+            clique = state.clique
     except NotWeaklyChordalError:
         fallback = True
         new_state, recolored = _fallback(h, state)
-        order = new_state.order
+        order, coloring, clique = new_state.order, new_state.coloring, new_state.clique
+        k = new_state.color_count
         removed, added = list(state.order), list(order)
-        coloring, count, clique = new_state.coloring, new_state.color_count, new_state.clique
 
-    new_state = ColoringState(h, coloring, count, clique, order)
+    new_state = ColoringState(h, coloring, k, clique, order)
     report = UpdateReport(
         kind="insert",
         u=u,
@@ -455,7 +433,7 @@ def insert_update(state: ColoringState, u: int, v: int) -> tuple[ColoringState, 
         pairs_removed=removed,
         pairs_added=added,
         colors_before=omega_b,
-        colors_after=count,
+        colors_after=k,
         fallback_used=fallback,
     )
     return new_state, report
@@ -476,16 +454,20 @@ def delete_update(state: ColoringState, u: int, v: int) -> tuple[ColoringState, 
     non-adjacent, merging them would color G-uv with k-1 colors below the
     surviving k-clique.
 
-    Otherwise the strict two-pair replay decides omega(G-uv). It contracts
-    only two-pairs, and contracting a two-pair of a weakly chordal graph
-    keeps it weakly chordal and keeps chi and omega (Hayward-Hoang-Maffray),
-    so the replay ends in a clique of k' = omega(G-uv) vertices, and the
-    lift threads a k'-clique of G-uv back through it. One deleted edge
-    lowers omega by at most one, so k' is k (D-1, certified by the lifted
-    clique) or k-1 (D-2). A lenient replay to target k' then confines the
-    order delta to the records the deletion hits; when it fails the strict
-    replay stands. In D-2 every k-clique of G contained the edge, so the
-    held clique minus u certifies k-1 as well, and a lenient D-2 keeps it.
+    Otherwise the lenient replay runs first; it confines the order delta to
+    the records the deletion hits and ends at a complete quotient whose
+    classes are independent sets of G-uv. One deleted edge lowers omega by
+    at most one, and the held clique minus u is a (k-1)-clique of G-uv. So
+    when the lenient replay ends at k-1 classes they are a (k-1)-coloring
+    below which no coloring goes: the event is D-2, certified by the held
+    clique minus u, and no strict replay runs. Otherwise the strict two-pair
+    replay decides omega(G-uv). It contracts only two-pairs, and contracting
+    a two-pair of a weakly chordal graph keeps it weakly chordal and keeps
+    chi and omega (Hayward-Hoang-Maffray), so the replay ends in a clique of
+    k' = omega(G-uv) vertices, and the lift threads a k'-clique of G-uv back
+    through it; k' is k (D-1, certified by the lifted clique) or k-1 (D-2).
+    The lenient result stands when its class count is k', the strict one
+    otherwise.
     """
     g2 = state.graph.delete_edge(u, v)  # raises if absent
     if u not in state.clique or v not in state.clique:
@@ -493,18 +475,20 @@ def delete_update(state: ColoringState, u: int, v: int) -> tuple[ColoringState, 
     omega_b = state.color_count
     fallback = False
     try:
-        strict = replay_repair(g2, state.order, {u, v}, strict=True)
-        strict_coloring, clique, k = lift(g2, strict.records)
-        if k not in (omega_b, omega_b - 1):
-            raise NotWeaklyChordalError(f"deletion changed clique size {omega_b} -> {k}")
-        try:
-            res = replay_repair(g2, state.order, {u, v}, strict=False, target=k)
-        except NotWeaklyChordalError:
-            res, lifted_coloring = strict, strict_coloring
-        else:
+        res = replay_repair(g2, state.order, {u, v}, strict=False)
+        k = g2.n - len(res.records)
+        if k == omega_b - 1:
             lifted_coloring, _ = lift_coloring(g2, res.records)
-            if k < omega_b:
-                clique = state.clique - {u}
+            clique = state.clique - {u}
+        else:
+            strict = replay_repair(g2, state.order, {u, v}, strict=True)
+            lifted_coloring, clique, k_strict = lift(g2, strict.records)
+            if k_strict not in (omega_b, omega_b - 1):
+                raise NotWeaklyChordalError(
+                    f"deletion changed clique size {omega_b} -> {k_strict}"
+                )
+            if k_strict != k:
+                res, k = strict, k_strict
         removed, added = res.removed, res.added
         order = res.records
         if k == omega_b:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import random
 import time
 from dataclasses import dataclass, field
@@ -64,6 +65,13 @@ _FIELD_TYPES = {
     Optional[str]: ((str, type(None)), "a string or null"),
 }
 
+# inclusive ranges of the numeric fields
+_FIELD_RANGES = {
+    **dict.fromkeys(("M", "N", "rejection_cap_factor"), (1, math.inf)),
+    **dict.fromkeys(("event_count", "oracle_cap", "bound"), (0, math.inf)),
+    **dict.fromkeys(("density", "insert_fraction"), (0, 1)),
+}
+
 
 @dataclass
 class TrialConfig:
@@ -82,9 +90,10 @@ class TrialConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "TrialConfig":
-        """A config from a JSON object; a non-object, an unknown field or a
-        value of the wrong type raises ``ValueError``. A bool is not an int,
-        and an int is accepted as a float."""
+        """A config from a JSON object; a non-object, an unknown field, a
+        value of the wrong type or a number out of its field's range raises
+        ``ValueError``. A bool is not an int, and an int is accepted as a
+        float."""
         if not isinstance(d, dict):
             raise ValueError(f"config must be a JSON object, not {type(d).__name__}")
         hints = get_type_hints(TrialConfig)
@@ -95,6 +104,10 @@ class TrialConfig:
             types, what = _FIELD_TYPES[hints[name]]
             if isinstance(value, bool) != (hints[name] is bool) or not isinstance(value, types):
                 raise ValueError(f"config field {name} must be {what}, not {json.dumps(value)}")
+            low, high = _FIELD_RANGES.get(name, (None, None))
+            if low is not None and not low <= value <= high:
+                span = f"at least {low}" if high == math.inf else f"between {low} and {high}"
+                raise ValueError(f"config field {name} must be {span}, not {json.dumps(value)}")
         return TrialConfig(**d)
 
     def to_dict(self) -> dict:
@@ -186,7 +199,10 @@ def gen_event(
 
 def build_trial_graph(cfg: TrialConfig) -> Graph:
     if cfg.topology_file:
-        topo = load_topology(Path(cfg.topology_file).read_text())
+        try:
+            topo = load_topology(Path(cfg.topology_file).read_text())
+        except OSError as exc:
+            raise ValueError(f"cannot read {cfg.topology_file}: {exc}") from exc
     else:
         topo = random_chordal_bipartite(cfg.M, cfg.N, cfg.density, random.Random(cfg.seed))
     msgs = all_unicast_messages(topo)

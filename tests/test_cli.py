@@ -267,13 +267,23 @@ class TestSimulate:
         code, out, err = run(capsys, "simulate", str(cfg_file))
         assert code == EXIT_USAGE
 
-    @pytest.mark.parametrize("cfg", [{"M": "5"}, {"insert_fraction": "x"}, [1]])
+    @pytest.mark.parametrize(
+        "cfg", [{"M": "5"}, {"insert_fraction": "x"}, [1], {"event_count": -1}]
+    )
     def test_mistyped_config_is_usage_error(self, capsys, tmp_path, cfg):
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(json.dumps(cfg))
         code, out, err = run(capsys, "simulate", str(cfg_file))
         assert code == EXIT_USAGE
         assert not out and err.startswith("timcolor: error: config ")
+
+    def test_missing_topology_file_is_usage_error(self, capsys, tmp_path):
+        missing = tmp_path / "nope.json"
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"topology_file": str(missing)}))
+        code, out, err = run(capsys, "simulate", str(cfg_file))
+        assert code == EXIT_USAGE
+        assert not out and err.startswith(f"timcolor: error: cannot read {missing}: ")
 
 
 class TestParser:

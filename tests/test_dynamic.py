@@ -26,6 +26,7 @@ from timcolor.static_coloring import (
     ColoringState,
     ContractionRecord,
     NotWeaklyChordalError,
+    lift,
     lift_coloring,
     static_color,
     verify_state,
@@ -100,6 +101,106 @@ def reference_replay_repair(graph, order, hint, strict=True, exclude=(), target=
     return tuple(kept), dropped + pending, added
 
 
+def reference_insert_update(state, u, v):
+    """insert_update with the target-driven lenient ladder: each rung replays
+    to the known color count, an incomplete or overshooting replay raises
+    and is skipped, every candidate is lifted, and the strict replay follows
+    an exhausted ladder. The reference for the ladder that judges
+    candidates by class count and lifts only the winner."""
+    if not matching_records(state.order, u, v):
+        return insert_update(state, u, v)  # I-1 and I-2-1 replay nothing
+    h = state.graph.insert_edge(u, v)
+    omega_b = state.color_count
+    witness = dynamic_coloring._growth_witness(state, u, v)
+    grows = witness is not None
+    expected = omega_b + grows
+
+    def attempt(strict):
+        if strict:
+            res = reference_replay_repair(h, state.order, {u, v}, True)
+            coloring, clique, k = lift(h, res[0])
+            if k != expected:
+                raise NotWeaklyChordalError(f"repair clique size {k}, expected {expected}")
+            return res, coloring, clique, k
+        for level in ([()], [(rec,) for rec in state.order]):
+            best = None
+            for drops in level:
+                hint = {u, v} | {w for r in drops for w in (r.x, r.y)}
+                try:
+                    res = reference_replay_repair(h, state.order, hint, False, drops, expected)
+                except NotWeaklyChordalError:
+                    continue
+                coloring, k = lift_coloring(h, res[0])
+                if k != expected:
+                    continue
+                pc = len(res[1]) + len(res[2])
+                if best is None or pc < best[0]:
+                    best = (pc, res, coloring, k)
+            if best is not None:
+                _, res, coloring, k = best
+                return res, coloring, witness if grows else state.clique, k
+        raise NotWeaklyChordalError("lenient repair exhausted")
+
+    fallback = False
+    try:
+        try:
+            (order, removed, added), coloring, clique, k = attempt(strict=False)
+        except NotWeaklyChordalError:
+            (order, removed, added), coloring, clique, k = attempt(strict=True)
+        if grows:
+            w = min(u, v)
+            coloring, recolored = {**state.coloring, w: omega_b + 1}, frozenset((w,))
+        else:
+            coloring, recolored = _match_palette(coloring, state.coloring, k)
+            clique = state.clique
+    except NotWeaklyChordalError:
+        fallback = True
+        new, recolored = dynamic_coloring._fallback(h, state)
+        order, coloring, clique, k = new.order, new.coloring, new.clique, new.color_count
+        removed, added = list(state.order), list(order)
+    case = "I-3-2" if grows else "I-3-1"
+    report = UpdateReport("insert", u, v, case, recolored, removed, added, omega_b, k, fallback)
+    return ColoringState(h, coloring, k, clique, order), report
+
+
+def reference_delete_update(state, u, v):
+    """delete_update with the strict replay first: it decides the color count
+    k, a lenient replay to target k replaces it when it reaches k, and a
+    lenient D-2 keeps the held clique minus u. The reference for the
+    lenient-first deletion."""
+    if u not in state.clique or v not in state.clique:
+        return delete_update(state, u, v)  # the D-1 shortcut replays nothing
+    g2 = state.graph.delete_edge(u, v)
+    omega_b = state.color_count
+    fallback = False
+    try:
+        strict = reference_replay_repair(g2, state.order, {u, v}, True)
+        coloring, clique, k = lift(g2, strict[0])
+        if k not in (omega_b, omega_b - 1):
+            raise NotWeaklyChordalError(f"deletion changed clique size {omega_b} -> {k}")
+        try:
+            res = reference_replay_repair(g2, state.order, {u, v}, False, (), k)
+        except NotWeaklyChordalError:
+            res = strict
+        else:
+            coloring, _ = lift_coloring(g2, res[0])
+            if k < omega_b:
+                clique = state.clique - {u}
+        order, removed, added = res
+        if k == omega_b:
+            coloring, recolored = dict(state.coloring), frozenset()
+        else:
+            coloring, recolored = _match_palette(coloring, state.coloring, k)
+    except NotWeaklyChordalError:
+        fallback = True
+        new, recolored = dynamic_coloring._fallback(g2, state)
+        order, coloring, clique, k = new.order, new.coloring, new.clique, new.color_count
+        removed, added = list(state.order), list(order)
+    case = "D-1" if k == omega_b else "D-2"
+    report = UpdateReport("delete", u, v, case, recolored, removed, added, omega_b, k, fallback)
+    return ColoringState(g2, coloring, k, clique, order), report
+
+
 def reference_find_clique(adj, cand, size):
     """The clique search without the color bound: the reference for `_find_clique`."""
     if size <= 0:
@@ -128,8 +229,8 @@ class TestReplayRepair:
     @settings(max_examples=150, deadline=None)
     def test_matches_reference(self, g, seed, data):
         """Strict and lenient replays of a static order on a perturbed graph,
-        with and without a dropped record, to no target and to targets
-        around the color count, give the reference's records or error."""
+        with and without a dropped record, give the reference's records or
+        error."""
         rng = random.Random(seed)
         state = static_color(g, rng=rng if data.draw(st.booleans()) else None)
         event = perturbed(g, rng)
@@ -138,14 +239,12 @@ class TestReplayRepair:
         h, u, v = event
         records = state.order
         drops = [()] + ([(rng.choice(records),)] if records else [])
-        k = state.color_count
         for strict in (True, False):
             for exclude in drops:
                 hint = {u, v} | {w for r in exclude for w in (r.x, r.y)}
-                for target in (None, k - 1, k, k + 1):
-                    args = (h, state.order, hint, strict, exclude, target)
-                    expected = replay_outcome(reference_replay_repair, *args)
-                    assert replay_outcome(replay_repair, *args) == expected
+                args = (h, state.order, hint, strict, exclude)
+                expected = replay_outcome(reference_replay_repair, *args)
+                assert replay_outcome(replay_repair, *args) == expected
 
     @pytest.mark.parametrize(
         "order, message",
@@ -156,6 +255,62 @@ class TestReplayRepair:
         expected = replay_outcome(reference_replay_repair, path(4), order, set(), False)
         assert expected == (GraphError, message)
         assert replay_outcome(replay_repair, path(4), order, set(), strict=False) == expected
+
+
+def walk_against_reference(state, rng, steps):
+    """Run an event walk through the updates and the target-driven
+    references; reports and post-event states must agree. Returns each
+    event's (case, whether a strict replay ran)."""
+    paths = []
+    replay = dynamic_coloring.replay_repair
+    stricts = []
+
+    def counted(graph, order, hint, strict=True, exclude=()):
+        stricts.append(strict)
+        return replay(graph, order, hint, strict, exclude)
+
+    for seq in range(steps):
+        ev = gen_event(state.graph, rng, 0.5, seq, 200)
+        if ev is None:
+            break
+        update, reference = (
+            (insert_update, reference_insert_update) if ev.kind == "insert"
+            else (delete_update, reference_delete_update)
+        )
+        expected, expected_report = reference(state, ev.u, ev.v)
+        stricts.clear()
+        dynamic_coloring.replay_repair = counted
+        try:
+            state, report = update(state, ev.u, ev.v)
+        finally:
+            dynamic_coloring.replay_repair = replay
+        assert report.to_dict() == expected_report.to_dict()
+        assert state.to_dict() == expected.to_dict()
+        assert list(state.graph.edges()) == list(expected.graph.edges())
+        paths.append((report.case_label, any(stricts)))
+    return paths
+
+
+class TestStoppingRule:
+    """The completion-driven replays against the target-driven references."""
+
+    @given(weakly_chordal_graphs(), st.integers(0, 10_000))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_target_driven_reference(self, g, seed):
+        rng = random.Random(seed)
+        walk_against_reference(static_color(g), rng, 10)
+
+    def test_walks_reach_every_repair_path(self):
+        """The walks reach both ladder outcomes, the lenient-only D-2 and both
+        deletion outcomes of the strict replay."""
+        paths = set()
+        for seed in range(60):
+            state, rng = random_static_state(seed)
+            paths.update(walk_against_reference(state, rng, 10))
+        assert {
+            ("I-3-1", False), ("I-3-1", True), ("I-3-2", False),
+            ("D-1", True), ("D-2", False), ("D-2", True),
+        } <= paths
 
 
 class TestCliqueGrows:
@@ -292,7 +447,7 @@ class TestDelete:
             delete_update(static_color(fig6), 0, 3)
 
     def test_replay_decides_omega_without_clique_search(self, monkeypatch):
-        """Deletions inside the held clique are decided by the strict replay.
+        """Deletions inside the held clique are decided by the replays.
 
         The exponential whole-graph clique search is never called, and the
         decided color count is chi.
@@ -368,7 +523,7 @@ class TestEquivalence:
             if ev is None:
                 break
             if ev.kind == "insert":
-                unmatched = not matching_records(state.graph, state.order, ev.u, ev.v)
+                unmatched = not matching_records(state.order, ev.u, ev.v)
                 state, rep = insert_update(state, ev.u, ev.v)
                 if unmatched:  # I-1 or I-2-1: the order's lift already fits
                     assert rep.colors_after == rep.colors_before
@@ -380,7 +535,7 @@ class TestEquivalence:
 
     def test_matching_records_by_class(self, fig6):
         base = static_color(fig6)
-        hits = matching_records(fig6, base.order, 1, 4)
+        hits = matching_records(base.order, 1, 4)
         assert pair_sets(hits) >= {frozenset((1, 4))}
 
     @given(weakly_chordal_graphs(), st.integers(0, 10_000))
@@ -394,7 +549,7 @@ class TestEquivalence:
                 r for r in order
                 if u in members[r.x] and v in members[r.y] or v in members[r.x] and u in members[r.y]
             ]
-            assert matching_records(g, order, u, v) == expected
+            assert matching_records(order, u, v) == expected
 
 
 FIGURES = ("fig2_case1.json", "fig6.json", "fig8.json", "fig9.json")
@@ -409,7 +564,7 @@ def i1_events(state):
             if (
                 not g.has_edge(u, v)
                 and col[u] != col[v]
-                and not matching_records(g, state.order, u, v)
+                and not matching_records(state.order, u, v)
             ):
                 yield u, v
 
@@ -423,7 +578,7 @@ def i21_events(state):
             if (
                 not g.has_edge(u, v)
                 and col[u] == col[v]
-                and not matching_records(g, state.order, u, v)
+                and not matching_records(state.order, u, v)
             ):
                 yield u, v
 
@@ -449,7 +604,7 @@ class TestShortcuts:
         """The shortcut equals the lenient replay it skips."""
         new, rep = insert_update(state, u, v)
         h = state.graph.insert_edge(u, v)
-        res = replay_repair(h, state.order, {u, v}, strict=False, target=state.color_count)
+        res = replay_repair(h, state.order, {u, v}, strict=False)
         coloring, k = lift_coloring(h, res.records)
         assert rep.case_label == "I-1"
         assert new.order == res.records
@@ -465,7 +620,7 @@ class TestShortcuts:
         """The order is kept, as rung 0 of the ladder it skips keeps it."""
         new, rep = insert_update(state, u, v)
         h = state.graph.insert_edge(u, v)
-        res = replay_repair(h, state.order, {u, v}, strict=False, target=state.color_count)
+        res = replay_repair(h, state.order, {u, v}, strict=False)
         coloring, k = lift_coloring(h, res.records)
         assert rep.case_label == "I-2-1" and k == state.color_count
         assert new.order == res.records == state.order

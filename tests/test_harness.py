@@ -145,6 +145,18 @@ class TestTrialConfig:
             ({"topology_file": True}, "config field topology_file must be a string or null, not true"),
             ([1], "config must be a JSON object, not list"),
             ("M", "config must be a JSON object, not str"),
+            ({"M": 0}, "config field M must be at least 1, not 0"),
+            ({"N": -2}, "config field N must be at least 1, not -2"),
+            ({"event_count": -1}, "config field event_count must be at least 0, not -1"),
+            ({"density": 2}, "config field density must be between 0 and 1, not 2"),
+            ({"density": -0.5}, "config field density must be between 0 and 1, not -0.5"),
+            ({"insert_fraction": 5}, "config field insert_fraction must be between 0 and 1, not 5"),
+            ({"oracle_cap": -1}, "config field oracle_cap must be at least 0, not -1"),
+            ({"bound": -1}, "config field bound must be at least 0, not -1"),
+            (
+                {"rejection_cap_factor": 0},
+                "config field rejection_cap_factor must be at least 1, not 0",
+            ),
         ],
     )
     def test_rejects_mistyped_input(self, d, message):
@@ -158,6 +170,11 @@ class TestTrialConfig:
         assert (cfg.density, cfg.insert_fraction, cfg.topology_file) == (1, 0.25, None)
         assert cfg.assert_bound is False
         assert TrialConfig.from_dict({"topology_file": "t.json"}).topology_file == "t.json"
+        d = {  # the ends of every range
+            "M": 1, "N": 1, "density": 0, "insert_fraction": 1, "event_count": 0,
+            "oracle_cap": 0, "bound": 0, "rejection_cap_factor": 1,
+        }
+        assert TrialConfig.from_dict(d) == TrialConfig(**d)
 
 
 class TestRunSimulation:
