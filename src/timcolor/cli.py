@@ -174,16 +174,16 @@ def _cmd_step(args, kind: str) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    cfg = TrialConfig.from_dict(_load_json(args.config))
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.oracle_cap is not None:
-        cfg.oracle_cap = args.oracle_cap
-    if args.bound is not None:
-        cfg.bound = args.bound
+    # The options join the file's fields before from_dict, so they pass
+    # its type and range checks too.
+    d = _load_json(args.config)
+    options = {"seed": args.seed, "oracle_cap": args.oracle_cap, "bound": args.bound}
+    options = {k: v for k, v in options.items() if v is not None}
     if args.verify:
-        cfg.verification_mode = True
-    report = run_simulation(cfg, out_dir=args.out)
+        options["verification_mode"] = True
+    if isinstance(d, dict):
+        d = {**d, **options}
+    report = run_simulation(TrialConfig.from_dict(d), out_dir=args.out)
     _emit(report.summary(), None)
     return EXIT_OK
 

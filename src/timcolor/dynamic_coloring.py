@@ -400,9 +400,12 @@ def insert_update(state: ColoringState, u: int, v: int) -> tuple[ColoringState, 
             # Optimality is certified externally: insertion never destroys
             # cliques, so the old clique witnesses an unchanged omega, and
             # the growth witness from the case analysis covers omega + 1.
+            # I-3-2 keeps the old coloring, so only I-3-1 lifts one; k is
+            # the class count the ladder matched against `expected`.
             res = best[1]
-            lifted_coloring, k = lift_coloring(h, res.records)
-            lifted_clique = witness
+            k, lifted_clique = expected, witness
+            if not grows:
+                lifted_coloring, _ = lift_coloring(h, res.records)
         else:  # the strict two-pair replay, certified by its own lift
             res = replay_repair(h, state.order, {u, v}, strict=True)
             lifted_coloring, lifted_clique, k = lift(h, res.records)

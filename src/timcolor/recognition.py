@@ -9,6 +9,7 @@ pairs that one contraction loop owns and updates in place.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import random
 from dataclasses import dataclass
@@ -169,13 +170,18 @@ def _hole_through_edge(adj: Sequence[int], pu: int, pv: int) -> bool:
     neighbours outside N[a]. The path from a to c along the hole runs
     through H - N[b] and starts at a neighbour of a there, so its interior
     lies in R, the part of H - N[b] reachable from N(a) - N[b], and c is a
-    vertex of N(b) - N[a] that touches R. It also misses N(a) & N(c), or
-    the hole would be a 4-cycle. So for each such c a BFS from a to c
-    inside (R - N(a) & N(c)) | {a, c} finds a path whenever the hole
-    exists. Any path it finds gives a hole, so a True is always sound: a
-    shortest path through that set is chordless, has at least 3 edges
-    (a and c are non-adjacent and have no common neighbour there), and
-    closes through b, which misses its interior.
+    vertex of N(b) - N[a]. It also misses N(a) & N(c), or the hole would
+    be a 4-cycle. So for each such c a BFS from a to c inside
+    (R - N(a) & N(c)) | {a, c} finds a path whenever the hole exists. Any
+    path it finds gives a hole, so a True is always sound: a shortest path
+    through that set is chordless, has at least 3 edges (a and c are
+    non-adjacent and have no common neighbour there), and closes through
+    b, which misses its interior.
+
+    The BFS runs only when a has a neighbour in R outside N(c) and c has
+    one outside N(a), which skips no path it could find: the path's first
+    interior vertex lies in N(a) & R and, being allowed, outside
+    N(a) & N(c), so outside N(c); likewise its last one for c.
     """
     pb, pa = pu, pv
     if (adj[pu] & ~adj[pv]).bit_count() > (adj[pv] & ~adj[pu]).bit_count():
@@ -183,13 +189,12 @@ def _hole_through_edge(adj: Sequence[int], pu: int, pv: int) -> bool:
     na = adj[pa]
     outside = (1 << len(adj)) - 1 & ~adj[pb] & ~(1 << pb)
     region = _bfs_reach(adj, pa, outside | 1 << pa) & ~(1 << pa)
-    touching = 0
-    for p in _bits(region):
-        touching |= adj[p]
-    for pc in _bits(adj[pb] & ~na & ~(1 << pa) & touching):
-        allowed = region & ~(na & adj[pc]) | 1 << pa | 1 << pc
-        if _bfs_reach(adj, pa, allowed) >> pc & 1:
-            return True
+    for pc in _bits(adj[pb] & ~na & ~(1 << pa)):
+        nc = adj[pc]
+        if na & region & ~nc and nc & region & ~na:
+            allowed = region & ~(na & nc) | 1 << pa | 1 << pc
+            if _bfs_reach(adj, pa, allowed) >> pc & 1:
+                return True
     return False
 
 
@@ -207,23 +212,45 @@ def _hole_through_pair(adj: Sequence[int], pu: int, pv: int) -> bool:
     (K - N(a) & N(c)) | {a, c} finds a path whenever that hole exists.
     As in ``_hole_through_edge``, any path it finds closes into a hole
     through b, so a True is always sound.
+
+    The BFS runs only when a has a neighbour in K outside N(c) and c has
+    one outside N(a): with K-signatures S(a) = N(a) & K, when neither of
+    S(a), S(c) contains the other. This skips no path the BFS could find.
+    Such a path has an interior, as a and c are non-adjacent; its first
+    interior vertex lies in S(a) and, being allowed, outside N(a) & N(c),
+    so outside N(c); likewise its last interior vertex for c. So both ends
+    of a searched pair have a signature that is neither empty (a neighbour
+    of b touches K exactly then) nor all of K, which contains every other
+    signature. The loop runs over those neighbours of b alone: the ones
+    some member of K sees and not every member sees, found in one pass
+    over K.
     """
     pb, po = (pu, pv) if adj[pu].bit_count() <= adj[pv].bit_count() else (pv, pu)
     outside = (1 << len(adj)) - 1 & ~adj[pb] & ~(1 << pb)
     component = _bfs_reach(adj, po, outside)
-    touching = 0
-    for p in _bits(component):
-        touching |= adj[p]
-    ends = adj[pb] & touching
-    for pa in _bits(ends):
+    some, every = 0, adj[pb]
+    m = component
+    while m:
+        low = m & -m
+        nk = adj[low.bit_length() - 1]
+        some |= nk
+        every &= nk
+        m ^= low
+    rest = adj[pb] & some & ~every
+    while rest:
+        low = rest & -rest
+        pa = low.bit_length() - 1
+        rest ^= low
         na = adj[pa]
-        partners = ends & ~na & ~((2 << pa) - 1)
+        partners = rest & ~na
         if na >> po & 1:
             partners &= ~adj[po]
         for pc in _bits(partners):
-            allowed = component & ~(na & adj[pc]) | 1 << pa | 1 << pc
-            if _bfs_reach(adj, pa, allowed) >> pc & 1:
-                return True
+            nc = adj[pc]
+            if na & component & ~nc and nc & component & ~na:
+                allowed = component & ~(na & nc) | low | 1 << pc
+                if _bfs_reach(adj, pa, allowed) >> pc & 1:
+                    return True
     return False
 
 
@@ -235,10 +262,16 @@ def _flip(g: Graph, pu: int, pv: int) -> list[int]:
     return adj
 
 
+@functools.lru_cache(maxsize=64)
+def _all_but(n: int) -> tuple[int, ...]:
+    """Per position p of n, the mask of every other position."""
+    full = (1 << n) - 1
+    return tuple(full ^ 1 << p for p in range(n))
+
+
 def _complement(adj: Sequence[int]) -> list[int]:
     """The complement's adjacency masks."""
-    full = (1 << len(adj)) - 1
-    return [full ^ m ^ (1 << p) for p, m in enumerate(adj)]
+    return [d ^ m for d, m in zip(_all_but(len(adj)), adj)]
 
 
 def stays_weakly_chordal_after_insert(g: Graph, u: int, v: int) -> bool:

@@ -255,7 +255,8 @@ def diagnose_state(state: ColoringState) -> list[str]:
     color_mask: dict = {}
     for p, c in enumerate(color_at):
         color_mask[c] = color_mask.get(c, 0) | 1 << p
-    for p, m in enumerate(g.adj_masks()):
+    adj = g.adj_masks()
+    for p, m in enumerate(adj):
         bad = (m & color_mask[color_at[p]]) >> (p + 1)
         while bad:
             low = bad & -bad
@@ -265,11 +266,23 @@ def diagnose_state(state: ColoringState) -> list[str]:
         problems.append(f"{len(color_mask)} distinct colors used, color_count={state.color_count}")
     if len(state.clique) != state.color_count:
         problems.append(f"clique size {len(state.clique)} != color_count {state.color_count}")
+    # One mask of the members' positions: a member misses the later members
+    # whose bits lie above its position and outside its adjacency (positions
+    # ascend with ids). A member that is no vertex (position -1) is adjacent
+    # to nothing.
     members = sorted(state.clique)
-    for i, u in enumerate(members):
-        for v in members[i + 1 :]:
-            if not g.has_edge(u, v):
-                problems.append(f"clique members ({u},{v}) are not adjacent")
+    at = [g.pos(v) if v in g else -1 for v in members]
+    cm = 0
+    for p in at:
+        if p >= 0:
+            cm |= 1 << p
+    stray = -1 in at
+    for i, (u, p) in enumerate(zip(members, at)):
+        missed = cm & ~adj[p] & ~((2 << p) - 1) if p >= 0 else -1
+        if missed or stray:
+            for v, q in zip(members[i + 1 :], at[i + 1 :]):
+                if q < 0 or missed >> q & 1:
+                    problems.append(f"clique members ({u},{v}) are not adjacent")
     try:
         cls, nb, final = order_classes(g, state.order)
     except InvalidContractionError as exc:

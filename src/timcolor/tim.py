@@ -41,20 +41,32 @@ class TopologyGraph:
 
     def __post_init__(self):
         for j, i in self.links:
-            if not (0 <= j < self.N and 0 <= i < self.M):
-                raise TopologyError(f"link ({j},{i}) out of range for N={self.N}, M={self.M}")
+            self._check_link(j, i)
+
+    def _check_link(self, j: int, i: int) -> None:
+        """Raise ``TopologyError`` unless link (j,i) fits this N x M matrix."""
+        if not (0 <= j < self.N and 0 <= i < self.M):
+            raise TopologyError(f"link ({j},{i}) out of range for N={self.N}, M={self.M}")
+
+    def _check_event(self, kind: str, j: int, i: int) -> None:
+        """Raise ``TopologyError`` unless link (j,i) can be inserted (it is
+        absent and in range) or deleted (it is present), as `kind` says."""
+        if kind == "insert":
+            if (j, i) in self.links:
+                raise TopologyError(f"link ({j},{i}) already present")
+            self._check_link(j, i)
+        elif (j, i) not in self.links:
+            raise TopologyError(f"link ({j},{i}) absent")
 
     def connected(self, j: int, i: int) -> bool:
         return (j, i) in self.links
 
     def insert_link(self, j: int, i: int) -> "TopologyGraph":
-        if (j, i) in self.links:
-            raise TopologyError(f"link ({j},{i}) already present")
+        self._check_event("insert", j, i)
         return TopologyGraph(self.M, self.N, self.links | {(j, i)})
 
     def delete_link(self, j: int, i: int) -> "TopologyGraph":
-        if (j, i) not in self.links:
-            raise TopologyError(f"link ({j},{i}) absent")
+        self._check_event("delete", j, i)
         return TopologyGraph(self.M, self.N, self.links - {(j, i)})
 
     def bipartite_graph(self) -> Graph:
@@ -139,27 +151,38 @@ def topology_event_to_conflict_deltas(
     one of the given messages, the message set itself would change, which
     the edge-update algorithms do not model.
 
-    Link (j,i) enters the conflict rules only as "a message from source i
-    and a message to destination j", so only those pairs are tested. They
-    come back in ascending (a, b) order, the order updates are applied in.
+    Link (j,i) enters the conflict rules only as "a message x from source i
+    and a message y to destination j", so only those pairs can change. No
+    message rides the link, so x leaves i for another destination and y
+    reaches j from another source: x and y share neither end, and the one
+    rule left besides link (j,i) is link (x.destination, y.source), which
+    is not (j,i). So the pair's conflict flips, in the event's direction,
+    exactly when that link is absent. The pairs come back in ascending
+    (a, b) order, the order updates are applied in. The link checks are
+    the ones ``TopologyGraph.insert_link`` and ``delete_link`` make, and
+    no topology is built.
     """
     if kind not in ("insert", "delete"):
         raise TopologyError(f"unknown event kind {kind!r}")
-    if any(m.source == i and m.destination == j for m in msgs):
-        raise TopologyError(
-            f"link ({j},{i}) carries message S{i + 1}->D{j + 1}; "
-            "vertex-changing events are unsupported for dynamic replay"
-        )
-    t2 = t.insert_link(j, i) if kind == "insert" else t.delete_link(j, i)
-    sources = [a for a, m in enumerate(msgs) if m.source == i]
-    destinations = [b for b, m in enumerate(msgs) if m.destination == j]
-    deltas = []
-    for a, b in sorted({(min(x, y), max(x, y)) for x in sources for y in destinations}):
-        before = messages_conflict(t, msgs[a], msgs[b])
-        after = messages_conflict(t2, msgs[a], msgs[b])
-        if before != after:
-            deltas.append(ConflictDelta("insert" if after else "delete", a, b))
-    return deltas
+    sources, destinations = [], []
+    for a, m in enumerate(msgs):
+        if m.source == i:
+            if m.destination == j:
+                raise TopologyError(
+                    f"link ({j},{i}) carries message S{i + 1}->D{j + 1}; "
+                    "vertex-changing events are unsupported for dynamic replay"
+                )
+            sources.append(a)
+        elif m.destination == j:
+            destinations.append(a)
+    t._check_event(kind, j, i)
+    pairs = sorted(
+        (min(x, y), max(x, y))
+        for x in sources
+        for y in destinations
+        if (msgs[x].destination, msgs[y].source) not in t.links
+    )
+    return [ConflictDelta(kind, a, b) for a, b in pairs]
 
 
 @dataclass(frozen=True)

@@ -277,6 +277,24 @@ class TestSimulate:
         assert code == EXIT_USAGE
         assert not out and err.startswith("timcolor: error: config ")
 
+    @pytest.mark.parametrize(
+        "option, message",
+        [
+            (("--bound", "-1"), "config field bound must be at least 0, not -1"),
+            (("--oracle-cap", "-2"), "config field oracle_cap must be at least 0, not -2"),
+        ],
+    )
+    def test_out_of_range_option_is_usage_error(self, capsys, tmp_path, option, message):
+        """The options pass the config's range checks, as the same values in the file do."""
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"M": 4, "N": 4, "event_count": 5}))
+        code, out, err = run(capsys, "simulate", str(cfg_file), *option)
+        assert code == EXIT_USAGE
+        assert not out and err == f"timcolor: error: {message}\n"
+        name, value = option[0].lstrip("-").replace("-", "_"), int(option[1])
+        cfg_file.write_text(json.dumps({"M": 4, "N": 4, "event_count": 5, name: value}))
+        assert run(capsys, "simulate", str(cfg_file)) == (code, out, err)
+
     def test_missing_topology_file_is_usage_error(self, capsys, tmp_path):
         missing = tmp_path / "nope.json"
         cfg_file = tmp_path / "cfg.json"

@@ -312,6 +312,39 @@ class TestStoppingRule:
             ("D-1", True), ("D-2", False), ("D-2", True),
         } <= paths
 
+    def test_i32_lifts_no_coloring(self, monkeypatch):
+        """An I-3-2 insert keeps the old coloring, so it lifts none: its
+        reports and states still match the reference, which lifts every
+        ladder candidate."""
+        lifts = []
+        lift_one = dynamic_coloring.lift_coloring
+
+        def counted(graph, records):
+            lifts.append(None)
+            return lift_one(graph, records)
+
+        monkeypatch.setattr(dynamic_coloring, "lift_coloring", counted)
+        i32 = 0
+        for seed in range(60):
+            state, rng = random_static_state(seed)
+            for seq in range(10):
+                ev = gen_event(state.graph, rng, 0.5, seq, 200)
+                if ev is None:
+                    break
+                update, reference = (
+                    (insert_update, reference_insert_update) if ev.kind == "insert"
+                    else (delete_update, reference_delete_update)
+                )
+                expected, expected_report = reference(state, ev.u, ev.v)
+                lifts.clear()
+                state, report = update(state, ev.u, ev.v)
+                assert report.to_dict() == expected_report.to_dict()
+                assert state.to_dict() == expected.to_dict()
+                if report.case_label == "I-3-2":
+                    i32 += 1
+                    assert not lifts, (seed, seq)
+        assert i32 >= 5
+
 
 class TestCliqueGrows:
     def test_p3_closing_triangle(self):

@@ -3,11 +3,13 @@
 import itertools
 import random
 import re
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from timcolor import recognition
 from timcolor.graph import Graph, GraphError, make_graph
 from timcolor.generators import random_chordal_bipartite, random_convex, random_weakly_chordal
 from timcolor.oracles import brute_is_weakly_chordal, enumerate_chordless_cycles
@@ -19,6 +21,9 @@ from timcolor.patterns import (
 )
 from timcolor.recognition import (
     OracleCapExceeded,
+    _bfs_reach,
+    _bits,
+    _complement,
     _hole_through_edge,
     _hole_through_pair,
     _hole_through_triple,
@@ -284,6 +289,11 @@ class TestAdmission:
                 assert found or not both, (u, v)
                 assert not found or any(u in hole or v in hole for hole in holes), (u, v)
 
+    @given(weakly_chordal_graphs())
+    @settings(max_examples=40, deadline=None)
+    def test_complement_masks(self, g):
+        assert _complement(g.adj_masks()) == g.complement().adj_masks()
+
     def test_builds_no_graph(self, monkeypatch):
         g = random_weakly_chordal(20, 40, random.Random(4))
 
@@ -294,6 +304,141 @@ class TestAdmission:
         monkeypatch.setattr(Graph, "_from_masks", refuse)
         for u, v in itertools.combinations(g.vertices, 2):
             ADMISSION["delete" if g.has_edge(u, v) else "insert"][0](g, u, v)
+
+
+def unfiltered_hole_through_edge(adj, pu, pv):
+    """``_hole_through_edge`` without the private-neighbour filter: the reference.
+
+    Returns the verdict, the pairs (a, c) it ran a BFS on, in order, and R.
+    """
+    pb, pa = pu, pv
+    if (adj[pu] & ~adj[pv]).bit_count() > (adj[pv] & ~adj[pu]).bit_count():
+        pb, pa = pv, pu
+    na = adj[pa]
+    outside = (1 << len(adj)) - 1 & ~adj[pb] & ~(1 << pb)
+    region = _bfs_reach(adj, pa, outside | 1 << pa) & ~(1 << pa)
+    touching = 0
+    for p in _bits(region):
+        touching |= adj[p]
+    tried = []
+    for pc in _bits(adj[pb] & ~na & ~(1 << pa) & touching):
+        tried.append((pa, pc))
+        allowed = region & ~(na & adj[pc]) | 1 << pa | 1 << pc
+        if _bfs_reach(adj, pa, allowed) >> pc & 1:
+            return True, tried, region
+    return False, tried, region
+
+
+def unfiltered_hole_through_pair(adj, pu, pv):
+    """``_hole_through_pair`` without the K-signature filter: the reference.
+
+    Returns the verdict, the pairs (a, c) it ran a BFS on, in order, and K.
+    """
+    pb, po = (pu, pv) if adj[pu].bit_count() <= adj[pv].bit_count() else (pv, pu)
+    outside = (1 << len(adj)) - 1 & ~adj[pb] & ~(1 << pb)
+    component = _bfs_reach(adj, po, outside)
+    touching = 0
+    for p in _bits(component):
+        touching |= adj[p]
+    ends = adj[pb] & touching
+    tried = []
+    for pa in _bits(ends):
+        na = adj[pa]
+        partners = ends & ~na & ~((2 << pa) - 1)
+        if na >> po & 1:
+            partners &= ~adj[po]
+        for pc in _bits(partners):
+            tried.append((pa, pc))
+            allowed = component & ~(na & adj[pc]) | 1 << pa | 1 << pc
+            if _bfs_reach(adj, pa, allowed) >> pc & 1:
+                return True, tried, component
+    return False, tried, component
+
+
+@st.composite
+def hole_search_masks(draw):
+    """Adjacency masks of a convex conflict graph or a grown weakly chordal
+    graph with 15 to 60 vertices, with one pair flipped or not, and
+    complemented or not, plus a sample of its non-adjacent position pairs
+    and one of its edges."""
+    rng = random.Random(draw(st.integers(0, 10_000)))
+    if draw(st.booleans()):
+        topo = random_convex(rng.randint(8, 24), rng.randint(6, 16), rng)
+        g = build_conflict_graph(topo, all_unicast_messages(topo)).graph
+    else:
+        n = rng.randint(15, 60)
+        g = random_weakly_chordal(n, rng.randint(n, 4 * n), rng)
+    adj = g.adj_masks()
+    if g.n > 1 and draw(st.booleans()):
+        p, q = rng.sample(range(g.n), 2)
+        adj[p] ^= 1 << q
+        adj[q] ^= 1 << p
+    if draw(st.booleans()):
+        adj = _complement(adj)
+    pairs, edges = [], []
+    for p, q in itertools.combinations(range(len(adj)), 2):
+        (edges if adj[p] >> q & 1 else pairs).append((p, q))
+    return adj, rng.sample(pairs, min(len(pairs), 120)), rng.sample(edges, min(len(edges), 120))
+
+
+FILTERED = {"pair": (_hole_through_pair, unfiltered_hole_through_pair),
+            "edge": (_hole_through_edge, unfiltered_hole_through_edge)}
+
+
+def check_against_unfiltered(kind, adj, pairs):
+    """Assert that the filtered search gives the reference's verdict on each
+    pair and runs a BFS on exactly the reference's pairs (a, c) where each
+    of a and c has a neighbour in the searched part (K or R) that the other
+    does not see, up to the first path found. Returns how many reference
+    pairs had such a private neighbour on one side only."""
+    search, reference = FILTERED[kind]
+    calls = []
+
+    def counted(adj_, start, allowed):
+        calls.append((start, allowed))
+        return _bfs_reach(adj_, start, allowed)
+
+    one_sided = 0
+    for pu, pv in pairs:
+        expected, tried, inside = reference(adj, pu, pv)
+        private = [(adj[a] & inside & ~adj[c], adj[c] & inside & ~adj[a]) for a, c in tried]
+        one_sided += sum(bool(x) != bool(y) for x, y in private)
+        kept = [pair for pair, (x, y) in zip(tried, private) if x and y]
+        calls.clear()
+        with mock.patch.object(recognition, "_bfs_reach", counted):
+            assert search(adj, pu, pv) == expected, (pu, pv)
+        # calls[0] finds K or R; a later BFS runs from a inside it, plus a and c
+        searched = [(a, (allowed & ~inside & ~(1 << a)).bit_length() - 1)
+                    for a, allowed in calls[1:]]
+        assert searched == kept, (pu, pv)
+    return one_sided
+
+
+class TestPrivateNeighbourFilter:
+    """The filtered hole searches against the searches without the filter."""
+
+    @given(hole_search_masks())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_unfiltered_search(self, sample):
+        adj, pairs, edges = sample
+        check_against_unfiltered("pair", adj, pairs)
+        check_against_unfiltered("edge", adj, edges)
+
+    @pytest.mark.parametrize("kind", ["pair", "edge"])
+    def test_skips_one_sided_pairs(self, kind):
+        """On convex conflict graphs and their complements, some pairs have a
+        private neighbour on one side only; they get no BFS."""
+        one_sided = 0
+        for seed in range(4):
+            topo = random_convex(20, 14, random.Random(seed))
+            adj = build_conflict_graph(topo, all_unicast_messages(topo)).graph.adj_masks()
+            for masks in (adj, _complement(adj)):
+                pairs = [
+                    (p, q) for p, q in itertools.combinations(range(len(masks)), 2)
+                    if bool(masks[p] >> q & 1) == (kind == "edge")
+                ]
+                one_sided += check_against_unfiltered(kind, masks, pairs[::7])
+        assert one_sided > 0
 
 
 class TestChordalBipartite:

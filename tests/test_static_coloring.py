@@ -545,6 +545,49 @@ class TestVerifyState:
                 except NotWeaklyChordalError:
                     assert run is lift  # an order that does not end in a clique
 
+    @given(st.integers(0, 10_000), st.sampled_from(["one", "two", "all", "short", "long", "stray"]))
+    @settings(max_examples=200, deadline=None)
+    def test_corrupted_cliques_match_graph_replay(self, seed, kind):
+        """The clique check on masks lists what the pairwise ``has_edge`` check
+        listed, in the same order: with one, two or all member pairs
+        non-adjacent, a member too few or too many, and members that are no
+        vertex."""
+        rng = random.Random(seed)
+        n = rng.randint(4, 30)
+        g = random_weakly_chordal(n, rng.randint(n, 4 * n), rng)
+        if rng.random() < 0.5:  # ids that are not positions
+            g = g.induced_subgraph(rng.sample(g.vertices, n - rng.randint(0, n // 3)))
+        state = static_color(g)
+        members = sorted(state.clique)
+        graph, clique = g, set(members)
+        if kind in ("one", "two"):
+            pairs = [(u, v) for i, u in enumerate(members) for v in members[i + 1 :]]
+            if len(pairs) < (kind == "two") + 1:
+                return
+            for u, v in rng.sample(pairs, (kind == "two") + 1):
+                graph = graph.delete_edge(u, v)
+        elif kind == "all":  # a color class is an independent set
+            classes = {}
+            for v, c in state.coloring.items():
+                classes.setdefault(c, set()).add(v)
+            clique = max(classes.values(), key=len)
+        elif kind == "short":
+            clique.discard(rng.choice(members))
+        elif kind == "long":
+            outside = [v for v in g.vertices if v not in clique]
+            if not outside:
+                return
+            clique.add(rng.choice(outside))
+        else:
+            clique |= set(rng.sample([-1, g.next_id, g.next_id + 3], rng.randint(1, 3)))
+        corrupt = ColoringState(graph, state.coloring, state.color_count, frozenset(clique), state.order)
+        expected: list[str] = []
+        graph_replay_diagnose(corrupt, expected)
+        assert diagnose_state(corrupt) == expected
+        missed = sum(p.startswith("clique members") for p in expected)
+        k = len(clique)
+        assert missed == {"one": 1, "two": 2, "all": k * (k - 1) // 2}.get(kind, missed)
+
     def test_no_graph_contraction(self, monkeypatch):
         topo = random_convex(30, 30, random.Random(1))
         state = static_color(build_conflict_graph(topo, all_unicast_messages(topo)).graph)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from timcolor.generators import random_chordal_bipartite, random_convex
 from timcolor.static_coloring import static_color
 from timcolor.tim import (
+    ConflictDelta,
     Message,
     TopologyError,
     TopologyGraph,
@@ -28,6 +29,37 @@ from conftest import load_fixture
 
 def full_topology(m, n):
     return TopologyGraph(m, n, frozenset((j, i) for j in range(n) for i in range(m)))
+
+
+def two_topology_conflict_deltas(t, msgs, kind, j, i):
+    """The deltas as computed before: the second topology from
+    ``insert_link``/``delete_link``, and ``messages_conflict`` on both. The
+    reference for the deltas and for the errors and their precedence."""
+    if kind not in ("insert", "delete"):
+        raise TopologyError(f"unknown event kind {kind!r}")
+    if any(m.source == i and m.destination == j for m in msgs):
+        raise TopologyError(
+            f"link ({j},{i}) carries message S{i + 1}->D{j + 1}; "
+            "vertex-changing events are unsupported for dynamic replay"
+        )
+    t2 = t.insert_link(j, i) if kind == "insert" else t.delete_link(j, i)
+    sources = [a for a, m in enumerate(msgs) if m.source == i]
+    destinations = [b for b, m in enumerate(msgs) if m.destination == j]
+    deltas = []
+    for a, b in sorted({(min(x, y), max(x, y)) for x in sources for y in destinations}):
+        before = messages_conflict(t, msgs[a], msgs[b])
+        after = messages_conflict(t2, msgs[a], msgs[b])
+        if before != after:
+            deltas.append(ConflictDelta("insert" if after else "delete", a, b))
+    return deltas
+
+
+def delta_outcome(deltas, *args):
+    """The (kind, u, v) triples a delta function returns, or its error text."""
+    try:
+        return [(d.kind, d.u, d.v) for d in deltas(*args)]
+    except TopologyError as exc:
+        return str(exc)
 
 
 class TestTopology:
@@ -144,11 +176,15 @@ class TestDeltas:
     @given(st.data())
     @settings(max_examples=300, deadline=None)
     def test_matches_all_pairs_scan(self, data):
-        """Same deltas, in the same order, as testing every message pair.
+        """Same deltas, in the same order, as testing every message pair, and
+        the same deltas or error as the code that built the second topology.
 
         Messages ride a random subset of the links, in a random order, so
         the flipped link may be absent (insert) or present without a
-        message (delete).
+        message (delete). Another event, drawn first, takes any kind and any
+        cell or one just outside the matrix, so it may be refused: for an
+        unknown kind, a link that carries a message, an insert of a present
+        link, a delete of an absent one, or an insert out of range.
         """
         m, n = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5))
         cells = [(j, i) for j in range(n) for i in range(m)]
@@ -156,6 +192,11 @@ class TestDeltas:
         t = TopologyGraph(m, n, frozenset(links))
         carried = data.draw(st.sets(st.sampled_from(sorted(links)))) if links else set()
         msgs = data.draw(st.permutations([Message(i, j) for j, i in sorted(carried)]))
+        kind = data.draw(st.sampled_from(["insert", "delete", "toggle"]))
+        j, i = data.draw(st.integers(-1, n)), data.draw(st.integers(-1, m))
+        assert delta_outcome(topology_event_to_conflict_deltas, t, msgs, kind, j, i) == (
+            delta_outcome(two_topology_conflict_deltas, t, msgs, kind, j, i)
+        )
         free = [c for c in cells if c not in carried]
         if not free:
             return
@@ -171,6 +212,43 @@ class TestDeltas:
                     expect.append(("insert" if after else "delete", a, b))
         got = topology_event_to_conflict_deltas(t, msgs, kind, j, i)
         assert [(d.kind, d.u, d.v) for d in got] == expect
+        assert delta_outcome(two_topology_conflict_deltas, t, msgs, kind, j, i) == expect
+
+    @pytest.mark.parametrize(
+        "kind, j, i, message",
+        [
+            ("toggle", 0, 0, "unknown event kind 'toggle'"),  # before the carried link
+            ("insert", 0, 0, "link (0,0) carries message S1->D1; "),  # before "already present"
+            ("delete", 0, 0, "link (0,0) carries message S1->D1; "),
+            ("insert", 1, 0, "link (1,0) already present"),
+            ("delete", 0, 1, "link (0,1) absent"),
+            ("insert", 2, 0, "link (2,0) out of range for N=2, M=2"),
+            ("delete", 2, 0, "link (2,0) absent"),
+        ],
+    )
+    def test_refusals_match_two_topology_code(self, kind, j, i, message):
+        t = TopologyGraph(2, 2, frozenset({(0, 0), (1, 0), (1, 1)}))
+        msgs = [Message(0, 0), Message(1, 1)]
+        got = delta_outcome(topology_event_to_conflict_deltas, t, msgs, kind, j, i)
+        assert got == delta_outcome(two_topology_conflict_deltas, t, msgs, kind, j, i)
+        assert got.startswith(message)
+
+    def test_builds_no_topology(self, monkeypatch):
+        """Valid inserts and deletes on fig1, every other link carrying a message."""
+        t = load_topology(load_fixture("fig1_topology.json"))
+        msgs = all_unicast_messages(t)[::2]
+        carried = {(m.destination, m.source) for m in msgs}
+        cells = [(j, i) for j in range(t.N) for i in range(t.M) if (j, i) not in carried]
+        events = [("delete" if c in t.links else "insert", *c) for c in cells]
+        expected = [two_topology_conflict_deltas(t, msgs, *ev) for ev in events]
+
+        def refuse(self):
+            raise AssertionError("a TopologyGraph was built")
+
+        monkeypatch.setattr(TopologyGraph, "__post_init__", refuse)
+        got = [topology_event_to_conflict_deltas(t, msgs, *ev) for ev in events]
+        assert got == expected
+        assert {d.kind for ds in got for d in ds} == {"insert", "delete"}
 
 
 class TestDofAndSchedule:
