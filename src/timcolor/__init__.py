@@ -11,7 +11,6 @@ from .recognition import (
     OracleCapExceeded,
     TwoPair,
     enumerate_two_pairs,
-    find_hole,
     find_two_pair,
     has_forbidden,
     is_chordal_bipartite,
@@ -60,7 +59,6 @@ __all__ = [
     "OracleCapExceeded",
     "TwoPair",
     "enumerate_two_pairs",
-    "find_hole",
     "find_two_pair",
     "has_forbidden",
     "is_chordal_bipartite",

@@ -2,8 +2,9 @@
 
 The chordal-bipartite generator grows a bipartite tree (always chordal
 bipartite) and adds random cross edges kept only when chordal
-bipartiteness survives. The weakly chordal generator grows from the empty
-graph with the incremental weak-chordality check.
+bipartiteness survives. Both it and the weakly chordal generator, which
+grows from the empty graph, keep a candidate edge by the incremental
+weak-chordality check.
 """
 
 from __future__ import annotations
@@ -11,10 +12,7 @@ from __future__ import annotations
 import random
 
 from .graph import Graph, make_graph
-from .recognition import (
-    is_chordal_bipartite,
-    stays_weakly_chordal_after_insert,
-)
+from .recognition import stays_weakly_chordal_after_insert
 from .tim import TopologyGraph
 
 
@@ -38,16 +36,25 @@ def random_bipartite_tree(m: int, n: int, rng: random.Random) -> set[tuple[int, 
 def random_chordal_bipartite(
     m: int, n: int, density: float, rng: random.Random
 ) -> TopologyGraph:
-    """Random chordal-bipartite topology with roughly `density` of all links."""
+    """Random chordal-bipartite topology with roughly `density` of all links.
+
+    Links are added one at a time, each kept when
+    ``stays_weakly_chordal_after_insert`` accepts it. A bipartite graph
+    has no antihole (the complement of C5 is an odd cycle, that of Ck for
+    k >= 6 holds a triangle), so for it weakly chordal means hole-free,
+    which is chordal bipartite. A cross link keeps the graph bipartite,
+    and the insert check is exact on a weakly chordal graph.
+    """
     links = random_bipartite_tree(m, n, rng)
     target = max(len(links), int(round(density * m * n)))
     candidates = [(j, i) for j in range(n) for i in range(m) if (j, i) not in links]
     rng.shuffle(candidates)
+    g = TopologyGraph(m, n, frozenset(links)).bipartite_graph()
     for j, i in candidates:
         if len(links) >= target:
             break
-        trial = TopologyGraph(m, n, frozenset(links | {(j, i)}))
-        if is_chordal_bipartite(trial.bipartite_graph(), trial.parts()):
+        if stays_weakly_chordal_after_insert(g, i, m + j):
+            g = g.insert_edge(i, m + j)
             links.add((j, i))
     return TopologyGraph(m, n, frozenset(links))
 

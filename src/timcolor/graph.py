@@ -296,6 +296,8 @@ class Graph:
 
 def make_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a graph on vertices 0..n-1 with the given edge list."""
+    if n < 0:
+        raise GraphError(f"negative vertex count {n}")
     edges = list(edges)
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):

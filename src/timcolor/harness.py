@@ -246,7 +246,7 @@ def run_simulation(cfg: TrialConfig, out_dir: Optional[str] = None) -> TrialRepo
     """Run one seeded adversarial trial; optionally write JSONL + CSV files."""
     rng = random.Random(cfg.seed)
     graph = build_trial_graph(cfg)
-    if cfg.verification_mode and not is_weakly_chordal(graph):
+    if not is_weakly_chordal(graph):
         raise TrialAssertionError("initial conflict graph is not weakly chordal")
     state = static_color(graph)
     if not verify_state(state):

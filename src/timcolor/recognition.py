@@ -64,99 +64,6 @@ def _bfs_reach(adj: Sequence[int], start: int, allowed: int) -> int:
     return seen
 
 
-def _shortest_path(adj: Sequence[int], src: int, dst: int, allowed: int) -> Optional[list[int]]:
-    """Shortest src->dst path (positions) within allowed; None if unreachable."""
-    if src == dst:
-        return [src]
-    parent: dict[int, int] = {src: -1}
-    frontier = [src]
-    seen = 1 << src
-    while frontier:
-        nxt = []
-        for p in frontier:
-            m = adj[p] & allowed & ~seen
-            while m:
-                low = m & -m
-                q = low.bit_length() - 1
-                parent[q] = p
-                if q == dst:
-                    path = [q]
-                    while path[-1] != src:
-                        path.append(parent[path[-1]])
-                    return path[::-1]
-                seen |= low
-                nxt.append(q)
-                m ^= low
-        frontier = nxt
-    return None
-
-
-def _is_chordless_cycle(g: Graph, cycle: Sequence[int]) -> bool:
-    k = len(cycle)
-    if k < 3 or len(set(cycle)) != k:
-        return False
-    for i in range(k):
-        for j in range(i + 1, k):
-            adjacent = g.has_edge(cycle[i], cycle[j])
-            consecutive = (j - i == 1) or (i == 0 and j == k - 1)
-            if adjacent != consecutive:
-                return False
-    return True
-
-
-# ---------------------------------------------------------------------------
-# hole detection
-# ---------------------------------------------------------------------------
-
-def _hole_through_triple(g: Graph, adj: Sequence[int], pa: int, pb: int, pc: int) -> Optional[list[int]]:
-    """A hole whose consecutive vertices include a-b-c (positions), if any.
-
-    Works by finding a shortest a..c path that avoids N[b] and the common
-    neighborhood of a and c; any such path is chordless, has >= 3 edges, and
-    closes into a chordless cycle of length >= 5 through b.
-    """
-    n = g.n
-    full = (1 << n) - 1
-    blocked = adj[pb] | (1 << pb) | (adj[pa] & adj[pc])
-    allowed = full & ~blocked | (1 << pa) | (1 << pc)
-    path = _shortest_path(adj, pa, pc, allowed)
-    if path is None:
-        return None
-    cycle = [g.id_at(p) for p in path] + [g.id_at(pb)]
-    assert _is_chordless_cycle(g, cycle) and len(cycle) >= 5
-    return cycle
-
-
-def _triples_centered(g: Graph, adj: Sequence[int], pb: int):
-    nb = adj[pb]
-    members = []
-    m = nb
-    while m:
-        low = m & -m
-        members.append(low.bit_length() - 1)
-        m ^= low
-    for i, pa in enumerate(members):
-        for pc in members[i + 1 :]:
-            if not adj[pa] >> pc & 1:
-                yield pa, pc
-
-
-def find_hole(g: Graph) -> Optional[list[int]]:
-    """Some chordless cycle with >= 5 vertices, or None."""
-    adj = g.adj_masks()
-    for pb in range(g.n):
-        for pa, pc in _triples_centered(g, adj, pb):
-            cycle = _hole_through_triple(g, adj, pa, pb, pc)
-            if cycle is not None:
-                return cycle
-    return None
-
-
-def is_weakly_chordal(g: Graph) -> bool:
-    """Hole-free and antihole-free."""
-    return find_hole(g) is None and find_hole(g.complement()) is None
-
-
 # ---------------------------------------------------------------------------
 # admission of one edge event
 # ---------------------------------------------------------------------------
@@ -304,6 +211,31 @@ def stays_weakly_chordal_after_delete(g: Graph, u: int, v: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# whole-graph recognition
+# ---------------------------------------------------------------------------
+
+def _hole_free(adj: Sequence[int]) -> bool:
+    """Whether H (adjacency masks `adj`) has no hole.
+
+    Every hole has edges, so H has a hole iff one of its edges lies on
+    one. ``_hole_through_edge`` decides that exactly for each edge on any
+    graph: its proof does not assume weak chordality. The edges are tried
+    in position order, up to the first one on a hole.
+    """
+    for pu, nu in enumerate(adj):
+        for pv in _bits(nu & ~((2 << pu) - 1)):
+            if _hole_through_edge(adj, pu, pv):
+                return False
+    return True
+
+
+def is_weakly_chordal(g: Graph) -> bool:
+    """Hole-free and antihole-free (an antihole is a hole of the complement)."""
+    adj = g.adj_masks()
+    return _hole_free(adj) and _hole_free(_complement(adj))
+
+
+# ---------------------------------------------------------------------------
 # bipartite structure
 # ---------------------------------------------------------------------------
 
@@ -341,7 +273,7 @@ def is_chordal_bipartite(g: Graph, parts: Optional[tuple[Iterable[int], Iterable
                 raise ValueError(f"edge ({u},{v}) does not cross the bipartition")
     elif bipartition(g) is None:
         return False
-    return find_hole(g) is None
+    return _hole_free(g.adj_masks())
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,8 @@ class TopologyGraph:
     links: frozenset[tuple[int, int]]  # (j, i) pairs
 
     def __post_init__(self):
+        if self.M < 0 or self.N < 0:
+            raise TopologyError(f"negative size M={self.M}, N={self.N}")
         for j, i in self.links:
             self._check_link(j, i)
 

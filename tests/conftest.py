@@ -5,7 +5,7 @@ from importlib import resources
 import pytest
 from hypothesis import strategies as st
 
-from timcolor.generators import random_weakly_chordal
+from timcolor.generators import random_bipartite_tree, random_weakly_chordal
 from timcolor.graph import Graph, from_dict
 from timcolor.recognition import (
     is_two_pair,
@@ -13,6 +13,7 @@ from timcolor.recognition import (
     stays_weakly_chordal_after_insert,
 )
 from timcolor.static_coloring import ContractionRecord
+from timcolor.tim import TopologyGraph
 
 
 def load_fixture(name: str) -> dict:
@@ -33,6 +34,113 @@ def weakly_chordal_graphs(draw):
     if draw(st.booleans()):
         g = g.induced_subgraph(rng.sample(g.vertices, n - rng.randint(0, n // 2)))
     return g
+
+
+# The triple-centred hole search that ``is_weakly_chordal`` and
+# ``is_chordal_bipartite`` once ran, and the generator built on it: the
+# references the edge-search recognition is compared against.
+
+def reference_shortest_path(adj, src, dst, allowed):
+    """Shortest src->dst path (positions) within allowed; None if unreachable."""
+    if src == dst:
+        return [src]
+    parent = {src: -1}
+    frontier = [src]
+    seen = 1 << src
+    while frontier:
+        nxt = []
+        for p in frontier:
+            m = adj[p] & allowed & ~seen
+            while m:
+                low = m & -m
+                q = low.bit_length() - 1
+                parent[q] = p
+                if q == dst:
+                    path = [q]
+                    while path[-1] != src:
+                        path.append(parent[path[-1]])
+                    return path[::-1]
+                seen |= low
+                nxt.append(q)
+                m ^= low
+        frontier = nxt
+    return None
+
+
+def is_chordless_cycle(g, cycle):
+    k = len(cycle)
+    if k < 3 or len(set(cycle)) != k:
+        return False
+    for i in range(k):
+        for j in range(i + 1, k):
+            adjacent = g.has_edge(cycle[i], cycle[j])
+            consecutive = (j - i == 1) or (i == 0 and j == k - 1)
+            if adjacent != consecutive:
+                return False
+    return True
+
+
+def reference_hole_through_triple(g, adj, pa, pb, pc):
+    """A hole whose consecutive vertices include a-b-c (positions), if any.
+
+    Works by finding a shortest a..c path that avoids N[b] and the common
+    neighborhood of a and c; any such path is chordless, has >= 3 edges, and
+    closes into a chordless cycle of length >= 5 through b.
+    """
+    full = (1 << g.n) - 1
+    blocked = adj[pb] | (1 << pb) | (adj[pa] & adj[pc])
+    allowed = full & ~blocked | (1 << pa) | (1 << pc)
+    path = reference_shortest_path(adj, pa, pc, allowed)
+    if path is None:
+        return None
+    cycle = [g.id_at(p) for p in path] + [g.id_at(pb)]
+    assert is_chordless_cycle(g, cycle) and len(cycle) >= 5
+    return cycle
+
+
+def reference_triples_centered(adj, pb):
+    """The non-adjacent pairs (a, c) of neighbours of b, as positions."""
+    members = []
+    m = adj[pb]
+    while m:
+        low = m & -m
+        members.append(low.bit_length() - 1)
+        m ^= low
+    for i, pa in enumerate(members):
+        for pc in members[i + 1 :]:
+            if not adj[pa] >> pc & 1:
+                yield pa, pc
+
+
+def reference_find_hole(g):
+    """Some chordless cycle with >= 5 vertices, or None."""
+    adj = g.adj_masks()
+    for pb in range(g.n):
+        for pa, pc in reference_triples_centered(adj, pb):
+            cycle = reference_hole_through_triple(g, adj, pa, pb, pc)
+            if cycle is not None:
+                return cycle
+    return None
+
+
+def reference_is_weakly_chordal(g):
+    """Hole-free and antihole-free, by the triple-centred search."""
+    return reference_find_hole(g) is None and reference_find_hole(g.complement()) is None
+
+
+def reference_random_chordal_bipartite(m, n, density, rng):
+    """The generator with a whole-graph chordal-bipartite check per candidate."""
+    links = random_bipartite_tree(m, n, rng)
+    target = max(len(links), int(round(density * m * n)))
+    candidates = [(j, i) for j in range(n) for i in range(m) if (j, i) not in links]
+    rng.shuffle(candidates)
+    for j, i in candidates:
+        if len(links) >= target:
+            break
+        trial = TopologyGraph(m, n, frozenset(links | {(j, i)}))
+        if reference_find_hole(trial.bipartite_graph()) is None:
+            links.add((j, i))
+    return TopologyGraph(m, n, frozenset(links))
 
 
 def reference_candidate_pairs(g, near=()):

@@ -72,6 +72,14 @@ class TestColor:
         assert code == EXIT_USAGE
         assert not out
 
+    def test_negative_vertex_count_is_usage_error(self, capsys, tmp_path):
+        bad = tmp_path / "neg.json"
+        bad.write_text('{"n": -1, "edges": []}')
+        code, out, err = run(capsys, "color", str(bad))
+        assert code == EXIT_USAGE
+        assert not out
+        assert err == f"timcolor: error: {bad} is not a valid graph file: negative vertex count -1\n"
+
     def test_json_error_format(self, capsys, tmp_path):
         code, out, err = run(capsys, "--json", "color", str(tmp_path / "nope.json"))
         assert code == EXIT_USAGE
@@ -205,6 +213,13 @@ class TestVerify:
 
 
 class TestTopology:
+    def test_negative_size_is_usage_error(self, capsys, tmp_path):
+        bad = tmp_path / "neg.json"
+        bad.write_text('{"M": -2, "N": 3, "links": []}')
+        code, out, err = run(capsys, "schedule", str(bad))
+        assert code == EXIT_USAGE
+        assert not out and err == "timcolor: error: negative size M=-2, N=3\n"
+
     def test_conflict_emits_labeled_graph(self, capsys, tmp_path):
         code, payload, _ = run_json(
             capsys, "conflict", fixture_path(tmp_path, "fig1_topology.json"))
@@ -294,6 +309,18 @@ class TestSimulate:
         name, value = option[0].lstrip("-").replace("-", "_"), int(option[1])
         cfg_file.write_text(json.dumps({"M": 4, "N": 4, "event_count": 5, name: value}))
         assert run(capsys, "simulate", str(cfg_file)) == (code, out, err)
+
+    @pytest.mark.parametrize("verification_mode", [True, False])
+    def test_non_weakly_chordal_topology_is_assertion_error(self, capsys, tmp_path, verification_mode):
+        topo = tmp_path / "c8.json"
+        topo.write_text(json.dumps(
+            {"M": 4, "N": 4, "links": [[0, 0], [1, 1], [2, 2], [3, 3], [0, 1], [1, 2], [2, 3], [3, 0]]}))
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps(
+            {"topology_file": str(topo), "verification_mode": verification_mode, "event_count": 20}))
+        code, out, err = run(capsys, "simulate", str(cfg_file))
+        assert code == EXIT_ASSERTION
+        assert not out and err == "timcolor: error: initial conflict graph is not weakly chordal\n"
 
     def test_missing_topology_file_is_usage_error(self, capsys, tmp_path):
         missing = tmp_path / "nope.json"

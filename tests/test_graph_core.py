@@ -51,6 +51,13 @@ class TestMakeGraph:
         with pytest.raises(GraphError):
             make_graph(3, edges)
 
+    def test_rejects_negative_vertex_count(self):
+        with pytest.raises(GraphError, match="negative vertex count -1"):
+            make_graph(-1, [])
+        with pytest.raises(GraphError, match="negative vertex count -1"):
+            from_dict({"n": -1, "edges": []})
+        assert make_graph(0, []).n == 0
+
 
 class TestInsertDelete:
     def test_close_path_to_triangle(self):

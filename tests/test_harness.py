@@ -233,6 +233,21 @@ class TestRunSimulation:
         assert rep.events and rep.fallback_count == 0
 
 
+class TestInitialGraphCheck:
+    # the 8-cycle network S1-D1-S2-D2-S3-D3-S4-D4: not chordal bipartite, and
+    # its conflict graph is not weakly chordal
+    C8 = {"M": 4, "N": 4, "links": [[0, 0], [1, 1], [2, 2], [3, 3], [0, 1], [1, 2], [2, 3], [3, 0]]}
+
+    @pytest.mark.parametrize("verification_mode", [True, False])
+    def test_non_weakly_chordal_topology_refused_in_every_mode(self, tmp_path, verification_mode):
+        p = tmp_path / "c8.json"
+        p.write_text(json.dumps(self.C8))
+        cfg = TrialConfig(topology_file=str(p), event_count=20, verification_mode=verification_mode)
+        with pytest.raises(TrialAssertionError, match="^initial conflict graph is not weakly chordal$"):
+            run_simulation(cfg, out_dir=str(tmp_path / "out"))
+        assert not (tmp_path / "out").exists()
+
+
 class TestScale:
     N84 = dict(seed=2, M=13, N=13, density=0.5, event_count=100)
 

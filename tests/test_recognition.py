@@ -26,11 +26,9 @@ from timcolor.recognition import (
     _complement,
     _hole_through_edge,
     _hole_through_pair,
-    _hole_through_triple,
-    _triples_centered,
     PairRanking,
+    bipartition,
     enumerate_two_pairs,
-    find_hole,
     find_two_pair,
     has_forbidden,
     is_chordal_bipartite,
@@ -42,7 +40,16 @@ from timcolor.recognition import (
 )
 from timcolor.tim import all_unicast_messages, build_conflict_graph
 
-from conftest import fixture_graph, reference_candidate_pairs, weakly_chordal_graphs
+from conftest import (
+    fixture_graph,
+    reference_candidate_pairs,
+    reference_find_hole,
+    reference_hole_through_triple,
+    reference_is_weakly_chordal,
+    reference_random_chordal_bipartite,
+    reference_triples_centered,
+    weakly_chordal_graphs,
+)
 
 
 def path(n):
@@ -58,35 +65,47 @@ def clique(n):
 
 
 class TestFindHole:
+    """The reference hole search on fixed cycles, and the verdicts of
+    ``is_weakly_chordal`` on the same graphs."""
+
     def test_c5_is_its_own_hole(self):
-        hole = find_hole(cycle(5))
+        hole = reference_find_hole(cycle(5))
         assert hole is not None and len(hole) == 5
         assert sorted(hole) == [0, 1, 2, 3, 4]
+        assert not is_weakly_chordal(cycle(5))
 
     def test_c4_has_none(self):
-        assert find_hole(cycle(4)) is None
+        assert reference_find_hole(cycle(4)) is None
+        assert is_weakly_chordal(cycle(4))
 
     def test_c6_with_long_chord_keeps_residual_5_hole(self):
         # chord (0,3) splits C_6 into a C_4 and... use C_7 with chord (0,4):
         # residual cycles C_5 (0..4) and C_4 (4,5,6,0).
         g = cycle(7).insert_edge(0, 4)
-        hole = find_hole(g)
+        hole = reference_find_hole(g)
         assert hole is not None and len(hole) == 5
         assert sorted(hole) == [0, 1, 2, 3, 4]
+        assert not is_weakly_chordal(g)
 
     def test_returned_cycle_is_chordless(self):
         rng = random.Random(3)
+        holes = 0
         for _ in range(30):
             g = random_weakly_chordal(9, rng.randint(4, 18), rng)
             # salt with a possible hole by toggling an edge arbitrarily
-            hole = find_hole(g)
+            u, v = rng.sample(g.vertices, 2)
+            g = g.delete_edge(u, v) if g.has_edge(u, v) else g.insert_edge(u, v)
+            hole = reference_find_hole(g)
+            assert is_weakly_chordal(g) == reference_is_weakly_chordal(g)
             if hole is None:
                 continue
+            holes += 1
             for i in range(len(hole)):
                 for j in range(i + 2, len(hole)):
                     if i == 0 and j == len(hole) - 1:
                         continue
                     assert not g.has_edge(hole[i], hole[j])
+        assert holes > 0
 
 
 class TestWeaklyChordal:
@@ -137,21 +156,109 @@ class TestWeaklyChordal:
             if non_edges:
                 u, v = rng.choice(non_edges)
                 assert stays_weakly_chordal_after_insert(g, u, v) == (
-                    is_weakly_chordal(g.insert_edge(u, v))
+                    reference_is_weakly_chordal(g.insert_edge(u, v))
                 )
             edges = list(g.edges())
             if edges:
                 u, v = rng.choice(edges)
                 assert stays_weakly_chordal_after_delete(g, u, v) == (
-                    is_weakly_chordal(g.delete_edge(u, v))
+                    reference_is_weakly_chordal(g.delete_edge(u, v))
                 )
+
+
+@st.composite
+def recognition_graphs(draw):
+    """A G(n, p) sample with 4 to 16 vertices (many hold a hole or an
+    antihole), or the conflict graph of a convex network or of a dense
+    chordal-bipartite one with up to 84 vertices; with one pair flipped or
+    not (so large negatives occur too), and complemented or not."""
+    rng = random.Random(draw(st.integers(0, 10_000)))
+    source = draw(st.sampled_from(["gnp", "convex", "dense"]))
+    if source == "gnp":
+        n, p = rng.randint(4, 16), rng.uniform(0.1, 0.9)
+        g = make_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+    else:
+        if source == "convex":
+            topo = random_convex(rng.randint(3, 28), rng.randint(3, 28), rng)
+        else:
+            size = rng.randint(3, 13)
+            topo = random_chordal_bipartite(size, size, rng.uniform(0.3, 0.5), rng)
+        g = build_conflict_graph(topo, all_unicast_messages(topo)).graph
+        if g.n > 1 and draw(st.booleans()):
+            u, v = rng.sample(g.vertices, 2)
+            g = g.delete_edge(u, v) if g.has_edge(u, v) else g.insert_edge(u, v)
+    return g.complement() if draw(st.booleans()) else g
+
+
+@st.composite
+def bipartite_graphs(draw):
+    """A random bipartite graph on parts of 1 to 8 vertices, with its parts."""
+    rng = random.Random(draw(st.integers(0, 10_000)))
+    m, n, p = rng.randint(1, 8), rng.randint(1, 8), rng.uniform(0.2, 0.9)
+    g = make_graph(m + n, [(i, m + j) for i in range(m) for j in range(n) if rng.random() < p])
+    return g, (set(range(m)), set(range(m, m + n)))
+
+
+class TestEdgeSearchRecognition:
+    """Whole-graph recognition by the edge search, against the triple-centred
+    reference."""
+
+    @given(recognition_graphs())
+    @settings(max_examples=60, deadline=None)
+    def test_weakly_chordal_matches_reference(self, g):
+        assert is_weakly_chordal(g) == reference_is_weakly_chordal(g)
+
+    def test_gnp_samples_hold_negatives(self):
+        rng, negatives = random.Random(7), 0
+        for _ in range(200):
+            n, p = rng.randint(4, 16), rng.uniform(0.1, 0.9)
+            g = make_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+            verdict = is_weakly_chordal(g)
+            assert verdict == reference_is_weakly_chordal(g)
+            negatives += not verdict
+        assert negatives > 50
+
+    @given(bipartite_graphs())
+    @settings(max_examples=80, deadline=None)
+    def test_chordal_bipartite_matches_reference(self, sample):
+        g, parts = sample
+        expected = reference_find_hole(g) is None
+        assert is_chordal_bipartite(g) == expected
+        assert is_chordal_bipartite(g, parts) == expected
+
+    @given(recognition_graphs())
+    @settings(max_examples=30, deadline=None)
+    def test_chordal_bipartite_on_any_graph(self, g):
+        expected = bipartition(g) is not None and reference_find_hole(g) is None
+        assert is_chordal_bipartite(g) == expected
+
+
+class TestChordalBipartiteGenerator:
+    """``random_chordal_bipartite`` against the generator that checked the
+    whole graph per candidate: same topology, same rng state after."""
+
+    def check(self, m, n, density, seed):
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        got = random_chordal_bipartite(m, n, density, rng)
+        assert got == reference_random_chordal_bipartite(m, n, density, ref_rng)
+        assert rng.getstate() == ref_rng.getstate()
+        assert is_chordal_bipartite(got.bipartite_graph(), got.parts())
+
+    @pytest.mark.parametrize("seed", range(1, 17))
+    def test_edge_churn_networks(self, seed):
+        self.check(10, 10, 0.5, seed)
+
+    @given(st.integers(1, 9), st.integers(1, 9), st.floats(0, 1), st.integers(0, 10_000))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_reference(self, m, n, density, seed):
+        self.check(m, n, density, seed)
 
 
 def reference_hole_through_vertex(g, v):
     adj = g.adj_masks()
     pb = g.pos(v)
-    for pa, pc in _triples_centered(g, adj, pb):
-        cycle = _hole_through_triple(g, adj, pa, pb, pc)
+    for pa, pc in reference_triples_centered(adj, pb):
+        cycle = reference_hole_through_triple(g, adj, pa, pb, pc)
         if cycle is not None:
             return cycle
     return None
@@ -165,7 +272,7 @@ def reference_hole_through_edge(g, u, v):
         while m:
             low = m & -m
             pc = low.bit_length() - 1
-            cycle = _hole_through_triple(g, adj, pa, pb, pc)
+            cycle = reference_hole_through_triple(g, adj, pa, pb, pc)
             if cycle is not None:
                 return cycle
             m ^= low

@@ -77,6 +77,14 @@ class TestTopology:
         with pytest.raises(TopologyError):
             load_topology('{"M": 1, "N": 1, "links": [[3, 0]]}')
 
+    @pytest.mark.parametrize("m, n", [(-2, 3), (3, -1), (-1, -1)])
+    def test_rejects_negative_size(self, m, n):
+        with pytest.raises(TopologyError, match=f"negative size M={m}, N={n}"):
+            TopologyGraph(m, n, frozenset())
+        with pytest.raises(TopologyError, match=f"negative size M={m}, N={n}"):
+            load_topology({"M": m, "N": n, "links": []})
+        assert TopologyGraph(0, 0, frozenset()).bipartite_graph().n == 0
+
     def test_insert_delete_links(self):
         t = load_topology('{"M": 2, "N": 2, "links": [[0, 0]]}')
         t2 = t.insert_link(1, 1)
