@@ -28,7 +28,7 @@ import sys
 from typing import Optional
 
 from . import __version__
-from .graph import Graph, GraphError, from_dict
+from .graph import Graph, GraphError, from_dict, require_int
 from .harness import TrialAssertionError, TrialConfig, run_simulation
 from .oracles import oracle_chromatic, oracle_max_clique
 from .recognition import (
@@ -89,20 +89,24 @@ def state_to_dict(state: ColoringState) -> dict:
 
 
 def state_from_dict(d: dict) -> ColoringState:
+    """A count, clique member or order id that is not a JSON integer raises
+    ``CliError``; the colors are ``diagnose_state``'s to check."""
     graph = from_dict(d["graph"])
     return ColoringState(
         graph=graph,
         coloring={int(k): v for k, v in d["colors"].items()},
-        color_count=int(d["color_count"]),
-        clique=frozenset(d["clique"]),
-        order=tuple(ContractionRecord(*map(int, r)) for r in d["order"]),
+        color_count=require_int(d["color_count"], "color_count", CliError),
+        clique=frozenset(require_int(v, "clique member", CliError) for v in d["clique"]),
+        order=tuple(
+            ContractionRecord(*(require_int(i, "order id", CliError) for i in r)) for r in d["order"]
+        ),
     )
 
 
 def _load_state(path: str) -> ColoringState:
     try:
         return state_from_dict(_load_json(path))
-    except (KeyError, TypeError, ValueError, GraphError) as exc:
+    except (KeyError, TypeError, ValueError, CliError) as exc:
         raise CliError(f"{path} is not a valid state file: {exc}") from exc
 
 

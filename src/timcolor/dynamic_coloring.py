@@ -8,14 +8,16 @@ Repair is local: the recorded contraction sequence is replayed on the
 perturbed graph, invalid records are dropped, and replacements are contracted
 greedily, searched first near the affected vertices. Three cases replay
 nothing and keep the order: I-1 and I-2-1, the latter recoloring, and D-1
-when the held clique misses an endpoint of the deleted edge.
+when the held clique misses an endpoint of the deleted edge. A deletion
+inside the held clique whose endpoints' final classes lose their last edge
+is D-2 without a replay: it adds the one record merging those classes.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from .graph import Graph
 from .recognition import PairRanking, _bits
@@ -25,6 +27,7 @@ from .static_coloring import (
     NotWeaklyChordalError,
     lift,
     lift_coloring,
+    order_classes,
     run_contractions,
 )
 
@@ -292,15 +295,6 @@ def _match_palette(
     return final, recolored
 
 
-def _greedy_recolor(g: Graph, coloring: dict[int, int], w: int, palette: int) -> Optional[int]:
-    """Smallest palette color absent from N(w), or None."""
-    taken = {coloring[x] for x in g.neighbors(w)}
-    for c in range(1, palette + 1):
-        if c not in taken:
-            return c
-    return None
-
-
 # ---------------------------------------------------------------------------
 # the dynamic updates
 # ---------------------------------------------------------------------------
@@ -313,24 +307,38 @@ def _fallback(graph: Graph, old: ColoringState) -> tuple[ColoringState, frozense
     return ColoringState(graph, coloring, k, clique, records), recolored
 
 
-def _unchanged(
-    state: ColoringState, graph: Graph, kind: str, case: str, u: int, v: int
+def _finish(
+    old: ColoringState, graph: Graph, kind: str, u: int, v: int,
+    case: Optional[str] = None, repair: Optional[Callable[[], tuple]] = None,
 ) -> tuple[ColoringState, UpdateReport]:
-    """`state` moved onto the perturbed `graph` with coloring, clique and order kept."""
-    k = state.color_count
-    new_state = ColoringState(graph, dict(state.coloring), k, state.clique, state.order)
-    report = UpdateReport(
-        kind=kind,
-        u=u,
-        v=v,
-        case_label=case,
-        recolored=frozenset(),
-        pairs_removed=[],
-        pairs_added=[],
-        colors_before=k,
-        colors_after=k,
+    """The post-event state on `graph` and its report.
+
+    `repair()` returns the new order, its removed and added records, the
+    coloring, the recolored vertices, the color count and the clique;
+    without a repair the old state moves onto `graph` unchanged. A repair
+    that raises ``NotWeaklyChordalError`` falls back to a static recompute,
+    reported as removing the whole old order and adding the new one. An
+    insertion passes its case; a deletion's is read off the count it ends
+    at, D-1 when it keeps k and D-2 when it lowers it.
+    """
+    k = old.color_count
+    fallback = False
+    if repair is None:
+        new = ColoringState(graph, dict(old.coloring), k, old.clique, old.order)
+        recolored, removed, added = frozenset(), [], []
+    else:
+        try:
+            order, removed, added, coloring, recolored, k_new, clique = repair()
+            new = ColoringState(graph, coloring, k_new, clique, order)
+        except NotWeaklyChordalError:
+            fallback = True
+            new, recolored = _fallback(graph, old)
+            removed, added = list(old.order), list(new.order)
+    if kind == "delete":
+        case = "D-1" if new.color_count == k else "D-2"
+    return new, UpdateReport(
+        kind, u, v, case, recolored, removed, added, k, new.color_count, fallback
     )
-    return new_state, report
 
 
 def insert_update(state: ColoringState, u: int, v: int) -> tuple[ColoringState, UpdateReport]:
@@ -358,96 +366,73 @@ def insert_update(state: ColoringState, u: int, v: int) -> tuple[ColoringState, 
     """
     h = state.graph.insert_edge(u, v)  # raises if present / unknown
     matches = matching_records(state.order, u, v)
-    same_color = state.coloring[u] == state.coloring[v]
-    if not matches and not same_color:
-        return _unchanged(state, h, "insert", "I-1", u, v)
-    omega_b = state.color_count
+    if not matches and state.coloring[u] != state.coloring[v]:
+        return _finish(state, h, "insert", u, v, "I-1")
+    k = state.color_count
     if not matches:
-        new_state, report = _unchanged(state, h, "insert", "I-2-1", u, v)
-        for w in (u, v):
-            c = _greedy_recolor(h, new_state.coloring, w, omega_b)
-            if c is not None:
-                new_state.coloring[w] = c
-                report.recolored = frozenset((w,))
-                break
-        else:
-            lifted, _ = lift_coloring(h, state.order)
-            new_state.coloring, report.recolored = _match_palette(lifted, state.coloring, omega_b)
-        return new_state, report
+        def recolor():
+            coloring = dict(state.coloring)
+            for w in (u, v):  # the smallest palette color free around w
+                free = set(range(1, k + 1)) - {coloring[x] for x in h.neighbors(w)}
+                if free:
+                    coloring[w], recolored = min(free), frozenset((w,))
+                    break
+            else:
+                lifted, _ = lift_coloring(h, state.order)
+                coloring, recolored = _match_palette(lifted, state.coloring, k)
+            return state.order, [], [], coloring, recolored, k, state.clique
+
+        return _finish(state, h, "insert", u, v, "I-2-1", recolor)
     witness = _growth_witness(state, u, v)
     grows = witness is not None
-    case = "I-3-2" if grows else "I-3-1"
-    fallback = False
-    expected = omega_b + grows
-    # Lenient ladder: replay everything first; when the quotient completes
-    # above the known color count, retry with each single record broken so
-    # its parents can re-pair with the split classes. Within a rung keep the
-    # smallest order delta: drop choices that strand extra pending records
-    # inflate the pair count needlessly.
-    best = None
-    for level in ([()], [(rec,) for rec in state.order]):
-        for drops in level:
-            hint = {u, v} | {w for r in drops for w in (r.x, r.y)}
-            res = replay_repair(h, state.order, hint, strict=False, exclude=drops)
-            pc = len(res.removed) + len(res.added)
-            if h.n - len(res.records) == expected and (best is None or pc < best[0]):
-                best = (pc, res)
-        if best is not None:
-            break
+    expected = k + grows
 
-    try:
+    def repair():
+        # Lenient ladder: replay everything first; when the quotient
+        # completes above the known color count, retry with each single
+        # record broken so its parents can re-pair with the split classes.
+        # Within a rung keep the smallest order delta: drop choices that
+        # strand extra pending records inflate the pair count needlessly.
+        best = None
+        for level in ([()], [(rec,) for rec in state.order]):
+            for drops in level:
+                hint = {u, v} | {w for r in drops for w in (r.x, r.y)}
+                res = replay_repair(h, state.order, hint, strict=False, exclude=drops)
+                pc = len(res.removed) + len(res.added)
+                if h.n - len(res.records) == expected and (best is None or pc < best[0]):
+                    best = (pc, res)
+            if best is not None:
+                break
         if best is not None:
             # Optimality is certified externally: insertion never destroys
             # cliques, so the old clique witnesses an unchanged omega, and
             # the growth witness from the case analysis covers omega + 1.
-            # I-3-2 keeps the old coloring, so only I-3-1 lifts one; k is
-            # the class count the ladder matched against `expected`.
-            res = best[1]
-            k, lifted_clique = expected, witness
+            # I-3-2 keeps the old coloring, so only I-3-1 lifts one.
+            res, clique = best[1], witness
             if not grows:
-                lifted_coloring, _ = lift_coloring(h, res.records)
+                lifted, _ = lift_coloring(h, res.records)
         else:  # the strict two-pair replay, certified by its own lift
             res = replay_repair(h, state.order, {u, v}, strict=True)
-            lifted_coloring, lifted_clique, k = lift(h, res.records)
-            if k != expected:
-                raise NotWeaklyChordalError(f"repair clique size {k}, expected {expected}")
-        removed, added, order = res.removed, res.added, res.records
+            lifted, clique, k_new = lift(h, res.records)
+            if k_new != expected:
+                raise NotWeaklyChordalError(f"repair clique size {k_new}, expected {expected}")
         if grows:  # I-3-2: one endpoint takes the brand-new color
             w = min(u, v)
-            coloring, recolored = {**state.coloring, w: k}, frozenset((w,))
-            clique = lifted_clique
+            coloring, recolored = {**state.coloring, w: expected}, frozenset((w,))
         else:
-            coloring, recolored = _match_palette(lifted_coloring, state.coloring, k)
+            coloring, recolored = _match_palette(lifted, state.coloring, expected)
             clique = state.clique
-    except NotWeaklyChordalError:
-        fallback = True
-        new_state, recolored = _fallback(h, state)
-        order, coloring, clique = new_state.order, new_state.coloring, new_state.clique
-        k = new_state.color_count
-        removed, added = list(state.order), list(order)
+        return res.records, res.removed, res.added, coloring, recolored, expected, clique
 
-    new_state = ColoringState(h, coloring, k, clique, order)
-    report = UpdateReport(
-        kind="insert",
-        u=u,
-        v=v,
-        case_label=case,
-        recolored=recolored,
-        pairs_removed=removed,
-        pairs_added=added,
-        colors_before=omega_b,
-        colors_after=k,
-        fallback_used=fallback,
-    )
-    return new_state, report
+    return _finish(state, h, "insert", u, v, "I-3-2" if grows else "I-3-1", repair)
 
 
 def delete_update(state: ColoringState, u: int, v: int) -> tuple[ColoringState, UpdateReport]:
     """Re-establish an optimal coloring after deleting edge (u,v).
 
     The endpoints of a present edge are differently colored and never form
-    an order pair, so only the clique-size question remains: replay the
-    order and contract the one extra two-pair when the clique shrank.
+    an order pair, so only the clique-size question remains. It is settled
+    by at most one replay.
 
     When the held clique misses u or v (D-1) the state is returned
     unchanged, without a replay. Proof: the clique survives the deletion, so
@@ -457,68 +442,47 @@ def delete_update(state: ColoringState, u: int, v: int) -> tuple[ColoringState, 
     non-adjacent, merging them would color G-uv with k-1 colors below the
     surviving k-clique.
 
-    Otherwise the lenient replay runs first; it confines the order delta to
-    the records the deletion hits and ends at a complete quotient whose
-    classes are independent sets of G-uv. One deleted edge lowers omega by
-    at most one, and the held clique minus u is a (k-1)-clique of G-uv. So
-    when the lenient replay ends at k-1 classes they are a (k-1)-coloring
-    below which no coloring goes: the event is D-2, certified by the held
-    clique minus u, and no strict replay runs. Otherwise the strict two-pair
-    replay decides omega(G-uv). It contracts only two-pairs, and contracting
-    a two-pair of a weakly chordal graph keeps it weakly chordal and keeps
-    chi and omega (Hayward-Hoang-Maffray), so the replay ends in a clique of
-    k' = omega(G-uv) vertices, and the lift threads a k'-clique of G-uv back
-    through it; k' is k (D-1, certified by the lifted clique) or k-1 (D-2).
-    The lenient result stands when its class count is k', the strict one
-    otherwise.
+    Otherwise the order's class masks (``order_classes``) decide first. By
+    the same argument every record fires on G-uv in turn and ends in G's
+    final k classes, of which only u's and v's can have lost their last
+    edge. When they have (a split), merging them is a (k-1)-coloring of
+    G-uv, and the held clique minus u is a (k-1)-clique of G-uv: the event
+    is D-2, and the order gains the record (min, max, z) of the two class
+    ids, z one above every vertex and order id. A lenient ``replay_repair``
+    ends in the same record and result: its sweep fires every record, and
+    its greedy step pops the only non-adjacent pair.
+
+    Without a split the old order still ends in a k-clique, and the strict
+    two-pair replay, the only one that runs, decides omega(G-uv). It
+    contracts only two-pairs, and contracting a two-pair of a weakly
+    chordal graph keeps it weakly chordal and keeps chi and omega
+    (Hayward-Hoang-Maffray), so the replay ends in a clique of
+    k' = omega(G-uv) vertices, and the lift threads a k'-clique of G-uv
+    back through it. k' = k is D-1: the old order and coloring are kept,
+    certified by the lifted clique. k' = k-1 is D-2 on the strict records.
     """
     g2 = state.graph.delete_edge(u, v)  # raises if absent
     if u not in state.clique or v not in state.clique:
-        return _unchanged(state, g2, "delete", "D-1", u, v)
-    omega_b = state.color_count
-    fallback = False
-    try:
-        res = replay_repair(g2, state.order, {u, v}, strict=False)
-        k = g2.n - len(res.records)
-        if k == omega_b - 1:
-            lifted_coloring, _ = lift_coloring(g2, res.records)
-            clique = state.clique - {u}
-        else:
-            strict = replay_repair(g2, state.order, {u, v}, strict=True)
-            lifted_coloring, clique, k_strict = lift(g2, strict.records)
-            if k_strict not in (omega_b, omega_b - 1):
-                raise NotWeaklyChordalError(
-                    f"deletion changed clique size {omega_b} -> {k_strict}"
-                )
-            if k_strict != k:
-                res, k = strict, k_strict
-        removed, added = res.removed, res.added
-        order = res.records
-        if k == omega_b:
-            case = "D-1"
-            coloring, recolored = dict(state.coloring), frozenset()
-        else:
-            case = "D-2"
-            coloring, recolored = _match_palette(lifted_coloring, state.coloring, k)
-    except NotWeaklyChordalError:
-        fallback = True
-        new_state, recolored = _fallback(g2, state)
-        order, coloring, clique = new_state.order, new_state.coloring, new_state.clique
-        k = new_state.color_count
-        removed, added = list(state.order), list(order)
-        case = "D-1" if k == omega_b else "D-2"
+        return _finish(state, g2, "delete", u, v)
+    k = state.color_count
 
-    new_state = ColoringState(g2, coloring, k, clique, order)
-    report = UpdateReport(
-        kind="delete",
-        u=u,
-        v=v,
-        case_label=case,
-        recolored=recolored,
-        pairs_removed=removed,
-        pairs_added=added,
-        colors_before=omega_b,
-        colors_after=k,
-        fallback_used=fallback,
-    )
-    return new_state, report
+    def repair():
+        cls, nb, final = order_classes(g2, state.order)
+        cu, cv = (next(f for f in final if cls[f] >> g2.pos(w) & 1) for w in (u, v))
+        if not nb[cu] & cls[cv]:  # split: merge the two classes
+            z = 1 + max([*g2.vertices, *(rec.z for rec in state.order)])
+            rec = ContractionRecord(min(cu, cv), max(cu, cv), z)
+            order = state.order + (rec,)
+            lifted, _ = lift_coloring(g2, order)
+            coloring, recolored = _match_palette(lifted, state.coloring, k - 1)
+            return order, [], [rec], coloring, recolored, k - 1, state.clique - {u}
+        res = replay_repair(g2, state.order, {u, v}, strict=True)
+        lifted, clique, k_new = lift(g2, res.records)
+        if k_new == k:
+            return state.order, [], [], dict(state.coloring), frozenset(), k, clique
+        if k_new != k - 1:
+            raise NotWeaklyChordalError(f"deletion changed clique size {k} -> {k_new}")
+        coloring, recolored = _match_palette(lifted, state.coloring, k_new)
+        return res.records, res.removed, res.added, coloring, recolored, k_new, clique
+
+    return _finish(state, g2, "delete", u, v, repair=repair)

@@ -305,8 +305,18 @@ def make_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     return Graph(range(n), edges)
 
 
+def require_int(value: object, what: str, error: type[Exception] = ValueError) -> int:
+    """`value` when it is a JSON integer, else raise `error`; a bool is not one."""
+    if type(value) is not int:
+        raise error(f"{what} must be an integer, not {json.dumps(value, default=repr)}")
+    return value
+
+
 def from_dict(d: Mapping) -> Graph:
-    return make_graph(int(d["n"]), [tuple(e) for e in d["edges"]])
+    """A graph from {"n": int, "edges": [[u, v], ...]}; ``GraphError`` on a non-integer."""
+    n = require_int(d["n"], "vertex count", GraphError)
+    ends = [tuple(require_int(x, "edge endpoint", GraphError) for x in e) for e in d["edges"]]
+    return make_graph(n, ends)
 
 
 def from_json(text: str) -> Graph:

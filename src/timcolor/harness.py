@@ -121,9 +121,6 @@ class TrialReport:
     wall_us: list[int] = field(default_factory=list)
     saturated: bool = False
     equivalence_checks: int = 0
-    max_recolored: int = 0
-    max_pairs_changed: int = 0
-    fallback_count: int = 0
 
     @property
     def mean_recolored(self) -> float:
@@ -132,6 +129,18 @@ class TrialReport:
             if self.events
             else 0.0
         )
+
+    @property
+    def max_recolored(self) -> int:
+        return max((len(e.recolored) for e in self.events), default=0)
+
+    @property
+    def max_pairs_changed(self) -> int:
+        return max((e.pairs_changed for e in self.events), default=0)
+
+    @property
+    def fallback_count(self) -> int:
+        return sum(e.fallback_used for e in self.events)
 
     def summary(self) -> dict:
         return {
@@ -267,9 +276,6 @@ def run_simulation(cfg: TrialConfig, out_dir: Optional[str] = None) -> TrialRepo
         report.wall_us.append(int((time.perf_counter() - t0) * 1e6))
         report.equivalence_checks += _check_event(state, ev_report, cfg)
         report.events.append(ev_report)
-        report.max_recolored = max(report.max_recolored, len(ev_report.recolored))
-        report.max_pairs_changed = max(report.max_pairs_changed, ev_report.pairs_changed)
-        report.fallback_count += int(ev_report.fallback_used)
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)

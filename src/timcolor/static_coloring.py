@@ -231,11 +231,13 @@ def chromatic_number(g: Graph) -> int:
 def diagnose_state(state: ColoringState) -> list[str]:
     """All invariant violations of a ColoringState, as human-readable strings.
 
-    A valid state has a proper coloring with ``color_count`` colors, a
-    ``color_count``-clique, and an order whose replay on the graph ends in
-    a ``color_count``-clique. Problems come in that order; the coloring's
-    bad edges come in ``g.edges()`` order, and the first record that may
-    not fire is the last problem.
+    A valid state has a proper coloring with the colors 1..``color_count``
+    (ints, not bools), a ``color_count``-clique, and an order whose replay
+    on the graph ends in a ``color_count``-clique. Problems come in that
+    order; a coloring whose domain is not the vertex set, or with a color
+    off the palette, ends the list, and off-palette vertices come in id
+    order. The coloring's bad edges come in ``g.edges()`` order, and the
+    first record that may not fire is the last problem.
 
     The order is replayed by ``order_classes``, on class bitmasks over the
     sorted positions of ``state.graph``, without building a ``Graph`` per
@@ -249,9 +251,17 @@ def diagnose_state(state: ColoringState) -> list[str]:
         problems.append("coloring domain differs from vertex set")
         return problems
     ids = g.vertices
+    color_at = [coloring[v] for v in ids]
+    k = state.color_count
+    off_palette = [
+        f"vertex {v} has color {c!r}, not one of 1..{k}"
+        for v, c in zip(ids, color_at)
+        if type(c) is not int or not 0 < c <= k
+    ]
+    if off_palette:
+        return off_palette
     # One mask per color: position p has a bad edge to a later position
     # iff its adjacency meets its own color's mask above bit p.
-    color_at = [coloring[v] for v in ids]
     color_mask: dict = {}
     for p, c in enumerate(color_at):
         color_mask[c] = color_mask.get(c, 0) | 1 << p

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .graph import Graph, make_graph
+from .graph import Graph, make_graph, require_int
 from .static_coloring import ColoringState, verify_state
 
 
@@ -83,11 +83,12 @@ class TopologyGraph:
 
 
 def load_topology(source: str | dict) -> TopologyGraph:
-    """Parse {"M": int, "N": int, "links": [[j,i],...]} (text or dict)."""
+    """Parse {"M": int, "N": int, "links": [[j,i],...]} (text or dict); a
+    missing key or a value that is not a JSON integer raises ``TopologyError``."""
     d = json.loads(source) if isinstance(source, str) else source
     try:
-        m, n = int(d["M"]), int(d["N"])
-        raw = [(int(j), int(i)) for j, i in d["links"]]
+        m, n = require_int(d["M"], "M"), require_int(d["N"], "N")
+        raw = [(require_int(j, "link index"), require_int(i, "link index")) for j, i in d["links"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise TopologyError(f"malformed topology: {exc}") from exc
     if len(set(raw)) != len(raw):

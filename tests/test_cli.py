@@ -8,7 +8,9 @@ import json
 import os
 import subprocess
 import sys
+from functools import reduce
 from importlib import resources
+from operator import getitem
 from pathlib import Path
 
 import pytest
@@ -210,6 +212,70 @@ class TestVerify:
         code, payload, err = run_json(capsys, "insert", str(state_file), "0", "4")
         assert code == EXIT_ASSERTION and not err
         assert payload["problems"] == problems
+
+
+    @pytest.mark.parametrize("relabel", [str, lambda c: c + 0.5, lambda c: True, lambda c: 5])
+    def test_colors_off_the_palette_exit_2(self, capsys, tmp_path, relabel):
+        """A state whose top color is not an int in 1..k is refused by verify
+        and by insert with the problem list; a string or float color used to
+        pass verify and end insert in a TypeError."""
+        state_file = tmp_path / "state.json"
+        assert main(["color", fixture_path(tmp_path, "fig6.json"),
+                     "--out", str(state_file)]) == EXIT_OK
+        capsys.readouterr()
+        blob = json.loads(state_file.read_text())
+        k = blob["color_count"]
+        off = sorted(int(v) for v, c in blob["colors"].items() if c == k)
+        blob["colors"] = {v: relabel(c) if c == k else c for v, c in blob["colors"].items()}
+        state_file.write_text(json.dumps(blob))
+        problems = [f"vertex {v} has color {relabel(k)!r}, not one of 1..{k}" for v in off]
+        code, payload, err = run_json(capsys, "verify", str(state_file))
+        assert code == EXIT_ASSERTION and not err
+        assert payload == {"ok": False, "problems": problems}
+        code, payload, err = run_json(capsys, "insert", str(state_file), "1", "4")
+        assert code == EXIT_ASSERTION and not err
+        assert payload["problems"] == problems
+
+
+class TestNonIntegers:
+    """A size or index that is not a JSON integer is a usage error with one
+    line: none is truncated, and a bool is not an integer."""
+
+    @pytest.mark.parametrize("command, blob, message", [
+        ("color", {"n": 2.5, "edges": [[0, 1]]}, "vertex count must be an integer, not 2.5"),
+        ("color", {"n": 3, "edges": [[True, 2]]}, "edge endpoint must be an integer, not true"),
+        ("color", {"n": 3, "edges": [[1.0, 2]]}, "edge endpoint must be an integer, not 1.0"),
+        ("schedule", {"M": 1.9, "N": True, "links": [[0, 0]]}, "M must be an integer, not 1.9"),
+        ("schedule", {"M": 2, "N": 2, "links": [[1.7, 1]]},
+         "link index must be an integer, not 1.7"),
+    ])
+    def test_input_files(self, capsys, tmp_path, command, blob, message):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(blob))
+        code, out, err = run(capsys, command, str(bad))
+        assert code == EXIT_USAGE and not out
+        assert err.startswith("timcolor: error: ") and err.endswith(f": {message}\n")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["verify", "insert", "delete"])
+    @pytest.mark.parametrize("where, value, message", [
+        (("order", 0, 2), 99.5, "order id must be an integer, not 99.5"),
+        (("color_count",), 3.0, "color_count must be an integer, not 3.0"),
+        (("clique", 0), True, "clique member must be an integer, not true"),
+    ])
+    def test_state_files(self, capsys, tmp_path, command, where, value, message):
+        state_file = tmp_path / "state.json"
+        assert main(["color", fixture_path(tmp_path, "fig6.json"),
+                     "--out", str(state_file)]) == EXIT_OK
+        capsys.readouterr()
+        blob = json.loads(state_file.read_text())
+        *inner, last = where
+        reduce(getitem, inner, blob)[last] = value
+        state_file.write_text(json.dumps(blob))
+        event = {"verify": [], "insert": ["1", "4"], "delete": ["0", "1"]}[command]
+        code, out, err = run(capsys, command, str(state_file), *event)
+        assert code == EXIT_USAGE and not out
+        assert err == f"timcolor: error: {state_file} is not a valid state file: {message}\n"
 
 
 class TestTopology:

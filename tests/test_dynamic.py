@@ -511,6 +511,100 @@ class TestDelete:
         assert {"D-1", "D-2"} <= set(cases)
 
 
+def splits(state, u, v):
+    """Whether deleting (u,v) leaves the final classes of u and v of the
+    order non-adjacent, read off a ``Graph`` replay."""
+    chain, members = replay_chain(state.graph.delete_edge(u, v), state.order)
+    final = chain[-1]
+    cu, cv = (next(f for f in final.vertices if w in members[f]) for w in (u, v))
+    return not final.has_edge(cu, cv)
+
+
+def walk_events(seeds=range(60), steps=10):
+    """(state, event, update, reference) along seeded walks of small graphs;
+    each walk continues from the update's result."""
+    for seed in seeds:
+        state, rng = random_static_state(seed)
+        for seq in range(steps):
+            ev = gen_event(state.graph, rng, 0.5, seq, 200)
+            if ev is None:
+                break
+            update, reference = (
+                (insert_update, reference_insert_update) if ev.kind == "insert"
+                else (delete_update, reference_delete_update)
+            )
+            yield state, ev, update, reference
+            state, _ = update(state, ev.u, ev.v)
+
+
+class TestDeletionReplays:
+    def test_at_most_one_strict_replay(self, monkeypatch):
+        """A split D-2 runs no replay; every other deletion inside the held
+        clique runs exactly one, strict. All three outcomes are reached."""
+        stricts = []
+        replay = dynamic_coloring.replay_repair
+
+        def counted(graph, order, hint, strict=True, exclude=()):
+            stricts.append(strict)
+            return replay(graph, order, hint, strict, exclude)
+
+        monkeypatch.setattr(dynamic_coloring, "replay_repair", counted)
+        outcomes = set()
+        for state, ev, update, _ in walk_events():
+            if ev.kind != "delete" or not {ev.u, ev.v} <= state.clique:
+                continue
+            split = splits(state, ev.u, ev.v)
+            stricts.clear()
+            new, rep = update(state, ev.u, ev.v)
+            assert stricts == ([] if split else [True])
+            if split:
+                assert rep.case_label == "D-2" and new.clique == state.clique - {ev.u}
+                assert rep.pairs_removed == [] and new.order == state.order + tuple(rep.pairs_added)
+                assert len(rep.pairs_added) == 1
+            assert verify_state(new) and not rep.fallback_used
+            outcomes.add(("split" if split else "strict", rep.case_label))
+        assert outcomes == {("split", "D-2"), ("strict", "D-1"), ("strict", "D-2")}
+
+
+class TestFallback:
+    def test_failed_repairs_fall_back_as_the_references_do(self, monkeypatch):
+        """A repair that raises ``NotWeaklyChordalError`` falls back to a
+        static recompute, on each repair path: I-3-1, I-3-2, a split D-2 and
+        a deletion decided by the strict replay. The report removes the
+        whole old order, adds the new one and keeps the case label; the
+        references, forced to fail alike, give the same report and state."""
+
+        def broken(*args, **kwargs):
+            raise NotWeaklyChordalError("forced")
+
+        reached = set()
+        for state, ev, update, reference in walk_events():
+            inside = ev.kind == "delete" and {ev.u, ev.v} <= state.clique
+            if inside:
+                path = "split" if splits(state, ev.u, ev.v) else "strict"
+            elif ev.kind == "insert" and matching_records(state.order, ev.u, ev.v):
+                path = "I-3"
+            else:
+                continue  # the shortcuts repair nothing
+            _, unforced = update(state, ev.u, ev.v)
+            with monkeypatch.context() as m:
+                for name in ("replay_repair", "lift_coloring"):
+                    m.setattr(dynamic_coloring, name, broken)
+                m.setitem(globals(), "reference_replay_repair", broken)
+                m.setitem(globals(), "lift_coloring", broken)
+                new, rep = update(state, ev.u, ev.v)
+                expected, expected_report = reference(state, ev.u, ev.v)
+            assert rep.fallback_used
+            assert rep.pairs_removed == list(state.order)
+            assert rep.pairs_added == list(new.order)
+            assert rep.case_label == unforced.case_label
+            assert rep.to_dict() == expected_report.to_dict()
+            assert new.to_dict() == expected.to_dict()
+            assert verify_state(new)
+            reached.add(rep.case_label if path == "I-3" else path)
+        assert reached == {"I-3-1", "I-3-2", "split", "strict"}
+
+
 class TestReportShape:
     def test_to_dict_schema(self, fig6):
         _, rep = insert_update(static_color(fig6), 1, 4)

@@ -59,6 +59,19 @@ class TestMakeGraph:
         assert make_graph(0, []).n == 0
 
 
+    @pytest.mark.parametrize("d, bad", [
+        ({"n": 2.5, "edges": [[0, 1]]}, "vertex count must be an integer, not 2.5"),
+        ({"n": True, "edges": []}, "vertex count must be an integer, not true"),
+        ({"n": "3", "edges": []}, 'vertex count must be an integer, not "3"'),
+        ({"n": 3, "edges": [[True, 2]]}, "edge endpoint must be an integer, not true"),
+        ({"n": 3, "edges": [[1.0, 2]]}, "edge endpoint must be an integer, not 1.0"),
+    ])
+    def test_from_dict_takes_only_integers(self, d, bad):
+        with pytest.raises(GraphError) as exc:
+            from_dict(d)
+        assert str(exc.value) == bad
+
+
 class TestInsertDelete:
     def test_close_path_to_triangle(self):
         g = path(3).insert_edge(0, 2)

@@ -13,6 +13,7 @@ from timcolor.harness import (
     CSV_COLUMNS,
     TrialAssertionError,
     TrialConfig,
+    TrialReport,
     gen_event,
     run_simulation,
 )
@@ -214,6 +215,17 @@ class TestRunSimulation:
         summary = json.loads((tmp_path / "trial-seed42.summary.json").read_text())
         assert summary == rep.summary()
         assert summary["seed"] == 42 and summary["fallbacks"] == 0
+
+    def test_summary_maxima_read_the_events(self):
+        """The summary's maxima and fallback count are read off the events,
+        and a report with none gives zeros."""
+        rep = run_simulation(TrialConfig(**{**self.CFG, "event_count": 60}))
+        summary = rep.summary()
+        assert summary["max_recolored"] == max(len(e.recolored) for e in rep.events) > 0
+        assert summary["max_pairs_changed"] == max(e.pairs_changed for e in rep.events) > 0
+        assert summary["fallbacks"] == sum(e.fallback_used for e in rep.events) == 0
+        empty = TrialReport(rep.config).summary()
+        assert (empty["max_recolored"], empty["max_pairs_changed"], empty["fallbacks"]) == (0, 0, 0)
 
     def test_jsonl_rows_are_reports(self):
         rep = run_simulation(TrialConfig(**self.CFG))

@@ -2,6 +2,7 @@
 
 import random
 import re
+from dataclasses import replace
 from functools import reduce
 from operator import or_
 
@@ -362,6 +363,13 @@ def graph_replay_diagnose(state, problems):
     if set(state.coloring) != set(g.vertices):
         problems.append("coloring domain differs from vertex set")
         return
+    k = state.color_count
+    for v in g.vertices:
+        c = state.coloring[v]
+        if isinstance(c, bool) or not isinstance(c, int) or c not in range(1, k + 1):
+            problems.append(f"vertex {v} has color {c!r}, not one of 1..{k}")
+    if problems:
+        return
     for u, v in g.edges():
         if state.coloring[u] == state.coloring[v]:
             problems.append(f"improper coloring on edge ({u},{v})")
@@ -509,6 +517,22 @@ class TestVerifyState:
         state = ColoringState(path(5), {0: 1, 1: 2, 2: 1, 3: 2, 4: 1}, 2, frozenset({0, 1}), order)
         assert diagnose_state(state) == ["order record (1,3,5) reuses dead id 5"]
 
+    @pytest.mark.parametrize("relabel", [str, lambda c: c + 0.5, lambda c: True, lambda c: 5])
+    def test_colors_off_the_palette_reported(self, fig6, relabel):
+        """A color that is not an int in 1..color_count is reported per
+        vertex, in id order, and ends the diagnosis: strings, floats, bools,
+        and an int above the count, though the count of distinct colors
+        still matches."""
+        st_ = static_color(fig6)
+        k = st_.color_count
+        bad = {v: relabel(c) if c == k else c for v, c in st_.coloring.items()}
+        corrupt = ColoringState(st_.graph, bad, k, st_.clique, st_.order)
+        off = sorted(v for v, c in st_.coloring.items() if c == k)
+        assert diagnose_state(corrupt) == [
+            f"vertex {v} has color {bad[v]!r}, not one of 1..{k}" for v in off
+        ]
+        assert not verify_state(corrupt)
+
     @given(st.data())
     @settings(max_examples=300, deadline=None)
     def test_matches_graph_replay(self, data):
@@ -530,10 +554,12 @@ class TestVerifyState:
     @settings(max_examples=300, deadline=None)
     def test_lift_refuses_what_diagnose_reports(self, data):
         """lift and lift_coloring raise on exactly the orders with a record
-        problem, with its text; the generator keeps the coloring's domain,
-        so diagnose_state always reaches the order."""
+        problem, with its text. The generator keeps the coloring's domain,
+        and the order is diagnosed with every vertex colored 1 of 1, so a
+        corrupted color or count never ends the diagnosis before the order."""
         state = data.draw(corrupted_states())
-        record_problems = [p for p in diagnose_state(state) if p.startswith("order record")]
+        one_color = replace(state, coloring=dict.fromkeys(state.graph.vertices, 1), color_count=1)
+        record_problems = [p for p in diagnose_state(one_color) if p.startswith("order record")]
         for run in (lift, lift_coloring):
             if record_problems:
                 with pytest.raises(InvalidContractionError) as exc:

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from timcolor.generators import random_chordal_bipartite, random_convex
-from timcolor.static_coloring import static_color
+from timcolor.static_coloring import ColoringState, static_color
 from timcolor.tim import (
     ConflictDelta,
     Message,
@@ -76,6 +76,17 @@ class TestTopology:
             load_topology('{"M": 1, "N": 1, "links": [[0, 0], [0, 0]]}')
         with pytest.raises(TopologyError):
             load_topology('{"M": 1, "N": 1, "links": [[3, 0]]}')
+
+    @pytest.mark.parametrize("topology, bad", [
+        ({"M": 1.9, "N": 1, "links": [[0, 0]]}, "M must be an integer, not 1.9"),
+        ({"M": 1, "N": True, "links": [[0, 0]]}, "N must be an integer, not true"),
+        ({"M": 2, "N": 2, "links": [[1.7, 1]]}, "link index must be an integer, not 1.7"),
+        ({"M": 2, "N": 2, "links": [[1, "0"]]}, 'link index must be an integer, not "0"'),
+    ])
+    def test_load_rejects_non_integers(self, topology, bad):
+        with pytest.raises(TopologyError) as exc:
+            load_topology(topology)
+        assert str(exc.value) == f"malformed topology: {bad}"
 
     @pytest.mark.parametrize("m, n", [(-2, 3), (3, -1), (-1, -1)])
     def test_rejects_negative_size(self, m, n):
@@ -300,6 +311,18 @@ class TestDofAndSchedule:
                     for y in range(x + 1, len(slot)):
                         assert not messages_conflict(t, slot[x], slot[y])
             checked += 1
+
+    def test_schedule_refuses_colors_off_the_palette(self):
+        """Colors 1..k-1 and k+2 for color_count k count k distinct colors,
+        yet slot k+2 does not exist: the schedule is refused, not an IndexError."""
+        t = load_topology(load_fixture("fig1_topology.json"))
+        msgs = all_unicast_messages(t)
+        state = static_color(build_conflict_graph(t, msgs).graph)
+        k = state.color_count
+        coloring = {v: k + 2 if c == k else c for v, c in state.coloring.items()}
+        bad = ColoringState(state.graph, coloring, k, state.clique, state.order)
+        with pytest.raises(ValueError, match="refusing to schedule"):
+            emit_schedule(bad, msgs)
 
     def test_schedule_to_dict(self):
         t = TopologyGraph(1, 2, frozenset({(0, 0), (1, 0)}))
