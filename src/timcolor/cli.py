@@ -88,13 +88,27 @@ def state_to_dict(state: ColoringState) -> dict:
     return d
 
 
+def _vertex_key(key: str) -> int:
+    """The vertex id a ``colors`` key names; only ``str(id)`` itself names one."""
+    try:
+        if str(int(key)) == key:
+            return int(key)
+    except ValueError:
+        pass
+    raise CliError(f"color key must be an integer, not {json.dumps(key)}")
+
+
 def state_from_dict(d: dict) -> ColoringState:
-    """A count, clique member or order id that is not a JSON integer raises
-    ``CliError``; the colors are ``diagnose_state``'s to check."""
+    """A count, clique member, order id or color key that is not a JSON
+    integer, and colors that are not an object, raise ``CliError``; the
+    colors themselves are ``diagnose_state``'s to check."""
     graph = from_dict(d["graph"])
+    colors = d["colors"]
+    if not isinstance(colors, dict):
+        raise CliError(f"colors must be an object, not {json.dumps(colors)}")
     return ColoringState(
         graph=graph,
-        coloring={int(k): v for k, v in d["colors"].items()},
+        coloring={_vertex_key(k): v for k, v in colors.items()},
         color_count=require_int(d["color_count"], "color_count", CliError),
         clique=frozenset(require_int(v, "clique member", CliError) for v in d["clique"]),
         order=tuple(

@@ -4,13 +4,17 @@ The maintained ``ColoringState`` is updated by case analysis on the
 solution order: membership of the event edge in the order (whether a record
 merged the class of one endpoint with the class of the other),
 equality of the endpoint colors, and whether the clique grows or shrinks.
-Repair is local: the recorded contraction sequence is replayed on the
-perturbed graph, invalid records are dropped, and replacements are contracted
-greedily, searched first near the affected vertices. Three cases replay
-nothing and keep the order: I-1 and I-2-1, the latter recoloring, and D-1
-when the held clique misses an endpoint of the deleted edge. A deletion
-inside the held clique whose endpoints' final classes lose their last edge
-is D-2 without a replay: it adds the one record merging those classes.
+Three cases replay nothing and keep the order: I-1 and I-2-1, the latter
+recoloring, and D-1 when the held clique misses an endpoint of the deleted
+edge. The other cases are decided on the order's class masks
+(``order_classes``) first. An insertion whose endpoints a record merged
+(I-3) breaks that record, or it and one more, and places the pieces of the
+broken classes into the intact ones and fresh ones. A deletion inside the
+held clique whose endpoints' final classes lose their last edge is D-2: it
+adds the one record merging those classes. Only when the masks decide
+nothing does one strict two-pair replay of the order run, which drops the
+records the event made invalid and contracts fresh two-pairs greedily,
+searched first near the affected vertices.
 """
 
 from __future__ import annotations
@@ -156,34 +160,22 @@ class RepairResult:
 
 
 def replay_repair(
-    graph: Graph,
-    order: tuple[ContractionRecord, ...],
-    hint: set[int],
-    strict: bool = True,
-    exclude: tuple[ContractionRecord, ...] = (),
+    graph: Graph, order: tuple[ContractionRecord, ...], hint: set[int]
 ) -> RepairResult:
     """Replay the order on a perturbed graph, dropping and replacing records.
 
     A record is invalid when a parent id is dead (its producing record was
-    dropped), when its pair became an edge, or — in strict mode — when its
-    pair is no longer a two-pair. After the valid records replay, fresh
-    pairs are contracted greedily, searched first near the affected
-    vertices, each followed by another sweep of the pending records. Both
-    run on one ``PairRanking`` of the perturbed graph, as ``static_color``
-    does: records fire through ``contract``, fresh pairs come from ``pop_pair``.
+    dropped), when its pair became an edge, or when its pair is no longer a
+    two-pair. After the valid records replay, fresh two-pairs are contracted
+    greedily, searched first near the affected vertices, each followed by
+    another sweep of the pending records. Both run on one ``PairRanking`` of
+    the perturbed graph, as ``static_color`` does: records fire through
+    ``contract``, fresh pairs come from ``pop_pair``.
 
-    Both modes contract until the quotient is complete. Strict mode
-    contracts only two-pairs; by two-pair theory (Hayward-Hoang-Maffray) a
-    weakly chordal graph then ends in a clique of chi vertices, and a run
-    out of two-pairs short of a clique raises. Lenient mode (strict=False)
-    keeps stale-but-non-adjacent records, which confines the order delta to
-    records directly hit by the event, and contracts any non-adjacent pair;
-    ``pop_pair`` returns one while any is left, so a lenient replay always
-    ends complete. Every class stays independent, so the class count
-    ``graph.n - len(records)`` never sinks below chi, and at chi the classes
-    are a chi-coloring. A greedy merge can instead paint the quotient into a
-    clique above chi; callers judge the count against the one the local
-    case analysis knows and certify the result through ``lift``.
+    By two-pair theory (Hayward-Hoang-Maffray) contracting a two-pair keeps
+    a weakly chordal graph weakly chordal and keeps chi, so the replay ends
+    in a clique of chi vertices, and a run out of two-pairs short of a
+    clique raises. Callers certify the result through ``lift``.
     """
     ranking = PairRanking(graph)
     kept: list[ContractionRecord] = []
@@ -192,8 +184,7 @@ def replay_repair(
     # now may become one again after later contractions fire, so deferring
     # instead of dropping keeps the invalidation from cascading through the
     # record's descendants.
-    pending = [rec for rec in order if rec not in exclude]
-    dropped = [rec for rec in order if rec in exclude]
+    pending = list(order)
     added: list[ContractionRecord] = []
     # fresh ids must not collide with deferred records' ids
     next_z = 1 + max([-1, *graph.vertices, *(rec.z for rec in order)])
@@ -205,7 +196,7 @@ def replay_repair(
             progress = False
             deferred: list[ContractionRecord] = []
             for rec in pending:
-                if ranking.joinable(rec.x, rec.y, two_only=strict):
+                if ranking.joinable(rec.x, rec.y):
                     ranking.contract(rec.x, rec.y, rec.z)
                     kept.append(rec)
                     progress = True
@@ -216,7 +207,7 @@ def replay_repair(
 
     pending = sweep(pending)
     while not ranking.complete():
-        pair = ranking.pop_pair(affected, two_only=strict)
+        pair = ranking.pop_pair(affected)
         if pair is None:
             break
         ranking.contract(*pair, next_z)
@@ -228,7 +219,53 @@ def replay_repair(
         pending = sweep(pending)
     if not ranking.complete():
         raise NotWeaklyChordalError("order repair did not terminate in a clique")
-    return RepairResult(tuple(kept), dropped + pending, added)
+    return RepairResult(tuple(kept), pending, added)
+
+
+# ---------------------------------------------------------------------------
+# placing the pieces of broken classes
+# ---------------------------------------------------------------------------
+
+def _place(pieces: list[tuple[int, int, int]], bins: list[int], where: list[int]) -> bool:
+    """Put every unplaced piece into a bin it has no edge to; whether all fit.
+
+    A piece is (class mask, neighbour mask, home bin). ``bins`` holds each
+    bin's class mask, 0 while a free bin is empty, and ``where`` each
+    piece's bin, -1 while unplaced; both are filled in place and restored
+    when no placement exists. The search is complete: the piece with the
+    fewest bins open goes next, so a dead end shows as soon as one has
+    none, and it tries its home bin first, then the others in order. Empty
+    bins are interchangeable, so only the first open one is tried.
+    """
+    best: Optional[tuple[int, list[int]]] = None
+    for i, (_, nb, home) in enumerate(pieces):
+        if where[i] >= 0:
+            continue
+        opts, empty = [], False
+        for b in (home, *(b for b in range(len(bins)) if b != home)):
+            if not bins[b]:
+                if empty:
+                    continue
+                empty = True
+            elif nb & bins[b]:
+                continue
+            opts.append(b)
+        if not opts:
+            return False
+        if best is None or len(opts) < len(best[1]):
+            best = (i, opts)
+    if best is None:
+        return True
+    i, opts = best
+    for b in opts:
+        saved = bins[b]
+        bins[b] |= pieces[i][0]
+        where[i] = b
+        if _place(pieces, bins, where):
+            return True
+        bins[b] = saved
+    where[i] = -1
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -341,6 +378,78 @@ def _finish(
     )
 
 
+def _break_and_place(
+    state: ColoringState, r1: ContractionRecord, u: int, v: int, expected: int
+) -> Optional[RepairResult]:
+    """The repair of the first rung whose pieces place into `expected`
+    classes of G+uv, or None (see ``insert_update``)."""
+    g, order = state.graph, state.order
+    cls, nb, final = order_classes(g, order)
+    after = {}  # id -> the record that consumes it
+    for rec in order:
+        after[rec.x] = after[rec.y] = rec
+    ubit, vbit = 1 << g.pos(u), 1 << g.pos(v)
+    next_z = 1 + max([-1, *g.vertices, *(rec.z for rec in order)])
+
+    def chain(rec):
+        """rec and the records downstream of it, up to its final class."""
+        out = [rec]
+        while out[-1].z in after:
+            out.append(after[out[-1].z])
+        return out
+
+    def place(chains):
+        """The records merging a placement of the chains' pieces, or None."""
+        broken = sorted({c[-1].z for c in chains})
+        intact = [f for f in final if f not in broken]
+        made = {rec.z for c in chains for rec in c}
+        home = {}
+        for c in chains:
+            for rec in c:
+                for p in (rec.x, rec.y):
+                    if p not in made:
+                        home[p] = len(intact) + broken.index(c[-1].z)
+        ids = sorted(home, key=lambda p: (-cls[p].bit_count(), p))
+        pieces = [
+            (cls[p], nb[p] | (vbit if cls[p] & ubit else 0) | (ubit if cls[p] & vbit else 0), home[p])
+            for p in ids
+        ]
+        bins = [cls[f] for f in intact] + [0] * (expected - len(intact))
+        where = [-1] * len(ids)
+        if not _place(pieces, bins, where):
+            return None
+        members = [[f] for f in intact] + [[] for _ in range(expected - len(intact))]
+        for p, b in zip(ids, where):
+            members[b].append(p)
+        added, z = [], next_z
+        for acc, *rest in members:  # no bin stays empty: that would color G+uv below chi
+            for p in rest:
+                added.append(ContractionRecord(min(acc, p), max(acc, p), z))
+                acc, z = z, z + 1
+        return added
+
+    base = chain(r1)
+    best = None  # (removed records, the one listed first, added records)
+    added = place([base])
+    if added is not None:
+        best = (set(base), r1, added)
+    else:  # rung 1: the fewest removed records, the first rec on a tie
+        for rec in order:
+            extra = chain(rec)
+            gone = set(base) | set(extra)
+            if len(gone) == len(base) or best and len(gone) >= len(best[0]):
+                continue
+            added = place([base, extra])
+            if added is not None:
+                best = (gone, rec, added)
+    if best is None:
+        return None
+    gone, first, added = best
+    # the broken record leads, then the records downstream, in order
+    removed = [first, *(r for r in order if r in gone and r != first)]
+    return RepairResult(tuple(r for r in order if r not in gone) + tuple(added), removed, added)
+
+
 def insert_update(state: ColoringState, u: int, v: int) -> tuple[ColoringState, UpdateReport]:
     """Re-establish an optimal coloring after inserting edge (u,v).
 
@@ -363,6 +472,43 @@ def insert_update(state: ColoringState, u: int, v: int) -> tuple[ColoringState, 
     order and the old clique are kept, with no replay. u, else v, takes a
     free palette color; when neither has one, the order's lift, matched onto
     the old palette, replaces the coloring.
+
+    With a matching record r1 (there is one at most: after it u and v share
+    a class) the count k' is k + 1 when the growth witness exists (I-3-2)
+    and k otherwise (I-3-1); G+uv is weakly chordal, hence perfect, so
+    chi(G+uv) = omega(G+uv) = k'. The order is repaired on its class masks
+    over G (``order_classes``), by breaking a set B of records. Every id is
+    consumed by one record at most, so the records downstream of a record
+    form a chain up to its final class; let R be the chains of B's records.
+    Proof that R alone fixes the result's size:
+    - Each record outside R still fires on G+uv in turn. R holds everything
+      downstream of its records, so no record of R made its parents; its
+      classes are those it has on G, where they are non-adjacent, and uv
+      joins only the class of u to the class of v, which only r1 merges.
+      No record of R fires: r1's classes are adjacent in G+uv, B's are
+      broken, and every other one lacks a parent.
+    - The final classes of G that R misses stay intact and pairwise
+      adjacent. A final class that R meets breaks into pieces: the parents
+      of R's records that no record of R produced, one more than the
+      records of R in it. The pieces of one class are independent together
+      in G, so in G+uv only u's piece and v's piece conflict.
+    - A repair that keeps every record it can fire therefore removes R, and
+      ends in k' classes exactly when the pieces can be placed into the
+      intact classes and k' - (intact count) fresh ones, every class
+      independent in G+uv. ``_place`` decides this by a complete search.
+      Merging each class's members takes |R| + k - k' records, so the
+      rung changes 2|R| + k - k' order pairs whichever placement is found.
+    - The final quotient is complete: were two of its k' classes
+      non-adjacent, merging them would color G+uv with k' - 1 < chi colors.
+      For the same reason no fresh class stays empty.
+    Rung 0 breaks {r1}; rung 1, when rung 0 has no placement, breaks
+    {r1, rec} for every other record rec and keeps the smallest R, the
+    first on a tie. I-3-2 always succeeds at rung 0: v's piece alone and
+    every other piece of r1's class together fill the k + 1 classes. I-3-1
+    keeps the old clique, I-3-2 takes the witness, and ``verify_state``
+    certifies either. When neither rung places its pieces, the strict
+    two-pair replay decides the order, certified by its own lift, and a
+    count other than k' falls back to a static recompute.
     """
     h = state.graph.insert_edge(u, v)  # raises if present / unknown
     matches = matching_records(state.order, u, v)
@@ -388,31 +534,15 @@ def insert_update(state: ColoringState, u: int, v: int) -> tuple[ColoringState, 
     expected = k + grows
 
     def repair():
-        # Lenient ladder: replay everything first; when the quotient
-        # completes above the known color count, retry with each single
-        # record broken so its parents can re-pair with the split classes.
-        # Within a rung keep the smallest order delta: drop choices that
-        # strand extra pending records inflate the pair count needlessly.
-        best = None
-        for level in ([()], [(rec,) for rec in state.order]):
-            for drops in level:
-                hint = {u, v} | {w for r in drops for w in (r.x, r.y)}
-                res = replay_repair(h, state.order, hint, strict=False, exclude=drops)
-                pc = len(res.removed) + len(res.added)
-                if h.n - len(res.records) == expected and (best is None or pc < best[0]):
-                    best = (pc, res)
-            if best is not None:
-                break
-        if best is not None:
-            # Optimality is certified externally: insertion never destroys
-            # cliques, so the old clique witnesses an unchanged omega, and
-            # the growth witness from the case analysis covers omega + 1.
-            # I-3-2 keeps the old coloring, so only I-3-1 lifts one.
-            res, clique = best[1], witness
+        res = _break_and_place(state, matches[0], u, v, expected)
+        if res is not None:
+            # The old clique certifies an unchanged omega, the growth witness
+            # omega + 1. I-3-2 keeps the old coloring, so only I-3-1 lifts one.
+            clique = witness
             if not grows:
                 lifted, _ = lift_coloring(h, res.records)
         else:  # the strict two-pair replay, certified by its own lift
-            res = replay_repair(h, state.order, {u, v}, strict=True)
+            res = replay_repair(h, state.order, {u, v})
             lifted, clique, k_new = lift(h, res.records)
             if k_new != expected:
                 raise NotWeaklyChordalError(f"repair clique size {k_new}, expected {expected}")
@@ -448,9 +578,7 @@ def delete_update(state: ColoringState, u: int, v: int) -> tuple[ColoringState, 
     edge. When they have (a split), merging them is a (k-1)-coloring of
     G-uv, and the held clique minus u is a (k-1)-clique of G-uv: the event
     is D-2, and the order gains the record (min, max, z) of the two class
-    ids, z one above every vertex and order id. A lenient ``replay_repair``
-    ends in the same record and result: its sweep fires every record, and
-    its greedy step pops the only non-adjacent pair.
+    ids, z one above every vertex and order id.
 
     Without a split the old order still ends in a k-clique, and the strict
     two-pair replay, the only one that runs, decides omega(G-uv). It
@@ -476,7 +604,7 @@ def delete_update(state: ColoringState, u: int, v: int) -> tuple[ColoringState, 
             lifted, _ = lift_coloring(g2, order)
             coloring, recolored = _match_palette(lifted, state.coloring, k - 1)
             return order, [], [rec], coloring, recolored, k - 1, state.clique - {u}
-        res = replay_repair(g2, state.order, {u, v}, strict=True)
+        res = replay_repair(g2, state.order, {u, v})
         lifted, clique, k_new = lift(g2, res.records)
         if k_new == k:
             return state.order, [], [], dict(state.coloring), frozenset(), k, clique

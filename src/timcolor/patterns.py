@@ -54,14 +54,19 @@ class PatternLibrary:
             raise PatternError("pattern file must be a JSON array")
         patterns = []
         seen = set()
-        for entry in raw:
+        for i, entry in enumerate(raw):
+            if not isinstance(entry, dict):
+                raise PatternError(f"pattern entry {i} must be an object, not {json.dumps(entry)}")
             name = entry.get("name")
             if not isinstance(name, str) or not name:
                 raise PatternError("every pattern needs a non-empty name")
             if name in seen:
                 raise PatternError(f"duplicate pattern name {name!r}")
             seen.add(name)
-            g = from_dict(entry)
+            try:
+                g = from_dict(entry)
+            except KeyError as exc:
+                raise PatternError(f"pattern {name!r} has no {exc.args[0]!r} field") from exc
             if g.n > MAX_PATTERN_VERTICES:
                 raise PatternError(
                     f"pattern {name!r} has {g.n} vertices "

@@ -342,23 +342,23 @@ class PairRanking:
         """The number of live vertices."""
         return self._live.bit_count()
 
-    def joinable(self, x: int, y: int, two_only: bool = True) -> bool:
-        """Whether x and y are live and non-adjacent and, with `two_only`, a
-        two-pair of the current quotient (``is_two_pair``'s test)."""
+    def joinable(self, x: int, y: int) -> bool:
+        """Whether x and y are a live two-pair of the current quotient
+        (``is_two_pair``'s test)."""
         adj, sx, sy = self._adj, self._slot.get(x), self._slot.get(y)
         if sx is None or sy is None or adj[sx] >> sy & 1:
             return False
-        return not two_only or not _bfs_reach(adj, sx, self._live & ~(adj[sx] & adj[sy])) >> sy & 1
+        return not _bfs_reach(adj, sx, self._live & ~(adj[sx] & adj[sy])) >> sy & 1
 
-    def pop_pair(self, near: Iterable[int] = (), two_only: bool = True) -> Optional[tuple[int, int]]:
-        """The pair to contract next as ids (a, b), a < b, or None.
+    def pop_pair(self, near: Iterable[int] = ()) -> Optional[tuple[int, int]]:
+        """The two-pair to contract next as ids (a, b), a < b, or None.
 
         Pairs with an endpoint in N[near] of the current quotient form the
         first tier, the other pairs the second; with an empty zone all pairs
-        form one tier. Within a tier the first two-pair in rank order wins,
-        and without `two_only` the tier's best pair comes next. Two-pair tests
-        run lazily. Entries passed over stay queued; the returned pair does
-        not (the caller contracts it).
+        form one tier. The first two-pair in rank order of the first tier
+        wins, else that of the second. Two-pair tests run lazily. Entries
+        passed over stay queued; the returned pair does not (the caller
+        contracts it).
         """
         adj, live, slot = self._adj, self._live, self._slot
         if self._heap is None:
@@ -387,14 +387,9 @@ class PairRanking:
                     heapq.heappush(heap, e)
                 return a, b
             skipped.append(entry)
-        # Drained with no two-pair in the first tier. That tier holds a pair
-        # whenever one is left: a live vertex of near has a non-neighbor, or
-        # every pair meets N[near]. The sorted entries passed over form a
-        # heap as they are, with the returned one taken out.
-        if two_only:
-            pick = next((e for e in skipped if not first(e) and self.joinable(*e[1:3])), None)
-        else:
-            pick = next(filter(first, skipped), None)
+        # Drained with no two-pair in the first tier. The sorted entries
+        # passed over form a heap as they are, with the returned one taken out.
+        pick = next((e for e in skipped if not first(e) and self.joinable(*e[1:3])), None)
         if pick is not None:
             skipped.remove(pick)
         self._heap = skipped

@@ -262,15 +262,35 @@ class TestNonIntegers:
         (("order", 0, 2), 99.5, "order id must be an integer, not 99.5"),
         (("color_count",), 3.0, "color_count must be an integer, not 3.0"),
         (("clique", 0), True, "clique member must be an integer, not true"),
+        (("colors",), [1, 2, 3], "colors must be an object, not [1, 2, 3]"),
     ])
     def test_state_files(self, capsys, tmp_path, command, where, value, message):
+        def edit(blob):
+            *inner, last = where
+            reduce(getitem, inner, blob)[last] = value
+
+        self.check_state_file(capsys, tmp_path, command, edit, message)
+
+    @pytest.mark.parametrize("command", ["verify", "insert", "delete"])
+    @pytest.mark.parametrize("key", [" 1 ", "1_0", "01", "+1", "1.0", "one"])
+    def test_color_keys(self, capsys, tmp_path, command, key):
+        """A colors key names a vertex only as str(id): vertex 1's color
+        under any other spelling is refused, not read as vertex 1 or 10."""
+        def edit(blob):
+            blob["colors"][key] = blob["colors"].pop("1")
+
+        message = f"color key must be an integer, not {json.dumps(key)}"
+        self.check_state_file(capsys, tmp_path, command, edit, message)
+
+    @staticmethod
+    def check_state_file(capsys, tmp_path, command, edit, message):
+        """`command` on fig6's state after `edit` exits 1 with one line."""
         state_file = tmp_path / "state.json"
         assert main(["color", fixture_path(tmp_path, "fig6.json"),
                      "--out", str(state_file)]) == EXIT_OK
         capsys.readouterr()
         blob = json.loads(state_file.read_text())
-        *inner, last = where
-        reduce(getitem, inner, blob)[last] = value
+        edit(blob)
         state_file.write_text(json.dumps(blob))
         event = {"verify": [], "insert": ["1", "4"], "delete": ["0", "1"]}[command]
         code, out, err = run(capsys, command, str(state_file), *event)

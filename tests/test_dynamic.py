@@ -2,6 +2,8 @@
 
 import itertools
 import random
+from functools import reduce
+from operator import or_
 
 import pytest
 from hypothesis import given, settings
@@ -105,8 +107,8 @@ def reference_insert_update(state, u, v):
     """insert_update with the target-driven lenient ladder: each rung replays
     to the known color count, an incomplete or overshooting replay raises
     and is skipped, every candidate is lifted, and the strict replay follows
-    an exhausted ladder. The reference for the ladder that judges
-    candidates by class count and lifts only the winner."""
+    an exhausted ladder. The reference for the rungs that ``insert_update``
+    decides on the order's class masks."""
     if not matching_records(state.order, u, v):
         return insert_update(state, u, v)  # I-1 and I-2-1 replay nothing
     h = state.graph.insert_edge(u, v)
@@ -228,46 +230,64 @@ class TestReplayRepair:
     @given(weakly_chordal_graphs(), st.integers(0, 10_000), st.data())
     @settings(max_examples=150, deadline=None)
     def test_matches_reference(self, g, seed, data):
-        """Strict and lenient replays of a static order on a perturbed graph,
-        with and without a dropped record, give the reference's records or
-        error."""
+        """The strict replay of a static order on a perturbed graph gives the
+        reference's records or error."""
         rng = random.Random(seed)
         state = static_color(g, rng=rng if data.draw(st.booleans()) else None)
         event = perturbed(g, rng)
         if event is None:
             return
         h, u, v = event
-        records = state.order
-        drops = [()] + ([(rng.choice(records),)] if records else [])
-        for strict in (True, False):
-            for exclude in drops:
-                hint = {u, v} | {w for r in exclude for w in (r.x, r.y)}
-                args = (h, state.order, hint, strict, exclude)
-                expected = replay_outcome(reference_replay_repair, *args)
-                assert replay_outcome(replay_repair, *args) == expected
+        expected = replay_outcome(reference_replay_repair, h, state.order, {u, v})
+        assert replay_outcome(replay_repair, h, state.order, {u, v}) == expected
 
     @pytest.mark.parametrize(
         "order, message",
-        [([(0, 0, 9)], "cannot contract 0 with itself"), ([(0, 2, 3)], "contracted id 3 already live")],
+        [([(0, 2, 0)], "contracted id 0 already live"), ([(0, 2, 3)], "contracted id 3 already live")],
     )
     def test_malformed_records_raise_as_reference(self, order, message):
+        """A two-pair record whose z is live, a parent's id or another's."""
         order = order_of(order)
-        expected = replay_outcome(reference_replay_repair, path(4), order, set(), False)
+        expected = replay_outcome(reference_replay_repair, path(4), order, set())
         assert expected == (GraphError, message)
-        assert replay_outcome(replay_repair, path(4), order, set(), strict=False) == expected
+        assert replay_outcome(replay_repair, path(4), order, set()) == expected
+
+
+def assert_agrees(new, report, expected, expected_report):
+    """The update's report and state against the reference's.
+
+    They are equal, except where an I-3 insert placed its pieces and the
+    reference's lenient ladder completed greedily: both break the same
+    records, but may merge the pieces into other pairs. There the case,
+    colour counts, clique, removed records, kept records and pair count
+    agree, and the state verifies.
+    """
+    got, want = report.to_dict(), expected_report.to_dict()
+    if got != want and report.case_label in ("I-3-1", "I-3-2"):
+        for d in (got, want):
+            d["added"] = len(d.pop("pairs_added"))
+            del d["recolored"]
+        kept = len(new.order) - len(report.pairs_added)
+        assert new.order[:kept] == expected.order[:kept]
+        assert (new.clique, new.color_count) == (expected.clique, expected.color_count)
+        assert verify_state(new)
+    else:
+        assert new.to_dict() == expected.to_dict()
+    assert got == want
+    assert list(new.graph.edges()) == list(expected.graph.edges())
 
 
 def walk_against_reference(state, rng, steps):
     """Run an event walk through the updates and the target-driven
     references; reports and post-event states must agree. Returns each
-    event's (case, whether a strict replay ran)."""
+    event's (case, whether a replay ran)."""
     paths = []
     replay = dynamic_coloring.replay_repair
-    stricts = []
+    calls = []
 
-    def counted(graph, order, hint, strict=True, exclude=()):
-        stricts.append(strict)
-        return replay(graph, order, hint, strict, exclude)
+    def counted(*args):
+        calls.append(args)
+        return replay(*args)
 
     for seq in range(steps):
         ev = gen_event(state.graph, rng, 0.5, seq, 200)
@@ -278,21 +298,19 @@ def walk_against_reference(state, rng, steps):
             else (delete_update, reference_delete_update)
         )
         expected, expected_report = reference(state, ev.u, ev.v)
-        stricts.clear()
+        calls.clear()
         dynamic_coloring.replay_repair = counted
         try:
             state, report = update(state, ev.u, ev.v)
         finally:
             dynamic_coloring.replay_repair = replay
-        assert report.to_dict() == expected_report.to_dict()
-        assert state.to_dict() == expected.to_dict()
-        assert list(state.graph.edges()) == list(expected.graph.edges())
-        paths.append((report.case_label, any(stricts)))
+        assert_agrees(state, report, expected, expected_report)
+        paths.append((report.case_label, bool(calls)))
     return paths
 
 
 class TestStoppingRule:
-    """The completion-driven replays against the target-driven references."""
+    """The updates against the target-driven references."""
 
     @given(weakly_chordal_graphs(), st.integers(0, 10_000))
     @settings(max_examples=100, deadline=None)
@@ -301,8 +319,9 @@ class TestStoppingRule:
         walk_against_reference(static_color(g), rng, 10)
 
     def test_walks_reach_every_repair_path(self):
-        """The walks reach both ladder outcomes, the lenient-only D-2 and both
-        deletion outcomes of the strict replay."""
+        """The walks reach I-3-1 with and without the strict replay, I-3-2
+        without it, the split D-2 and both deletion outcomes of the strict
+        replay."""
         paths = set()
         for seed in range(60):
             state, rng = random_static_state(seed)
@@ -314,7 +333,7 @@ class TestStoppingRule:
 
     def test_i32_lifts_no_coloring(self, monkeypatch):
         """An I-3-2 insert keeps the old coloring, so it lifts none: its
-        reports and states still match the reference, which lifts every
+        reports and states still agree with the reference, which lifts every
         ladder candidate."""
         lifts = []
         lift_one = dynamic_coloring.lift_coloring
@@ -337,9 +356,9 @@ class TestStoppingRule:
                 )
                 expected, expected_report = reference(state, ev.u, ev.v)
                 lifts.clear()
-                state, report = update(state, ev.u, ev.v)
-                assert report.to_dict() == expected_report.to_dict()
-                assert state.to_dict() == expected.to_dict()
+                new, report = update(state, ev.u, ev.v)
+                assert_agrees(new, report, expected, expected_report)
+                state = new
                 if report.case_label == "I-3-2":
                     i32 += 1
                     assert not lifts, (seed, seq)
@@ -541,12 +560,12 @@ class TestDeletionReplays:
     def test_at_most_one_strict_replay(self, monkeypatch):
         """A split D-2 runs no replay; every other deletion inside the held
         clique runs exactly one, strict. All three outcomes are reached."""
-        stricts = []
+        calls = []
         replay = dynamic_coloring.replay_repair
 
-        def counted(graph, order, hint, strict=True, exclude=()):
-            stricts.append(strict)
-            return replay(graph, order, hint, strict, exclude)
+        def counted(*args):
+            calls.append(args)
+            return replay(*args)
 
         monkeypatch.setattr(dynamic_coloring, "replay_repair", counted)
         outcomes = set()
@@ -554,9 +573,9 @@ class TestDeletionReplays:
             if ev.kind != "delete" or not {ev.u, ev.v} <= state.clique:
                 continue
             split = splits(state, ev.u, ev.v)
-            stricts.clear()
+            calls.clear()
             new, rep = update(state, ev.u, ev.v)
-            assert stricts == ([] if split else [True])
+            assert len(calls) == (not split)
             if split:
                 assert rep.case_label == "D-2" and new.clique == state.clique - {ev.u}
                 assert rep.pairs_removed == [] and new.order == state.order + tuple(rep.pairs_added)
@@ -566,13 +585,122 @@ class TestDeletionReplays:
         assert outcomes == {("split", "D-2"), ("strict", "D-1"), ("strict", "D-2")}
 
 
+def ladder_path(state, u, v):
+    """The reference ladder's outcome for an I-3 insert: ``(rung, report)``
+    for the first rung that reaches the colour count, else ``("strict",
+    report)``. Rung 0 drops nothing, rung 1 one record."""
+    modes = []
+    reference = reference_replay_repair
+
+    def counted(graph, order, hint, strict=True, exclude=(), target=None):
+        modes.append(strict)
+        return reference(graph, order, hint, strict, exclude, target)
+
+    globals()["reference_replay_repair"] = counted
+    try:
+        _, report = reference_insert_update(state, u, v)
+    finally:
+        globals()["reference_replay_repair"] = reference
+    if any(modes):
+        return "strict", report
+    rung = 0 if report.pairs_removed[0] == matching_records(state.order, u, v)[0] else 1
+    return rung, report
+
+
+class TestInsertReplays:
+    def test_at_most_one_strict_replay(self, monkeypatch):
+        """An I-3 insert whose reference ladder reaches the colour count makes
+        no ``replay_repair`` call and breaks the records that rung breaks;
+        one whose ladder fails makes exactly one, the strict replay. Rung 0,
+        rung 1 and the strict replay are all reached, and the placements
+        recolour no more messages in all than the ladder's completions."""
+        calls = []
+        replay = dynamic_coloring.replay_repair
+
+        def counted(*args):
+            calls.append(args)
+            return replay(*args)
+
+        monkeypatch.setattr(dynamic_coloring, "replay_repair", counted)
+        outcomes = set()
+        recolored = [0, 0]  # placements, ladder completions
+        for state, ev, update, _ in walk_events():
+            if ev.kind != "insert" or not matching_records(state.order, ev.u, ev.v):
+                continue
+            rung, expected = ladder_path(state, ev.u, ev.v)
+            calls.clear()
+            new, rep = update(state, ev.u, ev.v)
+            assert len(calls) == (rung == "strict")
+            if rung != "strict":
+                removed = expected.pairs_removed
+                assert rep.pairs_removed == removed
+                assert new.order[: len(new.order) - len(rep.pairs_added)] == tuple(
+                    r for r in state.order if r not in removed
+                )
+                recolored[0] += len(rep.recolored)
+                recolored[1] += len(expected.recolored)
+            assert verify_state(new) and not rep.fallback_used
+            outcomes.add((rep.case_label, rung))
+        assert outcomes == {("I-3-1", 0), ("I-3-1", 1), ("I-3-1", "strict"), ("I-3-2", 0)}
+        assert recolored[0] <= recolored[1]
+
+
+def brute_force_placement(pieces, bins):
+    """Whether some assignment of pieces to bins keeps every bin free of edges."""
+    for where in itertools.product(range(len(bins)), repeat=len(pieces)):
+        content = list(bins)
+        for (mask, _, _), b in zip(pieces, where):
+            content[b] |= mask
+        if all(not nb & (content[b] & ~mask) for (mask, nb, _), b in zip(pieces, where)):
+            return True
+    return False
+
+
+class TestPlace:
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_complete_against_brute_force(self, data):
+        """``_place`` finds a placement exactly when one exists; a found one
+        keeps every bin free of edges and fills ``bins`` with its pieces, and
+        a failed search leaves ``bins`` and ``where`` as they were."""
+        n = data.draw(st.integers(2, 9))
+        adj = [0] * n
+        for a, b in itertools.combinations(range(n), 2):
+            if data.draw(st.booleans()):
+                adj[a] |= 1 << b
+                adj[b] |= 1 << a
+        group = [data.draw(st.integers(0, 5)) for _ in range(n)]  # 0..2 intact, 3..5 pieces
+        masks = [sum(1 << p for p in range(n) if group[p] == g) for g in range(6)]
+        intact = [m for m in masks[:3] if m]
+        free = data.draw(st.integers(1, 3))
+        pieces = [
+            (m, reduce(or_, (adj[p] for p in range(n) if m >> p & 1)) & ~m,
+             len(intact) + data.draw(st.integers(0, free - 1)))
+            for m in masks[3:] if m
+        ]
+        bins = intact + [0] * free
+        where = [-1] * len(pieces)
+        placed = dynamic_coloring._place(pieces, bins, where)
+        assert placed == brute_force_placement(pieces, intact + [0] * free)
+        if placed:
+            content = intact + [0] * free
+            for (mask, nb, _), b in zip(pieces, where):
+                assert not nb & bins[b]
+                content[b] |= mask
+            assert bins == content
+        else:
+            assert bins == intact + [0] * free and where == [-1] * len(pieces)
+
+
 class TestFallback:
     def test_failed_repairs_fall_back_as_the_references_do(self, monkeypatch):
         """A repair that raises ``NotWeaklyChordalError`` falls back to a
         static recompute, on each repair path: I-3-1, I-3-2, a split D-2 and
-        a deletion decided by the strict replay. The report removes the
-        whole old order, adds the new one and keeps the case label; the
-        references, forced to fail alike, give the same report and state."""
+        a deletion decided by the strict replay. Every path reads the order's
+        class masks first, so a failing ``order_classes`` reaches them all.
+        The report removes the whole old order, adds the new one and keeps
+        the case label; the references, forced to fail alike, give the same
+        report and state."""
 
         def broken(*args, **kwargs):
             raise NotWeaklyChordalError("forced")
@@ -588,7 +716,7 @@ class TestFallback:
                 continue  # the shortcuts repair nothing
             _, unforced = update(state, ev.u, ev.v)
             with monkeypatch.context() as m:
-                for name in ("replay_repair", "lift_coloring"):
+                for name in ("replay_repair", "lift_coloring", "order_classes"):
                     m.setattr(dynamic_coloring, name, broken)
                 m.setitem(globals(), "reference_replay_repair", broken)
                 m.setitem(globals(), "lift_coloring", broken)
@@ -731,15 +859,15 @@ class TestShortcuts:
         """The shortcut equals the lenient replay it skips."""
         new, rep = insert_update(state, u, v)
         h = state.graph.insert_edge(u, v)
-        res = replay_repair(h, state.order, {u, v}, strict=False)
-        coloring, k = lift_coloring(h, res.records)
+        records, removed, added = reference_replay_repair(h, state.order, {u, v}, strict=False)
+        coloring, k = lift_coloring(h, records)
         assert rep.case_label == "I-1"
-        assert new.order == res.records
+        assert new.order == records
         assert k == new.color_count == state.color_count
         # static_color's coloring is the lift of its order
         assert new.coloring == coloring == state.coloring
         assert new.clique == state.clique
-        assert res.removed == res.added == [] and rep.pairs_changed == 0
+        assert removed == added == [] and rep.pairs_changed == 0
         assert rep.recolored == frozenset()
         assert verify_state(new)
 
@@ -747,11 +875,11 @@ class TestShortcuts:
         """The order is kept, as rung 0 of the ladder it skips keeps it."""
         new, rep = insert_update(state, u, v)
         h = state.graph.insert_edge(u, v)
-        res = replay_repair(h, state.order, {u, v}, strict=False)
-        coloring, k = lift_coloring(h, res.records)
+        records, removed, added = reference_replay_repair(h, state.order, {u, v}, strict=False)
+        coloring, k = lift_coloring(h, records)
         assert rep.case_label == "I-2-1" and k == state.color_count
-        assert new.order == res.records == state.order
-        assert res.removed == res.added == [] and rep.pairs_changed == 0
+        assert new.order == records == state.order
+        assert removed == added == [] and rep.pairs_changed == 0
         assert new.clique == state.clique and new.color_count == rep.colors_after == k
         if len(rep.recolored) != 1:  # neither endpoint had a free color
             assert (new.coloring, rep.recolored) == _match_palette(coloring, state.coloring, k)
@@ -848,13 +976,13 @@ class TestPalette:
 
 class TestDropLadder:
     def test_seed3_event55_replays(self, monkeypatch):
-        """Rung 0, one single-record drop per record, then the strict replay.
+        """Both rungs are decided on class masks, then the strict replay runs.
 
         The I-3-1 insert at event 55 of this stream fails rung 0 and every
-        single-record drop, so it makes every replay the ladder allows.
-        Every contraction removes a vertex, so a replay makes at most n - 1
-        of them on an n-vertex graph, all on its ranking: none contracts a
-        ``Graph``.
+        rung-1 drop, so it makes the one replay an insertion may: the strict
+        one. Every contraction removes a vertex, so a replay makes at most
+        n - 1 of them on an n-vertex graph, all on its ranking: none
+        contracts a ``Graph``.
         """
         calls = []  # [order length, replay_repair calls] per update
         contractions = []  # [graph.n, PairRanking.contract calls] per replay
@@ -902,7 +1030,7 @@ class TestDropLadder:
         event = report.events[55]
         assert (event.kind, event.case_label) == ("insert", "I-3-1")
         order_len, replays = calls[55]
-        assert replays <= order_len + 2
+        assert replays == 1
         assert any(count for _, count in contractions)
         assert all(count <= n - 1 for n, count in contractions)
         assert graph_contractions == []

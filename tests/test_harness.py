@@ -299,7 +299,7 @@ class TestKnownDefects:
         strict=True,
         raises=TrialAssertionError,
         reason="known locality defect: the criterion-2 I-3-1 insert at event 185 changes "
-        "10 order pairs under the greedy lenient completion, over the default bound of 8",
+        "10 order pairs, its best rung-1 drop breaking 5 records, over the default bound of 8",
     )
     def test_seed21_default_bound(self):
         run_simulation(

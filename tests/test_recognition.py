@@ -628,16 +628,15 @@ class TestTwoPairs:
     @given(weakly_chordal_graphs(), st.data())
     @settings(max_examples=150, deadline=None)
     def test_candidate_pairs_match_reference(self, g, data):
-        """Every pop_pair of one ranking under contraction, tiers and two_only
-        drawn per step, is the first qualifying pair of the reference ranking
-        of the contracted graph."""
+        """Every pop_pair of one ranking under contraction, tiers drawn per
+        step, is the first two-pair of the reference ranking of the
+        contracted graph."""
         ranking, cur = PairRanking(g), g
         while True:
             near = data.draw(st.lists(st.integers(-1, cur.next_id), max_size=3))
-            two_only = data.draw(st.booleans())
             ranked = reference_candidate_pairs(cur, near)
-            pair = ranking.pop_pair(near, two_only)
-            assert pair == next(((x, y) for x, y, two in ranked if two or not two_only), None)
+            pair = ranking.pop_pair(near)
+            assert pair == next(((x, y) for x, y, two in ranked if two), None)
             if pair is None:
                 break
             cur, z = cur.contract_pair(*pair)
@@ -647,23 +646,20 @@ class TestTwoPairs:
         assert (tp.x, tp.y) == first if tp else first is None
 
     @pytest.mark.parametrize(
-        "n, edges, near, two_only, expected",
+        "n, edges, near, expected",
         [
-            (6, [(0, 2), (0, 4), (0, 5), (1, 3), (1, 4), (2, 3), (3, 5)], [1], True, (2, 5)),
-            (6, [(0, 2), (0, 4), (0, 5), (1, 3), (1, 4), (2, 3), (3, 5)], [1], False, (0, 3)),
-            (7, [(0, 2), (0, 5), (1, 3), (1, 5), (2, 3), (2, 6), (3, 6), (4, 5)], [6], True, (0, 4)),
-            (7, [(0, 2), (0, 5), (1, 3), (1, 5), (2, 3), (2, 6), (3, 6), (4, 5)], [6], False, (0, 3)),
+            (6, [(0, 2), (0, 4), (0, 5), (1, 3), (1, 4), (2, 3), (3, 5)], [1], (2, 5)),
+            (7, [(0, 2), (0, 5), (1, 3), (1, 5), (2, 3), (2, 6), (3, 6), (4, 5)], [6], (0, 4)),
         ],
     )
-    def test_pop_pair_on_quotients_with_holes(self, n, edges, near, two_only, expected):
-        """A lenient replay's quotient need not be weakly chordal. In these
-        the first tier (pairs meeting N[near]) holds no two-pair: without
-        two_only its best pair wins, with it the second tier's first
-        two-pair, past the non-two-pair (0, 1) of the second graph."""
+    def test_pop_pair_on_quotients_with_holes(self, n, edges, near, expected):
+        """On graphs with holes the first tier (pairs meeting N[near]) can
+        hold no two-pair: the second tier's first two-pair wins, past the
+        non-two-pair (0, 1) of the second graph."""
         g = make_graph(n, edges)
         ranked = reference_candidate_pairs(g, near)
-        assert next(((x, y) for x, y, two in ranked if two or not two_only), None) == expected
-        assert PairRanking(g).pop_pair(near, two_only) == expected
+        assert next(((x, y) for x, y, two in ranked if two), None) == expected
+        assert PairRanking(g).pop_pair(near) == expected
 
     @pytest.mark.parametrize("pop_first", [False, True])
     @pytest.mark.parametrize("x, y, z", [(0, 1, 9), (0, 2, 3), (0, 7, 9), (2, 2, 9), (0, 0, 9)])
@@ -710,6 +706,17 @@ class TestPatternLibrary:
                 '[{"name": "a", "n": 2, "edges": []},'
                 ' {"name": "a", "n": 2, "edges": []}]'
             )
+
+    @pytest.mark.parametrize("text, message", [
+        ('[1]', "pattern entry 0 must be an object, not 1"),
+        ('[{"name": "a", "n": 2, "edges": []}, ["b"]]', 'pattern entry 1 must be an object, not ["b"]'),
+        ('[{"name": "a", "n": 2}]', "pattern 'a' has no 'edges' field"),
+        ('[{"name": "a", "edges": []}]', "pattern 'a' has no 'n' field"),
+    ])
+    def test_rejects_malformed_entries(self, text, message):
+        """An entry that is no object, or lacks a graph field, is named."""
+        with pytest.raises(PatternError, match=f"^{re.escape(message)}$"):
+            PatternLibrary.from_json(text)
 
 
 class TestScanForbidden:
