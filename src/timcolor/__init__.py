@@ -25,7 +25,6 @@ from .static_coloring import (
     InvalidContractionError,
     NotWeaklyChordalError,
     chromatic_number,
-    contract,
     static_color,
     verify_state,
 )
@@ -72,7 +71,6 @@ __all__ = [
     "InvalidContractionError",
     "NotWeaklyChordalError",
     "chromatic_number",
-    "contract",
     "static_color",
     "verify_state",
     "UpdateReport",

@@ -13,8 +13,8 @@ broken classes into the intact ones and fresh ones. A deletion inside the
 held clique whose endpoints' final classes lose their last edge is D-2: it
 adds the one record merging those classes. Only when the masks decide
 nothing does one strict two-pair replay of the order run, which drops the
-records the event made invalid and contracts fresh two-pairs greedily,
-searched first near the affected vertices.
+records the event made invalid and contracts the first two-pairs in rank
+order, as ``static_color`` does.
 """
 
 from __future__ import annotations
@@ -24,15 +24,17 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .graph import Graph
-from .recognition import PairRanking, _bits
+from .recognition import _bits
 from .static_coloring import (
     ColoringState,
     ContractionRecord,
     NotWeaklyChordalError,
+    contract_to_clique,
+    fresh_id,
     lift,
     lift_coloring,
     order_classes,
-    run_contractions,
+    static_color,
 )
 
 log = logging.getLogger(__name__)
@@ -143,11 +145,6 @@ def _growth_witness(state: ColoringState, u: int, v: int) -> Optional[frozenset[
     return frozenset({u, v} | {ids[p] for p in _bits(mask)})
 
 
-def clique_grows(state: ColoringState, u: int, v: int) -> bool:
-    """Whether inserting (u,v) raises the clique number by one."""
-    return _growth_witness(state, u, v) is not None
-
-
 # ---------------------------------------------------------------------------
 # order repair by replay
 # ---------------------------------------------------------------------------
@@ -159,67 +156,19 @@ class RepairResult:
     added: list[ContractionRecord]
 
 
-def replay_repair(
-    graph: Graph, order: tuple[ContractionRecord, ...], hint: set[int]
-) -> RepairResult:
+def replay_repair(graph: Graph, order: tuple[ContractionRecord, ...]) -> RepairResult:
     """Replay the order on a perturbed graph, dropping and replacing records.
 
-    A record is invalid when a parent id is dead (its producing record was
-    dropped), when its pair became an edge, or when its pair is no longer a
-    two-pair. After the valid records replay, fresh two-pairs are contracted
-    greedily, searched first near the affected vertices, each followed by
-    another sweep of the pending records. Both run on one ``PairRanking`` of
-    the perturbed graph, as ``static_color`` does: records fire through
-    ``contract``, fresh pairs come from ``pop_pair``.
-
-    By two-pair theory (Hayward-Hoang-Maffray) contracting a two-pair keeps
-    a weakly chordal graph weakly chordal and keeps chi, so the replay ends
-    in a clique of chi vertices, and a run out of two-pairs short of a
-    clique raises. Callers certify the result through ``lift``.
+    ``contract_to_clique`` on ``graph``, with the order to replay and fresh
+    ids from ``fresh_id``: a record that never becomes a two-pair of the
+    quotient is removed (its parent died, or its pair became an edge or is
+    no longer a two-pair), and the first two-pairs in rank order are added
+    until the quotient is a clique of chi vertices; a run out of two-pairs
+    short of a clique raises. Callers certify the result through ``lift``.
     """
-    ranking = PairRanking(graph)
-    kept: list[ContractionRecord] = []
-    affected = set(hint)
-    # Sweep the order to a fixpoint: a record that is not a two-pair right
-    # now may become one again after later contractions fire, so deferring
-    # instead of dropping keeps the invalidation from cascading through the
-    # record's descendants.
-    pending = list(order)
-    added: list[ContractionRecord] = []
-    # fresh ids must not collide with deferred records' ids
-    next_z = 1 + max([-1, *graph.vertices, *(rec.z for rec in order)])
-
-    def sweep(pending):
-        """Fire every currently-valid pending record, to a fixpoint."""
-        progress = True
-        while progress:
-            progress = False
-            deferred: list[ContractionRecord] = []
-            for rec in pending:
-                if ranking.joinable(rec.x, rec.y):
-                    ranking.contract(rec.x, rec.y, rec.z)
-                    kept.append(rec)
-                    progress = True
-                else:
-                    deferred.append(rec)
-            pending = deferred
-        return pending
-
-    pending = sweep(pending)
-    while not ranking.complete():
-        pair = ranking.pop_pair(affected)
-        if pair is None:
-            break
-        ranking.contract(*pair, next_z)
-        rec = ContractionRecord(*pair, next_z)
-        next_z += 1
-        kept.append(rec)
-        added.append(rec)
-        affected.add(rec.z)
-        pending = sweep(pending)
-    if not ranking.complete():
-        raise NotWeaklyChordalError("order repair did not terminate in a clique")
-    return RepairResult(tuple(kept), pending, added)
+    z = fresh_id(graph, order)
+    records, removed = contract_to_clique(graph, order, z)
+    return RepairResult(tuple(records), removed, [rec for rec in records if rec.z >= z])
 
 
 # ---------------------------------------------------------------------------
@@ -338,10 +287,9 @@ def _match_palette(
 
 def _fallback(graph: Graph, old: ColoringState) -> tuple[ColoringState, frozenset[int]]:
     log.warning("dynamic repair exhausted; falling back to full static recompute")
-    records = run_contractions(graph)
-    coloring, clique, k = lift(graph, records)
-    coloring, recolored = _match_palette(coloring, old.coloring, k)
-    return ColoringState(graph, coloring, k, clique, records), recolored
+    new = static_color(graph)
+    new.coloring, recolored = _match_palette(new.coloring, old.coloring, new.color_count)
+    return new, recolored
 
 
 def _finish(
@@ -389,7 +337,7 @@ def _break_and_place(
     for rec in order:
         after[rec.x] = after[rec.y] = rec
     ubit, vbit = 1 << g.pos(u), 1 << g.pos(v)
-    next_z = 1 + max([-1, *g.vertices, *(rec.z for rec in order)])
+    next_z = fresh_id(g, order)
 
     def chain(rec):
         """rec and the records downstream of it, up to its final class."""
@@ -542,7 +490,7 @@ def insert_update(state: ColoringState, u: int, v: int) -> tuple[ColoringState, 
             if not grows:
                 lifted, _ = lift_coloring(h, res.records)
         else:  # the strict two-pair replay, certified by its own lift
-            res = replay_repair(h, state.order, {u, v})
+            res = replay_repair(h, state.order)
             lifted, clique, k_new = lift(h, res.records)
             if k_new != expected:
                 raise NotWeaklyChordalError(f"repair clique size {k_new}, expected {expected}")
@@ -598,13 +546,12 @@ def delete_update(state: ColoringState, u: int, v: int) -> tuple[ColoringState, 
         cls, nb, final = order_classes(g2, state.order)
         cu, cv = (next(f for f in final if cls[f] >> g2.pos(w) & 1) for w in (u, v))
         if not nb[cu] & cls[cv]:  # split: merge the two classes
-            z = 1 + max([*g2.vertices, *(rec.z for rec in state.order)])
-            rec = ContractionRecord(min(cu, cv), max(cu, cv), z)
+            rec = ContractionRecord(min(cu, cv), max(cu, cv), fresh_id(g2, state.order))
             order = state.order + (rec,)
             lifted, _ = lift_coloring(g2, order)
             coloring, recolored = _match_palette(lifted, state.coloring, k - 1)
             return order, [], [rec], coloring, recolored, k - 1, state.clique - {u}
-        res = replay_repair(g2, state.order, {u, v})
+        res = replay_repair(g2, state.order)
         lifted, clique, k_new = lift(g2, res.records)
         if k_new == k:
             return state.order, [], [], dict(state.coloring), frozenset(), k, clique

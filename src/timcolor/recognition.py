@@ -350,17 +350,13 @@ class PairRanking:
             return False
         return not _bfs_reach(adj, sx, self._live & ~(adj[sx] & adj[sy])) >> sy & 1
 
-    def pop_pair(self, near: Iterable[int] = ()) -> Optional[tuple[int, int]]:
-        """The two-pair to contract next as ids (a, b), a < b, or None.
+    def pop_pair(self) -> Optional[tuple[int, int]]:
+        """The first two-pair in rank order as ids (a, b), a < b, or None.
 
-        Pairs with an endpoint in N[near] of the current quotient form the
-        first tier, the other pairs the second; with an empty zone all pairs
-        form one tier. The first two-pair in rank order of the first tier
-        wins, else that of the second. Two-pair tests run lazily. Entries
-        passed over stay queued; the returned pair does not (the caller
-        contracts it).
+        Two-pair tests run lazily. Entries passed over stay queued; the
+        returned pair does not (the caller contracts it).
         """
-        adj, live, slot = self._adj, self._live, self._slot
+        adj, live = self._adj, self._live
         if self._heap is None:
             self._heap = [
                 _rank_entry(adj, self._ids, s, t, self._rng)
@@ -369,11 +365,6 @@ class PairRanking:
             ]
             heapq.heapify(self._heap)
         heap = self._heap
-        zone = 0
-        for w in near:
-            if w in slot:
-                zone |= adj[slot[w]] | 1 << slot[w]
-        first = lambda e: not zone or (zone >> e[3] | zone >> e[4]) & 1
         skipped: list[tuple] = []  # current entries passed over, in rank order
         while heap:
             entry = heapq.heappop(heap)
@@ -382,18 +373,14 @@ class PairRanking:
                 continue
             if self._rng is None and rank != -(adj[sa] & adj[sb]).bit_count():
                 continue  # stale: the current count has its own entry
-            if first(entry) and self.joinable(a, b):
+            if self.joinable(a, b):
                 for e in skipped:
                     heapq.heappush(heap, e)
                 return a, b
             skipped.append(entry)
-        # Drained with no two-pair in the first tier. The sorted entries
-        # passed over form a heap as they are, with the returned one taken out.
-        pick = next((e for e in skipped if not first(e) and self.joinable(*e[1:3])), None)
-        if pick is not None:
-            skipped.remove(pick)
+        # Drained with no two-pair: the sorted entries passed over form a heap as they are.
         self._heap = skipped
-        return None if pick is None else pick[1:3]
+        return None
 
     def complete(self) -> bool:
         """Whether the live vertices are pairwise adjacent."""

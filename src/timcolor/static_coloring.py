@@ -5,7 +5,8 @@ clique, records the contraction sequence (the solution order), and then
 lifts the trivial clique coloring and clique back through the sequence,
 reading the quotient from class bitmasks of the original graph.
 The recorded order is replayable, which is what the dynamic update layer
-relies on.
+relies on: its strict replay runs the same contraction loop,
+``contract_to_clique``, with an order to replay.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .graph import Graph
-from .recognition import PairRanking, TwoPair, _bits, is_two_pair, is_weakly_chordal
+from .recognition import PairRanking, _bits, is_weakly_chordal
 
 
 class NotWeaklyChordalError(ValueError):
@@ -25,9 +26,8 @@ class NotWeaklyChordalError(ValueError):
 class InvalidContractionError(ValueError):
     """A contraction that may not fire.
 
-    Raised by ``contract`` for a pair that is not a two-pair, and by
-    ``order_classes`` for an order record that references a dead vertex,
-    contracts an edge, pairs a vertex with itself, or reuses an id.
+    Raised by ``order_classes`` for an order record that references a dead
+    vertex, contracts an edge, pairs a vertex with itself, or reuses an id.
     """
 
 
@@ -64,11 +64,67 @@ class ColoringState:
         }
 
 
-def contract(g: Graph, pair: TwoPair, z: Optional[int] = None) -> tuple[Graph, int]:
-    """Merge a two-pair into a fresh vertex adjacent to the union neighborhood."""
-    if not is_two_pair(g, pair.x, pair.y):
-        raise InvalidContractionError(f"({pair.x},{pair.y}) is not a two-pair")
-    return g.contract_pair(pair.x, pair.y, z)
+def fresh_id(g: Graph, order: Sequence[ContractionRecord]) -> int:
+    """One above every vertex of g and every id the order names: the first
+    id a record added to the order may take."""
+    return 1 + max([-1, *g.vertices, *(rec.z for rec in order)])
+
+
+def contract_to_clique(
+    g: Graph,
+    replay: Sequence[ContractionRecord],
+    z: int,
+    rng: Optional[random.Random] = None,
+) -> tuple[list[ContractionRecord], list[ContractionRecord]]:
+    """Contract g to a clique, replaying records where they fire.
+
+    One ``PairRanking`` of g carries the loop. The records of ``replay``
+    are swept to a fixpoint, each fired while it is a two-pair of the
+    current quotient (``joinable``): a record that is not one right now may
+    become one again after later contractions fire, so deferring instead of
+    dropping keeps the invalidation from cascading through the record's
+    descendants. Then, until the quotient is complete, the first two-pair
+    in rank order (``pop_pair``) is contracted into the fresh id z, z + 1,
+    ..., each followed by another sweep. A fresh id that is live raises
+    ``GraphError``. Returns the records fired, in firing order, and the
+    records of ``replay`` that never fired.
+
+    By two-pair theory (Hayward-Hoang-Maffray) contracting a two-pair keeps
+    a weakly chordal graph weakly chordal and keeps chi, so the loop ends
+    in a clique of chi vertices, and a run out of two-pairs short of a
+    clique raises ``NotWeaklyChordalError``.
+    """
+    ranking = PairRanking(g, rng)
+    fired: list[ContractionRecord] = []
+
+    def sweep(pending):
+        """Fire every pending record that is a two-pair now, to a fixpoint."""
+        progress = True
+        while progress:
+            progress = False
+            deferred: list[ContractionRecord] = []
+            for rec in pending:
+                if ranking.joinable(rec.x, rec.y):
+                    ranking.contract(rec.x, rec.y, rec.z)
+                    fired.append(rec)
+                    progress = True
+                else:
+                    deferred.append(rec)
+            pending = deferred
+        return pending
+
+    pending = sweep(replay)
+    while not ranking.complete():
+        pair = ranking.pop_pair()
+        if pair is None:
+            raise NotWeaklyChordalError(
+                "no two-pair on a non-complete graph; input is not weakly chordal"
+            )
+        ranking.contract(*pair, z)
+        fired.append(ContractionRecord(*pair, z))
+        z += 1
+        pending = sweep(pending)
+    return fired, pending
 
 
 def run_contractions(
@@ -78,29 +134,22 @@ def run_contractions(
 ) -> tuple[ContractionRecord, ...]:
     """Contract two-pairs until none remains; returns the records.
 
-    Each step contracts the first two-pair in ``PairRanking``'s order,
-    which one ranking kept across the loop hands out. The fresh ids count
-    up from ``g.next_id``, as ``Graph.contract_pair`` hands them out; one
-    that is already live raises ``GraphError``. Raises if the final
-    quotient is not complete, or, in verify mode, which also contracts a
-    ``Graph`` copy per step, if weak chordality breaks.
+    ``contract_to_clique`` with nothing to replay: each step contracts the
+    first two-pair in ``PairRanking``'s order. The fresh ids count up from
+    ``g.next_id``, as ``Graph.contract_pair`` hands them out; one that is
+    already live raises ``GraphError``. Raises if the final quotient is not
+    complete, or, in verify mode, which then contracts a ``Graph`` copy per
+    record, if weak chordality breaks.
     """
-    records: list[ContractionRecord] = []
-    ranking = PairRanking(g, rng)
-    cur, z = g, g.next_id
-    while (pair := ranking.pop_pair()) is not None:
-        x, y = pair
-        ranking.contract(x, y, z)
-        if verify:
-            cur, _ = cur.contract_pair(x, y, z)
+    records, _ = contract_to_clique(g, (), g.next_id, rng)
+    if verify:
+        cur = g
+        for rec in records:
+            cur, _ = cur.contract_pair(rec.x, rec.y, rec.z)
             if not is_weakly_chordal(cur):
-                raise NotWeaklyChordalError(f"contraction of ({x},{y}) broke weak chordality")
-        records.append(ContractionRecord(x, y, z))
-        z += 1
-    if not ranking.complete():
-        raise NotWeaklyChordalError(
-            "no two-pair on a non-complete graph; input is not weakly chordal"
-        )
+                raise NotWeaklyChordalError(
+                    f"contraction of ({rec.x},{rec.y}) broke weak chordality"
+                )
     return tuple(records)
 
 

@@ -143,13 +143,11 @@ def reference_random_chordal_bipartite(m, n, density, rng):
     return TopologyGraph(m, n, frozenset(links))
 
 
-def reference_candidate_pairs(g, near=()):
+def reference_candidate_pairs(g):
     """Every non-adjacent pair as (a, b, is_two_pair), best first: the reference ranking.
 
-    A list-and-sort over neighbor sets. Pairs with an endpoint in N[near]
-    form the first tier, the rest the second; within a tier the two-pairs
-    come first, each part by descending common neighborhood, then
-    ascending ids.
+    A list-and-sort over neighbor sets: the two-pairs come first, each
+    part by descending common neighborhood, then ascending ids.
     """
     ids = g.vertices
     pairs = sorted(
@@ -158,16 +156,9 @@ def reference_candidate_pairs(g, near=()):
         for b in ids[i + 1 :]
         if not g.has_edge(a, b)
     )
-    zone = set()
-    for w in near:
-        if w in g:
-            zone |= {w, *g.neighbors(w)}
-    out = []
-    for first in (True, False):
-        tier = [(a, b) for _, a, b in pairs if (a in zone or b in zone) == first]
-        out += [(a, b, True) for a, b in tier if is_two_pair(g, a, b)]
-        out += [(a, b, False) for a, b in tier if not is_two_pair(g, a, b)]
-    return out
+    return [(a, b, True) for _, a, b in pairs if is_two_pair(g, a, b)] + [
+        (a, b, False) for _, a, b in pairs if not is_two_pair(g, a, b)
+    ]
 
 
 def order_of(rows):

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from timcolor import dynamic_coloring, harness
 from timcolor.dynamic_coloring import (
     UpdateReport,
+    _growth_witness,
     _match_palette,
-    clique_grows,
     delete_update,
     insert_update,
     matching_records,
@@ -30,6 +30,7 @@ from timcolor.static_coloring import (
     NotWeaklyChordalError,
     lift,
     lift_coloring,
+    run_contractions,
     static_color,
     verify_state,
 )
@@ -61,11 +62,11 @@ def pair_sets(records):
     return {frozenset((r.x, r.y)) for r in records}
 
 
-def reference_replay_repair(graph, order, hint, strict=True, exclude=(), target=None):
+def reference_replay_repair(graph, order, strict=True, exclude=(), target=None):
     """replay_repair on ``Graph`` copies: one contracted graph per fired
     record, and every pair listed and sorted before each fresh contraction.
     The reference for the ranking-driven replay."""
-    cur, kept, added, affected = graph, [], [], set(hint)
+    cur, kept, added = graph, [], []
     pending = [rec for rec in order if rec not in exclude]
     dropped = [rec for rec in order if rec in exclude]
     next_z = 1 + max([max(graph.vertices, default=-1)] + [rec.z for rec in order])
@@ -87,7 +88,7 @@ def reference_replay_repair(graph, order, hint, strict=True, exclude=(), target=
 
     cur, pending = sweep(cur, pending)
     while cur.n != target:
-        ranked = reference_candidate_pairs(cur, affected)
+        ranked = reference_candidate_pairs(cur)
         pair = next(((x, y) for x, y, two in ranked if two or not strict), None)
         if pair is None:
             break
@@ -96,10 +97,11 @@ def reference_replay_repair(graph, order, hint, strict=True, exclude=(), target=
         rec = ContractionRecord(*pair, z)
         kept.append(rec)
         added.append(rec)
-        affected.add(z)
         cur, pending = sweep(cur, pending)
     if 2 * cur.edge_count() != cur.n * (cur.n - 1) or (target is not None and cur.n != target):
-        raise NotWeaklyChordalError("order repair did not terminate in a clique")
+        raise NotWeaklyChordalError(
+            "no two-pair on a non-complete graph; input is not weakly chordal"
+        )
     return tuple(kept), dropped + pending, added
 
 
@@ -113,13 +115,13 @@ def reference_insert_update(state, u, v):
         return insert_update(state, u, v)  # I-1 and I-2-1 replay nothing
     h = state.graph.insert_edge(u, v)
     omega_b = state.color_count
-    witness = dynamic_coloring._growth_witness(state, u, v)
+    witness = _growth_witness(state, u, v)
     grows = witness is not None
     expected = omega_b + grows
 
     def attempt(strict):
         if strict:
-            res = reference_replay_repair(h, state.order, {u, v}, True)
+            res = reference_replay_repair(h, state.order, True)
             coloring, clique, k = lift(h, res[0])
             if k != expected:
                 raise NotWeaklyChordalError(f"repair clique size {k}, expected {expected}")
@@ -127,9 +129,8 @@ def reference_insert_update(state, u, v):
         for level in ([()], [(rec,) for rec in state.order]):
             best = None
             for drops in level:
-                hint = {u, v} | {w for r in drops for w in (r.x, r.y)}
                 try:
-                    res = reference_replay_repair(h, state.order, hint, False, drops, expected)
+                    res = reference_replay_repair(h, state.order, False, drops, expected)
                 except NotWeaklyChordalError:
                     continue
                 coloring, k = lift_coloring(h, res[0])
@@ -176,12 +177,12 @@ def reference_delete_update(state, u, v):
     omega_b = state.color_count
     fallback = False
     try:
-        strict = reference_replay_repair(g2, state.order, {u, v}, True)
+        strict = reference_replay_repair(g2, state.order, True)
         coloring, clique, k = lift(g2, strict[0])
         if k not in (omega_b, omega_b - 1):
             raise NotWeaklyChordalError(f"deletion changed clique size {omega_b} -> {k}")
         try:
-            res = reference_replay_repair(g2, state.order, {u, v}, False, (), k)
+            res = reference_replay_repair(g2, state.order, False, (), k)
         except NotWeaklyChordalError:
             res = strict
         else:
@@ -238,8 +239,19 @@ class TestReplayRepair:
         if event is None:
             return
         h, u, v = event
-        expected = replay_outcome(reference_replay_repair, h, state.order, {u, v})
-        assert replay_outcome(replay_repair, h, state.order, {u, v}) == expected
+        expected = replay_outcome(reference_replay_repair, h, state.order)
+        assert replay_outcome(replay_repair, h, state.order) == expected
+
+    @given(weakly_chordal_graphs())
+    @settings(max_examples=100, deadline=None)
+    def test_empty_order_replays_as_static(self, g):
+        """With no order to replay, the strict replay adds run_contractions'
+        records: both run one loop, and the first fresh id is next_id when
+        next_id is one above the largest id."""
+        g = Graph(g.vertices, g.edges())
+        res = replay_repair(g, ())
+        assert res.records == run_contractions(g)
+        assert res.removed == [] and res.added == list(res.records)
 
     @pytest.mark.parametrize(
         "order, message",
@@ -248,9 +260,9 @@ class TestReplayRepair:
     def test_malformed_records_raise_as_reference(self, order, message):
         """A two-pair record whose z is live, a parent's id or another's."""
         order = order_of(order)
-        expected = replay_outcome(reference_replay_repair, path(4), order, set())
+        expected = replay_outcome(reference_replay_repair, path(4), order)
         assert expected == (GraphError, message)
-        assert replay_outcome(replay_repair, path(4), order, set()) == expected
+        assert replay_outcome(replay_repair, path(4), order) == expected
 
 
 def assert_agrees(new, report, expected, expected_report):
@@ -367,13 +379,13 @@ class TestStoppingRule:
 
 class TestCliqueGrows:
     def test_p3_closing_triangle(self):
-        assert clique_grows(static_color(path(3)), 0, 2)
+        assert _growth_witness(static_color(path(3)), 0, 2) is not None
 
     def test_c4_chord(self):
-        assert clique_grows(static_color(cycle(4)), 0, 2)
+        assert _growth_witness(static_color(cycle(4)), 0, 2) is not None
 
     def test_fig6_diagonal_does_not_grow(self, fig6):
-        assert not clique_grows(static_color(fig6), 1, 4)
+        assert _growth_witness(static_color(fig6), 1, 4) is None
 
     @given(st.integers(0, 10_000), st.booleans())
     @settings(max_examples=40, deadline=None)
@@ -592,9 +604,9 @@ def ladder_path(state, u, v):
     modes = []
     reference = reference_replay_repair
 
-    def counted(graph, order, hint, strict=True, exclude=(), target=None):
+    def counted(graph, order, strict=True, exclude=(), target=None):
         modes.append(strict)
-        return reference(graph, order, hint, strict, exclude, target)
+        return reference(graph, order, strict, exclude, target)
 
     globals()["reference_replay_repair"] = counted
     try:
@@ -859,7 +871,7 @@ class TestShortcuts:
         """The shortcut equals the lenient replay it skips."""
         new, rep = insert_update(state, u, v)
         h = state.graph.insert_edge(u, v)
-        records, removed, added = reference_replay_repair(h, state.order, {u, v}, strict=False)
+        records, removed, added = reference_replay_repair(h, state.order, strict=False)
         coloring, k = lift_coloring(h, records)
         assert rep.case_label == "I-1"
         assert new.order == records
@@ -875,7 +887,7 @@ class TestShortcuts:
         """The order is kept, as rung 0 of the ladder it skips keeps it."""
         new, rep = insert_update(state, u, v)
         h = state.graph.insert_edge(u, v)
-        records, removed, added = reference_replay_repair(h, state.order, {u, v}, strict=False)
+        records, removed, added = reference_replay_repair(h, state.order, strict=False)
         coloring, k = lift_coloring(h, records)
         assert rep.case_label == "I-2-1" and k == state.color_count
         assert new.order == records == state.order

@@ -22,7 +22,6 @@ from timcolor.static_coloring import (
     InvalidContractionError,
     NotWeaklyChordalError,
     chromatic_number,
-    contract,
     diagnose_state,
     lift,
     lift_coloring,
@@ -46,6 +45,15 @@ def cycle(n):
 
 def clique(n):
     return make_graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+
+
+def contract(g, pair, z=None):
+    """Merge a two-pair into a fresh vertex adjacent to the union
+    neighborhood, refusing a pair that is not a two-pair: the reference
+    step of the contraction cases."""
+    if not is_two_pair(g, pair.x, pair.y):
+        raise InvalidContractionError(f"({pair.x},{pair.y}) is not a two-pair")
+    return g.contract_pair(pair.x, pair.y, z)
 
 
 def reference_contractions(g):
@@ -325,7 +333,7 @@ class TestLift:
         update = delete_update if g.has_edge(u, v) else insert_update
         orders = [update(state, u, v)[0].order]
         try:
-            orders.append(replay_repair(h, state.order, {u, v}).records)
+            orders.append(replay_repair(h, state.order).records)
         except NotWeaklyChordalError:
             pass
         for order in orders:
