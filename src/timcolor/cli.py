@@ -293,12 +293,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _report_error(exc: Exception, as_json: bool, code: int) -> int:
+    event = getattr(exc, "event", None)  # the report of a trial's failing event
     if as_json:
-        sys.stderr.write(json.dumps(
-            {"error": type(exc).__name__, "message": str(exc), "exit_code": code},
-            sort_keys=True) + "\n")
+        payload = {"error": type(exc).__name__, "message": str(exc), "exit_code": code}
+        if event is not None:
+            payload["event"] = event
+        sys.stderr.write(json.dumps(payload, sort_keys=True) + "\n")
     else:
-        sys.stderr.write(f"timcolor: error: {exc}\n")
+        where = "" if event is None else (
+            f" at event {event['seq']}: {event['kind']} ({event['u']},{event['v']}),"
+            f" case {event['case']}")
+        sys.stderr.write(f"timcolor: error: {exc}{where}\n")
     return code
 
 

@@ -149,26 +149,18 @@ def _growth_witness(state: ColoringState, u: int, v: int) -> Optional[frozenset[
 # order repair by replay
 # ---------------------------------------------------------------------------
 
-@dataclass
-class RepairResult:
-    records: tuple[ContractionRecord, ...]
-    removed: list[ContractionRecord]
-    added: list[ContractionRecord]
-
-
-def replay_repair(graph: Graph, order: tuple[ContractionRecord, ...]) -> RepairResult:
+def replay_repair(graph: Graph, order: tuple[ContractionRecord, ...]) -> tuple[ContractionRecord, ...]:
     """Replay the order on a perturbed graph, dropping and replacing records.
 
     ``contract_to_clique`` on ``graph``, with the order to replay and fresh
     ids from ``fresh_id``: a record that never becomes a two-pair of the
-    quotient is removed (its parent died, or its pair became an edge or is
+    quotient is dropped (its parent died, or its pair became an edge or is
     no longer a two-pair), and the first two-pairs in rank order are added
     until the quotient is a clique of chi vertices; a run out of two-pairs
-    short of a clique raises. Callers certify the result through ``lift``.
+    short of a clique raises. Returns the new order, kept records unchanged
+    and added ones at or above ``fresh_id``; callers certify it by ``lift``.
     """
-    z = fresh_id(graph, order)
-    records, removed = contract_to_clique(graph, order, z)
-    return RepairResult(tuple(records), removed, [rec for rec in records if rec.z >= z])
+    return contract_to_clique(graph, order, fresh_id(graph, order))
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +254,7 @@ def _min_cost_assignment(cost: list[list[int]]) -> list[int]:
 
 def _match_palette(
     new_coloring: dict[int, int], old_coloring: dict[int, int], k: int
-) -> tuple[dict[int, int], frozenset[int]]:
+) -> dict[int, int]:
     """Relabel a fresh lift's colors 1..k onto 1..k so that as many vertices
     as possible keep their old color (exact maximum-overlap assignment).
 
@@ -276,33 +268,35 @@ def _match_palette(
         if 0 < oc <= k:
             overlap[c - 1][oc - 1] += 1
     relabel = _min_cost_assignment([[-o for o in row] for row in overlap])
-    final = {v: relabel[c - 1] + 1 for v, c in new_coloring.items()}
-    recolored = frozenset(v for v, c in final.items() if old_coloring.get(v) != c)
-    return final, recolored
+    return {v: relabel[c - 1] + 1 for v, c in new_coloring.items()}
 
 
 # ---------------------------------------------------------------------------
 # the dynamic updates
 # ---------------------------------------------------------------------------
 
-def _fallback(graph: Graph, old: ColoringState) -> tuple[ColoringState, frozenset[int]]:
+def _fallback(graph: Graph, old: ColoringState) -> ColoringState:
     log.warning("dynamic repair exhausted; falling back to full static recompute")
     new = static_color(graph)
-    new.coloring, recolored = _match_palette(new.coloring, old.coloring, new.color_count)
-    return new, recolored
+    new.coloring = _match_palette(new.coloring, old.coloring, new.color_count)
+    return new
 
 
 def _finish(
     old: ColoringState, graph: Graph, kind: str, u: int, v: int,
-    case: Optional[str] = None, repair: Optional[Callable[[], tuple]] = None,
+    case: Optional[str] = None, repair: Optional[Callable[[], ColoringState]] = None,
 ) -> tuple[ColoringState, UpdateReport]:
     """The post-event state on `graph` and its report.
 
-    `repair()` returns the new order, its removed and added records, the
-    coloring, the recolored vertices, the color count and the clique;
-    without a repair the old state moves onto `graph` unchanged. A repair
-    that raises ``NotWeaklyChordalError`` falls back to a static recompute,
-    reported as removing the whole old order and adding the new one. An
+    Without a repair the old state moves onto `graph` unchanged and the
+    report changes nothing. Otherwise `repair()` returns the new state, and
+    the report is read off the two states: the vertices whose color differs,
+    and the records of each order whose z the other lacks, in its order's
+    sequence. Every repair keeps old records unchanged and gives each added
+    one an id at or above ``fresh_id(old.graph, old.order)``, so a z names
+    one record in both orders. A repair that raises ``NotWeaklyChordalError``
+    falls back to a static recompute, whose ids restart at ``next_id``: it
+    is reported as removing the whole old order and adding the new one. An
     insertion passes its case; a deletion's is read off the count it ends
     at, D-1 when it keeps k and D-2 when it lowers it.
     """
@@ -313,12 +307,15 @@ def _finish(
         recolored, removed, added = frozenset(), [], []
     else:
         try:
-            order, removed, added, coloring, recolored, k_new, clique = repair()
-            new = ColoringState(graph, coloring, k_new, clique, order)
+            new = repair()
         except NotWeaklyChordalError:
-            fallback = True
-            new, recolored = _fallback(graph, old)
+            fallback, new = True, _fallback(graph, old)
             removed, added = list(old.order), list(new.order)
+        else:
+            old_ids, new_ids = {rec.z for rec in old.order}, {rec.z for rec in new.order}
+            removed = [rec for rec in old.order if rec.z not in new_ids]
+            added = [rec for rec in new.order if rec.z not in old_ids]
+        recolored = frozenset(w for w, c in new.coloring.items() if old.coloring.get(w) != c)
     if kind == "delete":
         case = "D-1" if new.color_count == k else "D-2"
     return new, UpdateReport(
@@ -328,8 +325,8 @@ def _finish(
 
 def _break_and_place(
     state: ColoringState, r1: ContractionRecord, u: int, v: int, expected: int
-) -> Optional[RepairResult]:
-    """The repair of the first rung whose pieces place into `expected`
+) -> Optional[tuple[ContractionRecord, ...]]:
+    """The order of the first rung whose pieces place into `expected`
     classes of G+uv, or None (see ``insert_update``)."""
     g, order = state.graph, state.order
     cls, nb, final = order_classes(g, order)
@@ -377,25 +374,16 @@ def _break_and_place(
         return added
 
     base = chain(r1)
-    best = None  # (removed records, the one listed first, added records)
-    added = place([base])
-    if added is not None:
-        best = (set(base), r1, added)
-    else:  # rung 1: the fewest removed records, the first rec on a tie
+    gone, added = set(base), place([base])
+    if added is None:  # rung 1: the fewest removed records, the first rec on a tie
         for rec in order:
             extra = chain(rec)
-            gone = set(base) | set(extra)
-            if len(gone) == len(base) or best and len(gone) >= len(best[0]):
-                continue
-            added = place([base, extra])
-            if added is not None:
-                best = (gone, rec, added)
-    if best is None:
-        return None
-    gone, first, added = best
-    # the broken record leads, then the records downstream, in order
-    removed = [first, *(r for r in order if r in gone and r != first)]
-    return RepairResult(tuple(r for r in order if r not in gone) + tuple(added), removed, added)
+            both = set(base) | set(extra)
+            if len(both) > len(base) and (added is None or len(both) < len(gone)):
+                placed = place([base, extra])
+                if placed is not None:
+                    gone, added = both, placed
+    return None if added is None else tuple(r for r in order if r not in gone) + tuple(added)
 
 
 def insert_update(state: ColoringState, u: int, v: int) -> tuple[ColoringState, UpdateReport]:
@@ -469,12 +457,11 @@ def insert_update(state: ColoringState, u: int, v: int) -> tuple[ColoringState, 
             for w in (u, v):  # the smallest palette color free around w
                 free = set(range(1, k + 1)) - {coloring[x] for x in h.neighbors(w)}
                 if free:
-                    coloring[w], recolored = min(free), frozenset((w,))
+                    coloring[w] = min(free)
                     break
             else:
-                lifted, _ = lift_coloring(h, state.order)
-                coloring, recolored = _match_palette(lifted, state.coloring, k)
-            return state.order, [], [], coloring, recolored, k, state.clique
+                coloring = _match_palette(lift_coloring(h, state.order)[0], state.coloring, k)
+            return ColoringState(h, coloring, k, state.clique, state.order)
 
         return _finish(state, h, "insert", u, v, "I-2-1", recolor)
     witness = _growth_witness(state, u, v)
@@ -482,25 +469,24 @@ def insert_update(state: ColoringState, u: int, v: int) -> tuple[ColoringState, 
     expected = k + grows
 
     def repair():
-        res = _break_and_place(state, matches[0], u, v, expected)
-        if res is not None:
+        order = _break_and_place(state, matches[0], u, v, expected)
+        if order is not None:
             # The old clique certifies an unchanged omega, the growth witness
             # omega + 1. I-3-2 keeps the old coloring, so only I-3-1 lifts one.
             clique = witness
             if not grows:
-                lifted, _ = lift_coloring(h, res.records)
+                lifted, _ = lift_coloring(h, order)
         else:  # the strict two-pair replay, certified by its own lift
-            res = replay_repair(h, state.order)
-            lifted, clique, k_new = lift(h, res.records)
+            order = replay_repair(h, state.order)
+            lifted, clique, k_new = lift(h, order)
             if k_new != expected:
                 raise NotWeaklyChordalError(f"repair clique size {k_new}, expected {expected}")
         if grows:  # I-3-2: one endpoint takes the brand-new color
-            w = min(u, v)
-            coloring, recolored = {**state.coloring, w: expected}, frozenset((w,))
+            coloring = {**state.coloring, min(u, v): expected}
         else:
-            coloring, recolored = _match_palette(lifted, state.coloring, expected)
+            coloring = _match_palette(lifted, state.coloring, expected)
             clique = state.clique
-        return res.records, res.removed, res.added, coloring, recolored, expected, clique
+        return ColoringState(h, coloring, expected, clique, order)
 
     return _finish(state, h, "insert", u, v, "I-3-2" if grows else "I-3-1", repair)
 
@@ -548,16 +534,14 @@ def delete_update(state: ColoringState, u: int, v: int) -> tuple[ColoringState, 
         if not nb[cu] & cls[cv]:  # split: merge the two classes
             rec = ContractionRecord(min(cu, cv), max(cu, cv), fresh_id(g2, state.order))
             order = state.order + (rec,)
-            lifted, _ = lift_coloring(g2, order)
-            coloring, recolored = _match_palette(lifted, state.coloring, k - 1)
-            return order, [], [rec], coloring, recolored, k - 1, state.clique - {u}
-        res = replay_repair(g2, state.order)
-        lifted, clique, k_new = lift(g2, res.records)
+            coloring = _match_palette(lift_coloring(g2, order)[0], state.coloring, k - 1)
+            return ColoringState(g2, coloring, k - 1, state.clique - {u}, order)
+        order = replay_repair(g2, state.order)
+        lifted, clique, k_new = lift(g2, order)
         if k_new == k:
-            return state.order, [], [], dict(state.coloring), frozenset(), k, clique
+            return ColoringState(g2, dict(state.coloring), k, clique, state.order)
         if k_new != k - 1:
             raise NotWeaklyChordalError(f"deletion changed clique size {k} -> {k_new}")
-        coloring, recolored = _match_palette(lifted, state.coloring, k_new)
-        return res.records, res.removed, res.added, coloring, recolored, k_new, clique
+        return ColoringState(g2, _match_palette(lifted, state.coloring, k_new), k_new, clique, order)
 
     return _finish(state, g2, "delete", u, v, repair=repair)

@@ -75,7 +75,7 @@ def contract_to_clique(
     replay: Sequence[ContractionRecord],
     z: int,
     rng: Optional[random.Random] = None,
-) -> tuple[list[ContractionRecord], list[ContractionRecord]]:
+) -> tuple[ContractionRecord, ...]:
     """Contract g to a clique, replaying records where they fire.
 
     One ``PairRanking`` of g carries the loop. The records of ``replay``
@@ -86,8 +86,8 @@ def contract_to_clique(
     descendants. Then, until the quotient is complete, the first two-pair
     in rank order (``pop_pair``) is contracted into the fresh id z, z + 1,
     ..., each followed by another sweep. A fresh id that is live raises
-    ``GraphError``. Returns the records fired, in firing order, and the
-    records of ``replay`` that never fired.
+    ``GraphError``. Returns the records fired, in firing order, which leave
+    out every record of ``replay`` that never fired.
 
     By two-pair theory (Hayward-Hoang-Maffray) contracting a two-pair keeps
     a weakly chordal graph weakly chordal and keeps chi, so the loop ends
@@ -124,33 +124,7 @@ def contract_to_clique(
         fired.append(ContractionRecord(*pair, z))
         z += 1
         pending = sweep(pending)
-    return fired, pending
-
-
-def run_contractions(
-    g: Graph,
-    rng: Optional[random.Random] = None,
-    verify: bool = False,
-) -> tuple[ContractionRecord, ...]:
-    """Contract two-pairs until none remains; returns the records.
-
-    ``contract_to_clique`` with nothing to replay: each step contracts the
-    first two-pair in ``PairRanking``'s order. The fresh ids count up from
-    ``g.next_id``, as ``Graph.contract_pair`` hands them out; one that is
-    already live raises ``GraphError``. Raises if the final quotient is not
-    complete, or, in verify mode, which then contracts a ``Graph`` copy per
-    record, if weak chordality breaks.
-    """
-    records, _ = contract_to_clique(g, (), g.next_id, rng)
-    if verify:
-        cur = g
-        for rec in records:
-            cur, _ = cur.contract_pair(rec.x, rec.y, rec.z)
-            if not is_weakly_chordal(cur):
-                raise NotWeaklyChordalError(
-                    f"contraction of ({rec.x},{rec.y}) broke weak chordality"
-                )
-    return tuple(records)
+    return tuple(fired)
 
 
 def order_classes(
@@ -263,12 +237,28 @@ def static_color(
     rng: Optional[random.Random] = None,
     verify: bool = False,
 ) -> ColoringState:
-    """Simultaneous maximum clique and minimum coloring via contraction."""
+    """Simultaneous maximum clique and minimum coloring via contraction.
+
+    ``contract_to_clique`` with nothing to replay: each step contracts the
+    first two-pair in ``PairRanking``'s order. The fresh ids count up from
+    ``g.next_id``, as ``Graph.contract_pair`` hands them out; one that is
+    already live raises ``GraphError``. Verify mode raises when g is not
+    weakly chordal, or when a ``Graph`` copy contracted per record stops
+    being so.
+    """
     if verify and not is_weakly_chordal(g):
         raise NotWeaklyChordalError("input graph is not weakly chordal")
     if g.n == 0:
         return ColoringState(g, {}, 0, frozenset(), ())
-    records = run_contractions(g, rng, verify)
+    records = contract_to_clique(g, (), g.next_id, rng)
+    if verify:
+        cur = g
+        for rec in records:
+            cur, _ = cur.contract_pair(rec.x, rec.y, rec.z)
+            if not is_weakly_chordal(cur):
+                raise NotWeaklyChordalError(
+                    f"contraction of ({rec.x},{rec.y}) broke weak chordality"
+                )
     coloring, clique, k = lift(g, records)
     return ColoringState(g, coloring, k, clique, records)
 

@@ -17,6 +17,7 @@ import pytest
 
 import timcolor
 from timcolor.cli import EXIT_ASSERTION, EXIT_OK, EXIT_USAGE, build_parser, main
+from timcolor.harness import TrialConfig, run_simulation
 
 from conftest import load_fixture
 
@@ -408,6 +409,30 @@ class TestSimulate:
         assert code == EXIT_ASSERTION
         assert not out and err == "timcolor: error: initial conflict graph is not weakly chordal\n"
 
+    def test_failing_event_is_named(self, capsys, tmp_path):
+        """A failing trial names the event that failed: its seq, kind,
+        endpoints and case in the message, its report as ``"event"`` under
+        ``--json``. Bound 0 fails at the first insert that changes a pair or
+        a colour, the one an unbounded run of the same trial reports."""
+        cfg = {"M": 6, "N": 6, "event_count": 40}
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps(cfg))
+        argv = ["simulate", str(cfg_file), "--seed", "3", "--bound", "0"]
+        code, out, err = run(capsys, "--json", *argv)
+        assert code == EXIT_ASSERTION and not out
+        payload = json.loads(err)
+        event = payload["event"]
+        unbounded = run_simulation(TrialConfig(seed=3, assert_bound=False, **cfg))
+        first = next(e for e in unbounded.events if e.kind == "insert" and (e.pairs_changed or e.recolored))
+        assert event == first.to_dict()
+        assert payload["message"] == f"pairs changed {first.pairs_changed} > bound 0"
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_ASSERTION and not out
+        assert err == (
+            f"timcolor: error: {payload['message']} at event {first.seq}: insert"
+            f" ({first.u},{first.v}), case {first.case_label}\n"
+        )
+
     def test_missing_topology_file_is_usage_error(self, capsys, tmp_path):
         missing = tmp_path / "nope.json"
         cfg_file = tmp_path / "cfg.json"
@@ -455,10 +480,11 @@ class TestParser:
 
 
 def test_import_loads_no_numpy_or_scipy():
-    """Every CLI call pays the import, so the package stays dependency-free."""
+    """Every CLI call pays the import of the package, the CLI and the
+    harness, so they stay dependency-free."""
     src = str(Path(timcolor.__file__).resolve().parent.parent)
     out = subprocess.run(
-        [sys.executable, "-c", "import sys, timcolor; print(*sys.modules)"],
+        [sys.executable, "-c", "import sys, timcolor, timcolor.cli, timcolor.harness; print(*sys.modules)"],
         env={**os.environ, "PYTHONPATH": src},
         capture_output=True, text=True, check=True,
     ).stdout

@@ -28,9 +28,9 @@ from timcolor.static_coloring import (
     ColoringState,
     ContractionRecord,
     NotWeaklyChordalError,
+    fresh_id,
     lift,
     lift_coloring,
-    run_contractions,
     static_color,
     verify_state,
 )
@@ -60,6 +60,11 @@ def clique(n):
 
 def pair_sets(records):
     return {frozenset((r.x, r.y)) for r in records}
+
+
+def color_changes(old, new):
+    """The vertices whose color differs from one coloring to the other."""
+    return frozenset(v for v, c in new.items() if old.get(v) != c)
 
 
 def reference_replay_repair(graph, order, strict=True, exclude=(), target=None):
@@ -154,12 +159,14 @@ def reference_insert_update(state, u, v):
             w = min(u, v)
             coloring, recolored = {**state.coloring, w: omega_b + 1}, frozenset((w,))
         else:
-            coloring, recolored = _match_palette(coloring, state.coloring, k)
+            coloring = _match_palette(coloring, state.coloring, k)
+            recolored = color_changes(state.coloring, coloring)
             clique = state.clique
     except NotWeaklyChordalError:
         fallback = True
-        new, recolored = dynamic_coloring._fallback(h, state)
+        new = dynamic_coloring._fallback(h, state)
         order, coloring, clique, k = new.order, new.coloring, new.clique, new.color_count
+        recolored = color_changes(state.coloring, coloring)
         removed, added = list(state.order), list(order)
     case = "I-3-2" if grows else "I-3-1"
     report = UpdateReport("insert", u, v, case, recolored, removed, added, omega_b, k, fallback)
@@ -193,11 +200,13 @@ def reference_delete_update(state, u, v):
         if k == omega_b:
             coloring, recolored = dict(state.coloring), frozenset()
         else:
-            coloring, recolored = _match_palette(coloring, state.coloring, k)
+            coloring = _match_palette(coloring, state.coloring, k)
+            recolored = color_changes(state.coloring, coloring)
     except NotWeaklyChordalError:
         fallback = True
-        new, recolored = dynamic_coloring._fallback(g2, state)
+        new = dynamic_coloring._fallback(g2, state)
         order, coloring, clique, k = new.order, new.coloring, new.clique, new.color_count
+        recolored = color_changes(state.coloring, coloring)
         removed, added = list(state.order), list(order)
     case = "D-1" if k == omega_b else "D-2"
     report = UpdateReport("delete", u, v, case, recolored, removed, added, omega_b, k, fallback)
@@ -221,10 +230,16 @@ def reference_find_clique(adj, cand, size):
 def replay_outcome(replay, *args, **kwargs):
     """(records, removed, added) of a replay, or the type and text of its error."""
     try:
-        res = replay(*args, **kwargs)
+        return replay(*args, **kwargs)
     except (NotWeaklyChordalError, GraphError) as exc:
         return type(exc), str(exc)
-    return res if isinstance(res, tuple) else (res.records, res.removed, res.added)
+
+
+def diffed_replay_repair(graph, order):
+    """replay_repair's records, with the records of the replayed order it
+    lacks and those it adds, as the reference lists them."""
+    records = replay_repair(graph, order)
+    return records, [r for r in order if r not in records], [r for r in records if r not in order]
 
 
 class TestReplayRepair:
@@ -240,18 +255,16 @@ class TestReplayRepair:
             return
         h, u, v = event
         expected = replay_outcome(reference_replay_repair, h, state.order)
-        assert replay_outcome(replay_repair, h, state.order) == expected
+        assert replay_outcome(diffed_replay_repair, h, state.order) == expected
 
     @given(weakly_chordal_graphs())
     @settings(max_examples=100, deadline=None)
     def test_empty_order_replays_as_static(self, g):
-        """With no order to replay, the strict replay adds run_contractions'
+        """With no order to replay, the strict replay adds static_color's
         records: both run one loop, and the first fresh id is next_id when
         next_id is one above the largest id."""
         g = Graph(g.vertices, g.edges())
-        res = replay_repair(g, ())
-        assert res.records == run_contractions(g)
-        assert res.removed == [] and res.added == list(res.records)
+        assert replay_repair(g, ()) == static_color(g).order
 
     @pytest.mark.parametrize(
         "order, message",
@@ -262,19 +275,22 @@ class TestReplayRepair:
         order = order_of(order)
         expected = replay_outcome(reference_replay_repair, path(4), order)
         assert expected == (GraphError, message)
-        assert replay_outcome(replay_repair, path(4), order) == expected
+        assert replay_outcome(diffed_replay_repair, path(4), order) == expected
 
 
-def assert_agrees(new, report, expected, expected_report):
+def assert_agrees(old, new, report, expected, expected_report):
     """The update's report and state against the reference's.
 
-    They are equal, except where an I-3 insert placed its pieces and the
-    reference's lenient ladder completed greedily: both break the same
-    records, but may merge the pieces into other pairs. There the case,
-    colour counts, clique, removed records, kept records and pair count
-    agree, and the state verifies.
+    The update lists removed records in the old order's sequence, and the
+    reference's rung 1 lists the record it drops first, so the reference's
+    are put in the old order's sequence. Then they are equal, except where
+    an I-3 insert placed its pieces and the reference's lenient ladder
+    completed greedily: both break the same records, but may merge the
+    pieces into other pairs. There the case, colour counts, clique, removed
+    records, kept records and pair count agree, and the state verifies.
     """
     got, want = report.to_dict(), expected_report.to_dict()
+    want["pairs_removed"].sort(key=[r.as_list() for r in old.order].index)
     if got != want and report.case_label in ("I-3-1", "I-3-2"):
         for d in (got, want):
             d["added"] = len(d.pop("pairs_added"))
@@ -313,10 +329,11 @@ def walk_against_reference(state, rng, steps):
         calls.clear()
         dynamic_coloring.replay_repair = counted
         try:
-            state, report = update(state, ev.u, ev.v)
+            new, report = update(state, ev.u, ev.v)
         finally:
             dynamic_coloring.replay_repair = replay
-        assert_agrees(state, report, expected, expected_report)
+        assert_agrees(state, new, report, expected, expected_report)
+        state = new
         paths.append((report.case_label, bool(calls)))
     return paths
 
@@ -369,7 +386,7 @@ class TestStoppingRule:
                 expected, expected_report = reference(state, ev.u, ev.v)
                 lifts.clear()
                 new, report = update(state, ev.u, ev.v)
-                assert_agrees(new, report, expected, expected_report)
+                assert_agrees(state, new, report, expected, expected_report)
                 state = new
                 if report.case_label == "I-3-2":
                     i32 += 1
@@ -643,9 +660,9 @@ class TestInsertReplays:
             calls.clear()
             new, rep = update(state, ev.u, ev.v)
             assert len(calls) == (rung == "strict")
-            if rung != "strict":
+            if rung != "strict":  # the reference's rung 1 lists its dropped record first
                 removed = expected.pairs_removed
-                assert rep.pairs_removed == removed
+                assert rep.pairs_removed == sorted(removed, key=state.order.index)
                 assert new.order[: len(new.order) - len(rep.pairs_added)] == tuple(
                     r for r in state.order if r not in removed
                 )
@@ -655,6 +672,71 @@ class TestInsertReplays:
             outcomes.add((rep.case_label, rung))
         assert outcomes == {("I-3-1", 0), ("I-3-1", 1), ("I-3-1", "strict"), ("I-3-2", 0)}
         assert recolored[0] <= recolored[1]
+
+
+def downstream(order, rec):
+    """rec and the records downstream of it, up to its final class."""
+    ids, out = {rec.z}, [rec]
+    for r in order[order.index(rec) + 1 :]:
+        if r.x in ids or r.y in ids:
+            ids.add(r.z)
+            out.append(r)
+    return out
+
+
+def repair_path(state, new, rep, replayed):
+    """How an update was decided: by a shortcut, the free colour or the lift
+    of I-2-1, the rung of an I-3 insert, a split, or the strict replay."""
+    if replayed:
+        return "strict"
+    u, v = rep.u, rep.v
+    if rep.kind == "delete":
+        return "split" if {u, v} <= state.clique else "shortcut"
+    matches = matching_records(state.order, u, v)
+    if matches:
+        return 0 if set(rep.pairs_removed) == set(downstream(state.order, matches[0])) else 1
+    if state.coloring[u] != state.coloring[v]:
+        return "shortcut"
+    palette = set(range(1, state.color_count + 1))
+    free = any(palette - {state.coloring[x] for x in new.graph.neighbors(w)} for w in (u, v))
+    return "free" if free else "lift"
+
+
+class TestReportIsStateDifference:
+    def test_every_report_is_the_difference_of_its_states(self, monkeypatch):
+        """Each update's removed and added records are the records of the old
+        and the new order that the other lacks, in their order's sequence;
+        its recolored vertices are those whose colour changed, and every
+        added record takes an id at or above ``fresh_id``. The walks, with
+        every I-2-1 insert open at each of their states, reach every path
+        but the fallback, whose whole-order report ``TestFallback`` covers:
+        the walks alone rarely reach the lift of I-2-1."""
+        calls = []
+        replay = dynamic_coloring.replay_repair
+
+        def counted(*args):
+            calls.append(args)
+            return replay(*args)
+
+        monkeypatch.setattr(dynamic_coloring, "replay_repair", counted)
+        paths = set()
+        for state, ev, update, _ in walk_events():
+            first = fresh_id(state.graph, state.order)
+            events = [(update, ev.u, ev.v)] + [(insert_update, u, v) for u, v in i21_events(state)]
+            for step, u, v in events:
+                calls.clear()
+                new, rep = step(state, u, v)
+                assert rep.pairs_removed == [r for r in state.order if r not in new.order]
+                assert rep.pairs_added == [r for r in new.order if r not in state.order]
+                assert rep.recolored == color_changes(state.coloring, new.coloring)
+                assert all(r.z >= first for r in rep.pairs_added)
+                assert not rep.fallback_used
+                paths.add((rep.case_label, repair_path(state, new, rep, bool(calls))))
+        assert paths == {
+            ("I-1", "shortcut"), ("I-2-1", "free"), ("I-2-1", "lift"),
+            ("I-3-1", 0), ("I-3-1", 1), ("I-3-1", "strict"), ("I-3-2", 0),
+            ("D-1", "shortcut"), ("D-2", "split"), ("D-1", "strict"), ("D-2", "strict"),
+        }
 
 
 def brute_force_placement(pieces, bins):
@@ -893,8 +975,9 @@ class TestShortcuts:
         assert new.order == records == state.order
         assert removed == added == [] and rep.pairs_changed == 0
         assert new.clique == state.clique and new.color_count == rep.colors_after == k
+        assert rep.recolored == color_changes(state.coloring, new.coloring)
         if len(rep.recolored) != 1:  # neither endpoint had a free color
-            assert (new.coloring, rep.recolored) == _match_palette(coloring, state.coloring, k)
+            assert new.coloring == _match_palette(coloring, state.coloring, k)
         assert verify_state(new)
         return rep
 
@@ -974,16 +1057,15 @@ class TestPalette:
         extra = data.draw(st.lists(st.integers(1, k), max_size=10))
         new = dict(enumerate(list(range(1, k + 1)) + extra))  # a lift uses all of 1..k
         old = data.draw(st.dictionaries(st.sampled_from(sorted(new)), st.integers(1, k + 1)))
-        final, recolored = _match_palette(new, old, k)
+        final = _match_palette(new, old, k)
         relabel = {c: final[v] for v, c in new.items()}
         assert all(final[v] == relabel[c] for v, c in new.items())
         assert sorted(relabel.values()) == list(range(1, k + 1))
-        assert recolored == {v for v, c in final.items() if old.get(v) != c}
         fewest = min(
             sum(old.get(v) != perm[c - 1] for v, c in new.items())
             for perm in itertools.permutations(range(1, k + 1))
         )
-        assert len(recolored) == fewest
+        assert len(color_changes(old, final)) == fewest
 
 
 class TestDropLadder:

@@ -26,7 +26,6 @@ from timcolor.static_coloring import (
     lift,
     lift_coloring,
     order_classes,
-    run_contractions,
     static_color,
     verify_state,
 )
@@ -57,7 +56,7 @@ def contract(g, pair, z=None):
 
 
 def reference_contractions(g):
-    """Records of the per-step list-and-sort loop: the reference for run_contractions.
+    """Records of the per-step list-and-sort loop: the reference for static_color's order.
 
     Every step sorts all non-adjacent pairs by descending common
     neighborhood, then ascending ids, and contracts the first two-pair.
@@ -235,7 +234,7 @@ class TestStaticColor:
 
     def test_fresh_ids_count_up_from_next_id(self):
         g = Graph([0, 1, 2, 3], [(0, 1), (2, 3)], next_id=10)
-        assert [r.z for r in run_contractions(g)] == [10, 11]
+        assert [r.z for r in static_color(g).order] == [10, 11]
 
     def test_static_color_contracts_no_graph(self, monkeypatch):
         """static_color contracts on the ranking's masks; verify mode adds one Graph per record."""
@@ -287,8 +286,8 @@ class TestStaticColor:
     def test_records_match_reference(self, g, seed):
         """Same records as the sorting loop, on ids that are not contiguous too."""
         expected = reference_contractions(g)
-        assert run_contractions(g) == expected
-        assert run_contractions(g, verify=True) == expected
+        assert static_color(g).order == expected
+        assert static_color(g, verify=True).order == expected
         # the rng path draws another order with the same color count
         shuffled = static_color(g, rng=random.Random(seed))
         assert verify_state(shuffled)
@@ -302,7 +301,7 @@ class TestStaticColor:
                 random_convex(3 * size, 3 * size, rng),
             ):
                 g = build_conflict_graph(topo, all_unicast_messages(topo)).graph
-                assert run_contractions(g) == reference_contractions(g)
+                assert static_color(g).order == reference_contractions(g)
 
     def test_chromatic_number_helper(self, c5=None):
         assert chromatic_number(cycle(4)) == 2
@@ -313,8 +312,8 @@ class TestLift:
     @given(weakly_chordal_graphs(), st.integers(0, 10_000))
     @settings(max_examples=150, deadline=None)
     def test_static_orders_match_chain_lift(self, g, seed):
-        check_lift(g, run_contractions(g))
-        check_lift(g, run_contractions(g, rng=random.Random(seed)))
+        check_lift(g, static_color(g).order)
+        check_lift(g, static_color(g, rng=random.Random(seed)).order)
 
     @given(weakly_chordal_graphs(), st.integers(0, 10_000))
     @settings(max_examples=150, deadline=None)
@@ -333,7 +332,7 @@ class TestLift:
         update = delete_update if g.has_edge(u, v) else insert_update
         orders = [update(state, u, v)[0].order]
         try:
-            orders.append(replay_repair(h, state.order).records)
+            orders.append(replay_repair(h, state.order))
         except NotWeaklyChordalError:
             pass
         for order in orders:
@@ -350,7 +349,7 @@ class TestLift:
         for size in (8, 12):
             topo = random_convex(3 * size, 3 * size, rng)
             g = build_conflict_graph(topo, all_unicast_messages(topo)).graph
-            check_lift(g, run_contractions(g))
+            check_lift(g, static_color(g).order)
 
 
 NEW_RECORD_PROBLEM = re.compile(
