@@ -15,6 +15,8 @@ from .graph import Graph, make_graph
 from .recognition import stays_weakly_chordal_after_insert
 from .tim import TopologyGraph
 
+MAX_INTERVAL = 3  # destinations per source in random_convex, at most
+
 
 def random_bipartite_tree(m: int, n: int, rng: random.Random) -> set[tuple[int, int]]:
     """Spanning-tree links (j, i) over m sources and n destinations."""
@@ -59,9 +61,7 @@ def random_chordal_bipartite(
     return TopologyGraph(m, n, frozenset(links))
 
 
-def random_convex(
-    m: int, n: int, rng: random.Random, max_interval: int = 3
-) -> TopologyGraph:
+def random_convex(m: int, n: int, rng: random.Random) -> TopologyGraph:
     """Random convex topology: each source serves an interval of destinations.
 
     Convex networks are chordal bipartite, and with short intervals their
@@ -72,7 +72,7 @@ def random_convex(
     links: set[tuple[int, int]] = set()
     for i in range(m):
         lo = rng.randrange(n)
-        hi = min(n - 1, lo + rng.randint(0, max_interval - 1))
+        hi = min(n - 1, lo + rng.randint(0, MAX_INTERVAL - 1))
         for j in range(lo, hi + 1):
             links.add((j, i))
     return TopologyGraph(m, n, frozenset(links))

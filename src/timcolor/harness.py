@@ -252,7 +252,11 @@ def _check_event(state: ColoringState, report: UpdateReport, cfg: TrialConfig) -
 
 
 def run_simulation(cfg: TrialConfig, out_dir: Optional[str] = None) -> TrialReport:
-    """Run one seeded adversarial trial; optionally write JSONL + CSV files."""
+    """Run one seeded adversarial trial; optionally write JSONL + CSV files.
+
+    Once the event loop has started, the files are written even when an
+    event check raises: the failing event is the log's last line.
+    """
     rng = random.Random(cfg.seed)
     graph = build_trial_graph(cfg)
     if not is_weakly_chordal(graph):
@@ -262,27 +266,29 @@ def run_simulation(cfg: TrialConfig, out_dir: Optional[str] = None) -> TrialRepo
         raise TrialAssertionError("initial static state failed verification")
     report = TrialReport(cfg)
     cap = cfg.rejection_cap_factor * max(1, graph.n) ** 2
-    for seq in range(cfg.event_count):
-        event = gen_event(state.graph, rng, cfg.insert_fraction, seq, cap)
-        if event is None:
-            report.saturated = True
-            break
-        t0 = time.perf_counter()
-        if event.kind == "insert":
-            state, ev_report = insert_update(state, event.u, event.v)
-        else:
-            state, ev_report = delete_update(state, event.u, event.v)
-        ev_report.seq = event.seq
-        report.wall_us.append(int((time.perf_counter() - t0) * 1e6))
-        report.equivalence_checks += _check_event(state, ev_report, cfg)
-        report.events.append(ev_report)
-    if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        stem = f"trial-seed{cfg.seed}"
-        (out / f"{stem}.jsonl").write_text(report.events_jsonl())
-        (out / f"{stem}.csv").write_text(report.events_csv())
-        (out / f"{stem}.summary.json").write_text(
-            json.dumps(report.summary(), sort_keys=True, indent=2) + "\n"
-        )
+    try:
+        for seq in range(cfg.event_count):
+            event = gen_event(state.graph, rng, cfg.insert_fraction, seq, cap)
+            if event is None:
+                report.saturated = True
+                break
+            t0 = time.perf_counter()
+            if event.kind == "insert":
+                state, ev_report = insert_update(state, event.u, event.v)
+            else:
+                state, ev_report = delete_update(state, event.u, event.v)
+            ev_report.seq = event.seq
+            report.wall_us.append(int((time.perf_counter() - t0) * 1e6))
+            report.events.append(ev_report)
+            report.equivalence_checks += _check_event(state, ev_report, cfg)
+    finally:
+        if out_dir is not None:
+            out = Path(out_dir)
+            out.mkdir(parents=True, exist_ok=True)
+            stem = f"trial-seed{cfg.seed}"
+            (out / f"{stem}.jsonl").write_text(report.events_jsonl())
+            (out / f"{stem}.csv").write_text(report.events_csv())
+            (out / f"{stem}.summary.json").write_text(
+                json.dumps(report.summary(), sort_keys=True, indent=2) + "\n"
+            )
     return report

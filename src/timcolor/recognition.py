@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 import heapq
-import random
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -28,9 +27,6 @@ class OracleCapExceeded(ValueError):
 class TwoPair:
     x: int
     y: int
-
-    def as_set(self) -> frozenset[int]:
-        return frozenset((self.x, self.y))
 
     def __iter__(self):
         return iter((self.x, self.y))
@@ -295,23 +291,18 @@ def is_two_pair(g: Graph, x: int, y: int) -> bool:
     return not _bfs_reach(adj, px, allowed) >> py & 1
 
 
-def _rank_entry(
-    adj: Sequence[int], ids: Sequence[int], sa: int, sb: int, rng: Optional[random.Random]
-) -> tuple:
+def _rank_entry(adj: Sequence[int], ids: Sequence[int], sa: int, sb: int) -> tuple:
     """Rank entry ``(rank, a, b, sa, sb)`` of the non-adjacent pair at slots sa, sb.
 
-    The ids come in ascending order (a < b). Without an rng the rank is the
-    negated common-neighborhood size, so entries sort by descending common
+    The ids come in ascending order (a < b), and the rank is the negated
+    common-neighborhood size, so entries sort by descending common
     neighborhood, then ascending ids: large common neighborhoods are the
-    likeliest to disconnect the pair. With an rng it is a fresh random draw,
-    and entries sort into a uniformly random order (used for
-    order-independence checks).
+    likeliest to disconnect the pair.
     """
     a, b = ids[sa], ids[sb]
     if a > b:
         a, b, sa, sb = b, a, sb, sa
-    rank = rng.random() if rng is not None else -(adj[sa] & adj[sb]).bit_count()
-    return rank, a, b, sa, sb
+    return -(adj[sa] & adj[sb]).bit_count(), a, b, sa, sb
 
 
 class PairRanking:
@@ -323,24 +314,19 @@ class PairRanking:
     graph's sorted positions, then one new slot per contracted id), so no
     mask is renumbered. The entries live in a heap with lazy invalidation,
     built by the first ``pop_pair`` (until then ``contract`` updates only
-    the masks). An entry is current while both its slots are live and,
-    without an rng, its rank is still the pair's negated common-neighborhood
-    count. Every live non-adjacent pair keeps a current entry (see
-    ``contract``), so the heap pops current entries in ``_rank_entry``'s
-    order: the order a sort of all pairs would give.
+    the masks). An entry is current while both its slots are live and its
+    rank is still the pair's negated common-neighborhood count. Every live
+    non-adjacent pair keeps a current entry (see ``contract``), so the heap
+    pops current entries in ``_rank_entry``'s order: the order a sort of
+    all pairs would give.
     """
 
-    def __init__(self, g: Graph, rng: Optional[random.Random] = None):
-        self._rng = rng
+    def __init__(self, g: Graph):
         self._ids = list(g.vertices)  # slot -> id
         self._slot = {v: s for s, v in enumerate(self._ids)}
         self._adj = g.adj_masks()  # slot -> neighbor slots; 0 once dead
         self._live = (1 << g.n) - 1
         self._heap: Optional[list[tuple]] = None
-
-    def __len__(self) -> int:
-        """The number of live vertices."""
-        return self._live.bit_count()
 
     def joinable(self, x: int, y: int) -> bool:
         """Whether x and y are a live two-pair of the current quotient
@@ -353,13 +339,15 @@ class PairRanking:
     def pop_pair(self) -> Optional[tuple[int, int]]:
         """The first two-pair in rank order as ids (a, b), a < b, or None.
 
-        Two-pair tests run lazily. Entries passed over stay queued; the
-        returned pair does not (the caller contracts it).
+        Two-pair tests run lazily. Stale entries (a dead slot, or a rank that
+        is no longer the pair's count) are dropped. Current entries passed
+        over stay queued; the returned pair does not (the caller contracts
+        it).
         """
         adj, live = self._adj, self._live
         if self._heap is None:
             self._heap = [
-                _rank_entry(adj, self._ids, s, t, self._rng)
+                _rank_entry(adj, self._ids, s, t)
                 for s in _bits(live)
                 for t in _bits(live & ~adj[s] & ~((2 << s) - 1))
             ]
@@ -369,10 +357,8 @@ class PairRanking:
         while heap:
             entry = heapq.heappop(heap)
             rank, a, b, sa, sb = entry
-            if not live >> sa & live >> sb & 1:
-                continue
-            if self._rng is None and rank != -(adj[sa] & adj[sb]).bit_count():
-                continue  # stale: the current count has its own entry
+            if not live >> sa & live >> sb & 1 or rank != -(adj[sa] & adj[sb]).bit_count():
+                continue  # stale: a live pair's current count has its own entry
             if self.joinable(a, b):
                 for e in skipped:
                     heapq.heappush(heap, e)
@@ -401,8 +387,7 @@ class PairRanking:
         A pair across X and Y gains z and lost nothing (+1), a pair inside B
         loses x and y and gains z (-1), and every other pair inside N(z)
         swaps one of x, y for z (unchanged). Only the +1 and -1 pairs get a
-        fresh entry; with an rng, ranks ignore common neighborhoods and no
-        pair is re-ranked. Before the heap is built, only the masks change.
+        fresh entry. Before the heap is built, only the masks change.
         """
         adj, ids, slot, heap = self._adj, self._ids, self._slot, self._heap
         if x not in slot or y not in slot:
@@ -425,27 +410,23 @@ class PairRanking:
         self._live = live = self._live & ~gone | zbit
         if heap is None:
             return
-        rng = self._rng
         for s in _bits(live & ~adj[sz] & ~zbit):
-            heapq.heappush(heap, _rank_entry(adj, ids, s, sz, rng))
-        if rng is not None:
-            return
+            heapq.heappush(heap, _rank_entry(adj, ids, s, sz))
         only_x, only_y, both = nx & ~ny, ny & ~nx, nx & ny
         for s in _bits(only_x):
             for t in _bits(only_y & ~adj[s]):
-                heapq.heappush(heap, _rank_entry(adj, ids, s, t, rng))
+                heapq.heappush(heap, _rank_entry(adj, ids, s, t))
         for s in _bits(both):
             for t in _bits(both & ~adj[s] & ~((2 << s) - 1)):
-                heapq.heappush(heap, _rank_entry(adj, ids, s, t, rng))
+                heapq.heappush(heap, _rank_entry(adj, ids, s, t))
 
 
-def find_two_pair(g: Graph, rng: Optional[random.Random] = None) -> Optional[TwoPair]:
+def find_two_pair(g: Graph) -> Optional[TwoPair]:
     """The first two-pair of g in ``PairRanking``'s order, or None.
 
-    Deterministic without an rng. On a weakly chordal graph that is not a
-    clique this never returns None.
+    On a weakly chordal graph that is not a clique this never returns None.
     """
-    pair = PairRanking(g, rng).pop_pair()
+    pair = PairRanking(g).pop_pair()
     return None if pair is None else TwoPair(*pair)
 
 

@@ -11,9 +11,8 @@ relies on: its strict replay runs the same contraction loop,
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .graph import Graph
 from .recognition import PairRanking, _bits, is_weakly_chordal
@@ -71,10 +70,7 @@ def fresh_id(g: Graph, order: Sequence[ContractionRecord]) -> int:
 
 
 def contract_to_clique(
-    g: Graph,
-    replay: Sequence[ContractionRecord],
-    z: int,
-    rng: Optional[random.Random] = None,
+    g: Graph, replay: Sequence[ContractionRecord], z: int
 ) -> tuple[ContractionRecord, ...]:
     """Contract g to a clique, replaying records where they fire.
 
@@ -92,9 +88,11 @@ def contract_to_clique(
     By two-pair theory (Hayward-Hoang-Maffray) contracting a two-pair keeps
     a weakly chordal graph weakly chordal and keeps chi, so the loop ends
     in a clique of chi vertices, and a run out of two-pairs short of a
-    clique raises ``NotWeaklyChordalError``.
+    clique raises ``NotWeaklyChordalError``. That holds for every two-pair
+    order, so the loop needs only one: the ranking's, which makes its
+    records a function of g, the records to replay and z.
     """
-    ranking = PairRanking(g, rng)
+    ranking = PairRanking(g)
     fired: list[ContractionRecord] = []
 
     def sweep(pending):
@@ -232,25 +230,21 @@ def lift(
     return _class_coloring(g, cls, final), frozenset(clique), len(final)
 
 
-def static_color(
-    g: Graph,
-    rng: Optional[random.Random] = None,
-    verify: bool = False,
-) -> ColoringState:
+def static_color(g: Graph, *, verify: bool = False) -> ColoringState:
     """Simultaneous maximum clique and minimum coloring via contraction.
 
     ``contract_to_clique`` with nothing to replay: each step contracts the
-    first two-pair in ``PairRanking``'s order. The fresh ids count up from
-    ``g.next_id``, as ``Graph.contract_pair`` hands them out; one that is
-    already live raises ``GraphError``. Verify mode raises when g is not
-    weakly chordal, or when a ``Graph`` copy contracted per record stops
-    being so.
+    first two-pair in ``PairRanking``'s order, so equal graphs get equal
+    orders. The fresh ids count up from ``g.next_id``, as
+    ``Graph.contract_pair`` hands them out; one that is already live raises
+    ``GraphError``. Verify mode raises when g is not weakly chordal, or when
+    a ``Graph`` copy contracted per record stops being so.
     """
     if verify and not is_weakly_chordal(g):
         raise NotWeaklyChordalError("input graph is not weakly chordal")
     if g.n == 0:
         return ColoringState(g, {}, 0, frozenset(), ())
-    records = contract_to_clique(g, (), g.next_id, rng)
+    records = contract_to_clique(g, (), g.next_id)
     if verify:
         cur = g
         for rec in records:

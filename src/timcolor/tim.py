@@ -115,10 +115,6 @@ class ConflictGraph:
     graph: Graph
     labels: dict[int, Message]
 
-    @property
-    def messages(self) -> list[Message]:
-        return [self.labels[v] for v in self.graph.vertices]
-
 
 def build_conflict_graph(t: TopologyGraph, msgs: Sequence[Message]) -> ConflictGraph:
     """Vertices are messages; edges follow the three conflict rules."""

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 from importlib import resources
@@ -8,11 +9,12 @@ from hypothesis import strategies as st
 from timcolor.generators import random_bipartite_tree, random_weakly_chordal
 from timcolor.graph import Graph, from_dict
 from timcolor.recognition import (
+    PairRanking,
     is_two_pair,
     stays_weakly_chordal_after_delete,
     stays_weakly_chordal_after_insert,
 )
-from timcolor.static_coloring import ContractionRecord
+from timcolor.static_coloring import ColoringState, ContractionRecord, lift
 from timcolor.tim import TopologyGraph
 
 
@@ -180,6 +182,29 @@ def replay_chain(graph, records):
         chain.append(chain[-1].contract_pair(r.x, r.y, r.z)[0])
         members[r.z] = members[r.x] | members[r.y]
     return chain, members
+
+
+def random_order_state(g, rng):
+    """The state ``lift`` builds from a random two-pair order of g.
+
+    Each step contracts a uniformly random current two-pair: the live pairs
+    are shuffled and the first one ``PairRanking.joinable`` accepts fires,
+    with ids counting up from ``g.next_id`` as ``static_color``'s do. Every
+    two-pair order of a weakly chordal graph ends in a clique of chi
+    vertices (Hayward-Hoang-Maffray), so any draw is a valid optimal state.
+    """
+    ranking = PairRanking(g)
+    live, records, z = list(g.vertices), [], g.next_id
+    while not ranking.complete():
+        pairs = list(itertools.combinations(live, 2))
+        rng.shuffle(pairs)
+        x, y = next(p for p in pairs if ranking.joinable(*p))
+        ranking.contract(x, y, z)
+        records.append(ContractionRecord(x, y, z))
+        live = [v for v in live if v != x and v != y] + [z]
+        z += 1
+    coloring, clique, k = lift(g, records)
+    return ColoringState(g, coloring, k, clique, tuple(records))
 
 
 def perturbed(g, rng):

@@ -433,6 +433,30 @@ class TestSimulate:
             f" ({first.u},{first.v}), case {first.case_label}\n"
         )
 
+    def test_failing_trial_keeps_its_log(self, capsys, tmp_path):
+        """``--out`` logs every event up to the failing one, which is the last
+        line of the JSONL and the CSV and is counted in the summary."""
+        cfg = {"M": 6, "N": 6, "event_count": 40}
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps(cfg))
+        out_dir = tmp_path / "failout"
+        code, out, err = run(capsys, "--json", "simulate", str(cfg_file), "--seed", "3",
+                             "--bound", "0", "--out", str(out_dir))
+        assert code == EXIT_ASSERTION and not out
+        lines = (out_dir / "trial-seed3.jsonl").read_text().splitlines()
+        logged = [json.loads(line) for line in lines]
+        assert [e["seq"] for e in logged] == [0, 1, 2, 3]
+        assert logged[-1] == json.loads(err)["event"]
+        assert (logged[-1]["kind"], logged[-1]["u"], logged[-1]["v"], logged[-1]["case"]) == (
+            "insert", 0, 9, "I-3-1")
+        unbounded = run_simulation(TrialConfig(seed=3, assert_bound=False, **cfg))
+        assert logged == [e.to_dict() for e in unbounded.events[:4]]
+        rows = (out_dir / "trial-seed3.csv").read_text().splitlines()
+        assert [row.split(",")[:4] for row in rows[1:]] == [
+            [str(e["seq"]), e["kind"], str(e["u"]), str(e["v"])] for e in logged]
+        summary = json.loads((out_dir / "trial-seed3.summary.json").read_text())
+        assert summary["events"] == 4 and summary["max_pairs_changed"] == 2
+
     def test_missing_topology_file_is_usage_error(self, capsys, tmp_path):
         missing = tmp_path / "nope.json"
         cfg_file = tmp_path / "cfg.json"

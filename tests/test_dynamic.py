@@ -40,6 +40,7 @@ from conftest import (
     fixture_graph,
     order_of,
     perturbed,
+    random_order_state,
     reference_candidate_pairs,
     replay_chain,
     weakly_chordal_graphs,
@@ -249,7 +250,7 @@ class TestReplayRepair:
         """The strict replay of a static order on a perturbed graph gives the
         reference's records or error."""
         rng = random.Random(seed)
-        state = static_color(g, rng=rng if data.draw(st.booleans()) else None)
+        state = random_order_state(g, rng) if data.draw(st.booleans()) else static_color(g)
         event = perturbed(g, rng)
         if event is None:
             return
@@ -891,7 +892,7 @@ class TestEquivalence:
     @settings(max_examples=100, deadline=None)
     def test_matching_records_match_member_sets(self, g, seed):
         """Every pair of vertices, against the member sets of a ``Graph`` replay."""
-        order = static_color(g, rng=random.Random(seed)).order
+        order = random_order_state(g, random.Random(seed)).order
         _, members = replay_chain(g, order)
         for u, v in itertools.combinations(g.vertices, 2):
             expected = [

@@ -15,7 +15,7 @@ from timcolor.dynamic_coloring import delete_update, insert_update, replay_repai
 from timcolor.graph import Graph, GraphError, make_graph
 from timcolor.generators import random_chordal_bipartite, random_convex, random_weakly_chordal
 from timcolor.oracles import oracle_chromatic, oracle_max_clique
-from timcolor.recognition import TwoPair, is_two_pair, is_weakly_chordal
+from timcolor.recognition import PairRanking, TwoPair, is_two_pair, is_weakly_chordal
 from timcolor.static_coloring import (
     ColoringState,
     ContractionRecord,
@@ -31,7 +31,14 @@ from timcolor.static_coloring import (
 )
 from timcolor.tim import all_unicast_messages, build_conflict_graph
 
-from conftest import fixture_graph, order_of, perturbed, replay_chain, weakly_chordal_graphs
+from conftest import (
+    fixture_graph,
+    order_of,
+    perturbed,
+    random_order_state,
+    replay_chain,
+    weakly_chordal_graphs,
+)
 
 
 def path(n):
@@ -276,10 +283,23 @@ class TestStaticColor:
         rng = random.Random(19)
         for _ in range(15):
             g = random_weakly_chordal(rng.randint(2, 11), rng.randint(0, 18), rng)
-            counts = {
-                static_color(g, rng=random.Random(k)).color_count for k in range(8)
-            }
-            assert len(counts) == 1
+            counts = {random_order_state(g, random.Random(k)).color_count for k in range(8)}
+            assert counts == {static_color(g).color_count}
+
+    @given(weakly_chordal_graphs(), st.integers(0, 10_000))
+    @settings(max_examples=100, deadline=None)
+    def test_random_orders_are_two_pair_orders(self, g, seed):
+        """The tests' random orders fire only two-pairs, take ids from
+        next_id up, and lift to static_color's count."""
+        state = random_order_state(g, random.Random(seed))
+        ranking = PairRanking(g)
+        for z, rec in enumerate(state.order, g.next_id):
+            assert rec.z == z
+            assert ranking.joinable(rec.x, rec.y)
+            ranking.contract(rec.x, rec.y, rec.z)
+        assert ranking.complete()
+        assert state.color_count == static_color(g).color_count
+        assert verify_state(state)
 
     @given(weakly_chordal_graphs(), st.integers(0, 10_000))
     @settings(max_examples=150, deadline=None)
@@ -288,8 +308,8 @@ class TestStaticColor:
         expected = reference_contractions(g)
         assert static_color(g).order == expected
         assert static_color(g, verify=True).order == expected
-        # the rng path draws another order with the same color count
-        shuffled = static_color(g, rng=random.Random(seed))
+        # a random two-pair order has the same color count
+        shuffled = random_order_state(g, random.Random(seed))
         assert verify_state(shuffled)
         assert shuffled.color_count == g.n - len(expected)
 
@@ -313,7 +333,7 @@ class TestLift:
     @settings(max_examples=150, deadline=None)
     def test_static_orders_match_chain_lift(self, g, seed):
         check_lift(g, static_color(g).order)
-        check_lift(g, static_color(g, rng=random.Random(seed)).order)
+        check_lift(g, random_order_state(g, random.Random(seed)).order)
 
     @given(weakly_chordal_graphs(), st.integers(0, 10_000))
     @settings(max_examples=150, deadline=None)
@@ -324,7 +344,7 @@ class TestLift:
         Records an update breaks leave dead ids behind, which the masks keep.
         """
         rng = random.Random(seed)
-        state = static_color(g, rng=rng)
+        state = random_order_state(g, rng)
         event = perturbed(g, rng)
         if event is None:
             return
@@ -426,7 +446,7 @@ def corrupted_states(draw):
     n = rng.randint(1, 12)
     g = random_weakly_chordal(n, rng.randint(0, 25), rng)
     g = g.induced_subgraph(rng.sample(g.vertices, n - rng.randint(0, n // 3)))
-    state = static_color(g, rng=rng)
+    state = random_order_state(g, rng)
     ids = g.vertices
     coloring = dict(state.coloring)
     count, clique = state.color_count, state.clique
