@@ -10,7 +10,6 @@ pairs that one contraction loop owns and updates in place.
 from __future__ import annotations
 
 import functools
-import heapq
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -291,18 +290,12 @@ def is_two_pair(g: Graph, x: int, y: int) -> bool:
     return not _bfs_reach(adj, px, allowed) >> py & 1
 
 
-def _rank_entry(adj: Sequence[int], ids: Sequence[int], sa: int, sb: int) -> tuple:
-    """Rank entry ``(rank, a, b, sa, sb)`` of the non-adjacent pair at slots sa, sb.
-
-    The ids come in ascending order (a < b), and the rank is the negated
-    common-neighborhood size, so entries sort by descending common
-    neighborhood, then ascending ids: large common neighborhoods are the
-    likeliest to disconnect the pair.
-    """
-    a, b = ids[sa], ids[sb]
-    if a > b:
-        a, b, sa, sb = b, a, sb, sa
-    return -(adj[sa] & adj[sb]).bit_count(), a, b, sa, sb
+def _ascending(pairs: set[tuple[int, int]]) -> Iterator[tuple[int, int]]:
+    """The pairs in ascending order. The first comes from one linear pass:
+    most scans stop there, and only a scan past it pays for the sort."""
+    first = min(pairs)
+    yield first
+    yield from sorted(pairs - {first})
 
 
 class PairRanking:
@@ -312,13 +305,19 @@ class PairRanking:
     pair to contract next, ``contract`` carries out every contraction, of a
     popped pair or of a replayed record. Vertices sit at fixed slots (the
     graph's sorted positions, then one new slot per contracted id), so no
-    mask is renumbered. The entries live in a heap with lazy invalidation,
-    built by the first ``pop_pair`` (until then ``contract`` updates only
-    the masks). An entry is current while both its slots are live and its
-    rank is still the pair's negated common-neighborhood count. Every live
-    non-adjacent pair keeps a current entry (see ``contract``), so the heap
-    pops current entries in ``_rank_entry``'s order: the order a sort of
-    all pairs would give.
+    mask is renumbered. Pairs rank by descending common-neighborhood count,
+    then by ascending ids (a, b), a < b: large common neighborhoods are the
+    likeliest to disconnect the pair.
+
+    The pairs sit in exact buckets, one per count, built by the first
+    ``pop_pair``; until then ``contract`` updates only the masks and the
+    number of live non-adjacent pairs, which ``complete`` reads. The
+    invariant: every live non-adjacent pair sits, as its ids (a, b), in
+    exactly the bucket of its current count, and no other pair, dead or
+    adjacent, sits in any bucket. The build puts each pair in at its
+    count, and ``contract`` keeps the invariant (see there). So scanning
+    the buckets from the highest count down, each in ascending id order,
+    visits the pairs in the order a sort of all pairs would give.
     """
 
     def __init__(self, g: Graph):
@@ -326,7 +325,8 @@ class PairRanking:
         self._slot = {v: s for s, v in enumerate(self._ids)}
         self._adj = g.adj_masks()  # slot -> neighbor slots; 0 once dead
         self._live = (1 << g.n) - 1
-        self._heap: Optional[list[tuple]] = None
+        self._missing = g.n * (g.n - 1) // 2 - g.edge_count()  # live non-adjacent pairs
+        self._buckets: Optional[list[set[tuple[int, int]]]] = None  # count -> pairs
 
     def joinable(self, x: int, y: int) -> bool:
         """Whether x and y are a live two-pair of the current quotient
@@ -339,39 +339,37 @@ class PairRanking:
     def pop_pair(self) -> Optional[tuple[int, int]]:
         """The first two-pair in rank order as ids (a, b), a < b, or None.
 
-        Two-pair tests run lazily. Stale entries (a dead slot, or a rank that
-        is no longer the pair's count) are dropped. Current entries passed
-        over stay queued; the returned pair does not (the caller contracts
-        it).
+        The buckets are scanned from the highest non-empty count down, and
+        within a count in ascending id order, not slot order: replayed
+        records can give slots ids out of order. Two-pair tests run lazily,
+        up to the first pair ``joinable`` accepts. Nothing leaves a bucket
+        here; the returned pair leaves when the caller contracts it.
         """
-        adj, live = self._adj, self._live
-        if self._heap is None:
-            self._heap = [
-                _rank_entry(adj, self._ids, s, t)
-                for s in _bits(live)
-                for t in _bits(live & ~adj[s] & ~((2 << s) - 1))
-            ]
-            heapq.heapify(self._heap)
-        heap = self._heap
-        skipped: list[tuple] = []  # current entries passed over, in rank order
-        while heap:
-            entry = heapq.heappop(heap)
-            rank, a, b, sa, sb = entry
-            if not live >> sa & live >> sb & 1 or rank != -(adj[sa] & adj[sb]).bit_count():
-                continue  # stale: a live pair's current count has its own entry
-            if self.joinable(a, b):
-                for e in skipped:
-                    heapq.heappush(heap, e)
-                return a, b
-            skipped.append(entry)
-        # Drained with no two-pair: the sorted entries passed over form a heap as they are.
-        self._heap = skipped
+        buckets = self._buckets
+        if buckets is None:
+            adj, ids, live = self._adj, self._ids, self._live
+            # Of L live vertices, a non-adjacent pair has at most L - 2
+            # common neighbors, and L only falls.
+            self._buckets = buckets = [set() for _ in range(max(live.bit_count() - 1, 0))]
+            for s in _bits(live):
+                a, ns = ids[s], adj[s]
+                m = live & ~ns & ~((2 << s) - 1)
+                while m:
+                    low = m & -m
+                    m ^= low
+                    t = low.bit_length() - 1
+                    b = ids[t]
+                    buckets[(ns & adj[t]).bit_count()].add((a, b) if a < b else (b, a))
+        for bucket in reversed(buckets):
+            if bucket:
+                for a, b in _ascending(bucket):
+                    if self.joinable(a, b):
+                        return a, b
         return None
 
     def complete(self) -> bool:
         """Whether the live vertices are pairwise adjacent."""
-        live = self._live
-        return all(live & ~self._adj[s] == 1 << s for s in _bits(live))
+        return not self._missing
 
     def contract(self, x: int, y: int, z: int) -> None:
         """Merge the non-adjacent x and y into the fresh id z, as Graph.contract_pair does.
@@ -379,17 +377,28 @@ class PairRanking:
         It raises ``GraphError`` with that method's messages on an adjacent
         pair, an unknown vertex, a vertex paired with itself and a live z.
 
-        Pairs with x or y die; each pair of z with a live non-neighbor gets
-        an entry. Of the other pairs, only those inside N(z) = N(x) | N(y)
-        change rank: common(a, b) loses x only when a and b both lie in
+        Pairs with x or y die, and each pair of z with a live non-neighbor
+        is born. Of the other pairs, only those inside N(z) = N(x) | N(y)
+        change count: common(a, b) loses x only when a and b both lie in
         N(x), loses y likewise, and gains z only when both lie in N(z).
         Split N(z) into X = N(x) - N(y), Y = N(y) - N(x) and B = N(x) & N(y).
         A pair across X and Y gains z and lost nothing (+1), a pair inside B
         loses x and y and gains z (-1), and every other pair inside N(z)
-        swaps one of x, y for z (unchanged). Only the +1 and -1 pairs get a
-        fresh entry. Before the heap is built, only the masks change.
+        swaps one of x, y for z (unchanged). So the bucket invariant holds
+        again once the pairs with x or y leave their buckets, the
+        non-adjacent X x Y pairs move up one bucket, the non-adjacent pairs
+        inside B move down one, and the pairs with z enter at their counts.
+        Before the buckets are built, only the masks and the count below
+        change.
+
+        With L live vertices before the merge, x has L - 1 - |N(x)|
+        non-neighbors, y likewise, and z has L - 2 - |N(z)|; no other pair
+        changes adjacency. So the number of live non-adjacent pairs changes
+        by (L - 2 - |N(z)|) - (L - 1 - |N(x)|) - (L - 1 - |N(y)|) + 1 (the
+        pair x, y counted twice), that is by |B| + 1 - L, and ``complete``
+        reads it in O(1).
         """
-        adj, ids, slot, heap = self._adj, self._ids, self._slot, self._heap
+        adj, ids, slot, buckets = self._adj, self._ids, self._slot, self._buckets
         if x not in slot or y not in slot:
             raise GraphError(f"unknown vertex in ({x},{y})")
         if adj[slot[x]] >> slot[y] & 1:
@@ -399,26 +408,55 @@ class PairRanking:
         if z in slot:
             raise GraphError(f"contracted id {z} already live")
         sx, sy, sz = slot.pop(x), slot.pop(y), len(ids)
+        nx, ny = adj[sx], adj[sy]
+        nz, both, gone, zbit, live = nx | ny, nx & ny, 1 << sx | 1 << sy, 1 << sz, self._live
+        self._missing += both.bit_count() + 1 - live.bit_count()
+        if buckets is not None:
+            # Every count below is read off the masks before the merge.
+            buckets[both.bit_count()].remove((x, y) if x < y else (y, x))
+            # The other pairs with x or y leave. A slot t that misses both
+            # misses z too, and its mask lacks x and y, so (nz & adj[t]) is
+            # its count with z already.
+            far_x, far_y = live & ~nx & ~gone, live & ~ny & ~gone
+            m = far_x | far_y
+            while m:
+                low = m & -m
+                m ^= low
+                t = low.bit_length() - 1
+                w, nt = ids[t], adj[t]
+                if far_x & low:
+                    buckets[(nx & nt).bit_count()].remove((x, w) if x < w else (w, x))
+                if far_y & low:
+                    buckets[(ny & nt).bit_count()].remove((y, w) if y < w else (w, y))
+                    if far_x & low:
+                        buckets[(nz & nt).bit_count()].add((z, w) if z < w else (w, z))
+            # X x Y pairs move up one, pairs inside B down one.
+            only_y = ny & ~nx
+            m = nx
+            while m:
+                low = m & -m
+                m ^= low
+                s = low.bit_length() - 1
+                a, ns = ids[s], adj[s]
+                if both & low:
+                    partners, step = both & ~ns & ~((2 << s) - 1), -1
+                else:
+                    partners, step = only_y & ~ns, 1
+                while partners:
+                    bit = partners & -partners
+                    partners ^= bit
+                    t = bit.bit_length() - 1
+                    b = ids[t]
+                    pair, c = (a, b) if a < b else (b, a), (ns & adj[t]).bit_count()
+                    buckets[c].remove(pair)
+                    buckets[c + step].add(pair)
         ids.append(z)
         slot[z] = sz
-        nx, ny = adj[sx], adj[sy]
         adj[sx] = adj[sy] = 0
-        gone, zbit = 1 << sx | 1 << sy, 1 << sz
-        for s in _bits(nx | ny):
+        for s in _bits(nz):
             adj[s] = adj[s] & ~gone | zbit
-        adj.append(nx | ny)
-        self._live = live = self._live & ~gone | zbit
-        if heap is None:
-            return
-        for s in _bits(live & ~adj[sz] & ~zbit):
-            heapq.heappush(heap, _rank_entry(adj, ids, s, sz))
-        only_x, only_y, both = nx & ~ny, ny & ~nx, nx & ny
-        for s in _bits(only_x):
-            for t in _bits(only_y & ~adj[s]):
-                heapq.heappush(heap, _rank_entry(adj, ids, s, t))
-        for s in _bits(both):
-            for t in _bits(both & ~adj[s] & ~((2 << s) - 1)):
-                heapq.heappush(heap, _rank_entry(adj, ids, s, t))
+        adj.append(nz)
+        self._live = live & ~gone | zbit
 
 
 def find_two_pair(g: Graph) -> Optional[TwoPair]:

@@ -7,13 +7,16 @@ import random
 
 import pytest
 
+from timcolor.dynamic_coloring import delete_update, insert_update
 from timcolor.generators import random_weakly_chordal
 from timcolor.graph import make_graph
 from timcolor.harness import (
     CSV_COLUMNS,
+    DEFAULT_BOUND,
     TrialAssertionError,
     TrialConfig,
     TrialReport,
+    build_trial_graph,
     gen_event,
     run_simulation,
 )
@@ -24,6 +27,7 @@ from timcolor.oracles import (
     oracle_chromatic,
     oracle_max_clique,
 )
+from timcolor.static_coloring import static_color
 
 
 def cycle(n):
@@ -305,3 +309,41 @@ class TestKnownDefects:
         run_simulation(
             TrialConfig(seed=21, M=10, N=8, density=0.5, event_count=186, verification_mode=False)
         )
+
+    @pytest.mark.parametrize(
+        "network, event, pairs, recolored",
+        [
+            pytest.param(1, 115, 20, 7, marks=pytest.mark.xfail(
+                strict=True,
+                raises=TrialAssertionError,
+                reason="known locality defect: the edge-churn I-3-1 insert at event 115 of "
+                "network 1 changes 20 order pairs under the strict replay, over the default "
+                "bound of 8",
+            )),
+            pytest.param(13, 100, 16, 8, marks=pytest.mark.xfail(
+                strict=True,
+                raises=TrialAssertionError,
+                reason="known locality defect: the edge-churn I-3-1 insert at event 100 of "
+                "network 13 changes 16 order pairs under the strict replay, over the default "
+                "bound of 8",
+            )),
+        ],
+    )
+    def test_edge_churn_default_bound(self, network, event, pairs, recolored):
+        """The benchmark's edge-churn stream on one network, with its events
+        drawn from Random(1000 + network), up to one I-3-1 insert. Its exact
+        counts are asserted first, so a change to the strict replay's
+        records fails here instead of passing as an expected failure."""
+        cfg = TrialConfig(seed=network, M=10, N=10, density=0.5)
+        state = static_color(build_trial_graph(cfg))
+        rng = random.Random(1000 + network)
+        cap = cfg.rejection_cap_factor * state.graph.n ** 2
+        for seq in range(event + 1):
+            ev = gen_event(state.graph, rng, cfg.insert_fraction, seq, cap)
+            state, report = (insert_update if ev.kind == "insert" else delete_update)(
+                state, ev.u, ev.v
+            )
+        counts = (report.case_label, report.pairs_changed, len(report.recolored))
+        assert counts == ("I-3-1", pairs, recolored)
+        if max(report.pairs_changed, len(report.recolored)) > DEFAULT_BOUND:
+            raise TrialAssertionError(f"event {event} of network {network}: {counts} over bound")
