@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .graph import Graph
-from .recognition import _bits
 from .static_coloring import (
     ColoringState,
     ContractionRecord,
@@ -104,45 +103,38 @@ def matching_records(
 # clique growth detection
 # ---------------------------------------------------------------------------
 
-def _find_clique(adj: list[int], cand: int, size: int, classes: list[int]) -> Optional[int]:
-    """A clique of `size` inside the candidate position set, as a bitmask.
-
-    `classes` are the position masks of the color classes of a proper
-    coloring. A clique takes one vertex from each of `size` distinct
-    classes, so a branch whose candidates meet fewer classes holds none
-    and is cut. Only branches without a clique are cut, so the search
-    still returns the first clique the uncut search returns.
-    """
-    if size <= 0:
-        return 0
-    while sum(1 for m in classes if m & cand) >= size:
-        low = cand & -cand
-        p = low.bit_length() - 1
-        rest = _find_clique(adj, cand & adj[p], size - 1, classes)
-        if rest is not None:
-            return rest | low
-        cand ^= low
-    return None
-
-
 def _growth_witness(state: ColoringState, u: int, v: int) -> Optional[frozenset[int]]:
     """A clique of size omega+1 in G+(u,v), or None when omega is unchanged.
 
-    Exact local test: a single inserted edge grows the clique iff the common
-    neighborhood of u and v contains a clique of size omega - 1.
+    omega(G) = k, so every (k+1)-clique of G+uv holds the new edge uv, and
+    its other members form a (k-1)-clique of G inside the common
+    neighbourhood C = N(u) & N(v); any such clique plus u and v is one.
+    The test decides whether G[C] holds a (k-1)-clique in three exact steps,
+    each returning a real clique or a sound "no":
+    1. the held clique meets C in k-1 vertices: they are the clique;
+    2. C meets fewer than k-1 color classes of the held proper coloring: a
+       clique takes one vertex from each class, so there is none;
+    3. otherwise G[C], weakly chordal because the property is hereditary,
+       is contracted to a clique by ``contract_to_clique``, and ``lift``
+       threads a clique of the final size back through the records.
+       Two-pair contraction keeps omega (Hayward-Hoang-Maffray), so that
+       clique has omega(G[C]) vertices, at most k-1 since a k-clique in C
+       and u would be a (k+1)-clique of G; the clique grows exactly when it
+       has k-1.
+    ``static_color`` makes the same two calls; they are made directly here
+    so that a profile of ``static_color`` counts static recomputes only.
     """
     g = state.graph
-    target = state.color_count - 1
-    if target <= 0:
-        return frozenset((u, v))
-    classes: dict[int, int] = {}
-    for w, c in state.coloring.items():
-        classes[c] = classes.get(c, 0) | 1 << g.pos(w)
-    mask = _find_clique(g.adj_masks(), g.adj_mask(u) & g.adj_mask(v), target, list(classes.values()))
-    if mask is None:
+    need = state.color_count - 1
+    common = {w for w in g.neighbors(u) if g.has_edge(w, v)}
+    held = state.clique & common
+    if len(held) == need:
+        return held | {u, v}
+    if len({state.coloring[w] for w in common}) < need:
         return None
-    ids = g.vertices
-    return frozenset({u, v} | {ids[p] for p in _bits(mask)})
+    sub = g.induced_subgraph(common)
+    _, found, size = lift(sub, contract_to_clique(sub, (), sub.next_id))
+    return found | {u, v} if size == need else None
 
 
 # ---------------------------------------------------------------------------

@@ -163,9 +163,6 @@ class Graph:
 
     # -- value-like mutation ----------------------------------------------
 
-    def _clone(self, edges, ids=None) -> "Graph":
-        return Graph(self._ids if ids is None else ids, edges, self._next_id)
-
     def _with_edge_flipped(self, pu: int, pv: int) -> "Graph":
         adj = list(self._adj)
         adj[pu] ^= 1 << pv
@@ -239,7 +236,7 @@ class Graph:
             for j in range(i + 1, len(self._ids)):
                 if mu >> j & 1 or mu & adj[j]:
                     edges.append((u, self._ids[j]))
-        return self._clone(edges)
+        return Graph(self._ids, edges, self._next_id)
 
     def line_graph(self) -> "Graph":
         """One vertex per edge; adjacency iff the edges share an endpoint.
@@ -257,13 +254,15 @@ class Graph:
         return Graph(ids, edges)
 
     def induced_subgraph(self, keep: Iterable[int]) -> "Graph":
+        """Each kept mask keeps the kept positions' bits, renumbered by rank."""
         keep = set(keep)
-        unknown = keep - set(self._ids)
+        unknown = keep - self._pos.keys()
         if unknown:
             raise GraphError(f"unknown vertices {sorted(unknown)}")
-        ids = [v for v in self._ids if v in keep]
-        edges = [(u, v) for u, v in self.edges() if u in keep and v in keep]
-        return self._clone(edges, ids=ids)
+        at = sorted(self._pos[v] for v in keep)
+        ids = tuple(self._ids[p] for p in at)
+        adj = [sum(1 << i for i, q in enumerate(at) if m >> q & 1) for m in (self._adj[p] for p in at)]
+        return Graph._from_masks(ids, dict(zip(ids, range(len(ids)))), adj, self._next_id)
 
     # -- equality / serialization ------------------------------------------
 

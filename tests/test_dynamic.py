@@ -215,7 +215,8 @@ def reference_delete_update(state, u, v):
 
 
 def reference_find_clique(adj, cand, size):
-    """The clique search without the color bound: the reference for `_find_clique`."""
+    """A clique of `size` inside the candidate position set, as a bitmask, by
+    plain branching: the reference clique search."""
     if size <= 0:
         return 0
     while cand.bit_count() >= size:
@@ -226,6 +227,16 @@ def reference_find_clique(adj, cand, size):
             return rest | low
         cand ^= low
     return None
+
+
+def reference_growth_witness(state, u, v):
+    """The growth test as a plain search of N(u) & N(v) for an
+    (omega-1)-clique: the reference for `_growth_witness`."""
+    g = state.graph
+    mask = reference_find_clique(g.adj_masks(), g.adj_mask(u) & g.adj_mask(v), state.color_count - 1)
+    if mask is None:
+        return None
+    return frozenset({u, v} | {w for w in g.vertices if mask >> g.pos(w) & 1})
 
 
 def replay_outcome(replay, *args, **kwargs):
@@ -405,30 +416,75 @@ class TestCliqueGrows:
     def test_fig6_diagonal_does_not_grow(self, fig6):
         assert _growth_witness(static_color(fig6), 1, 4) is None
 
-    @given(st.integers(0, 10_000), st.booleans())
-    @settings(max_examples=40, deadline=None)
-    def test_color_bound_keeps_first_clique(self, seed, convex):
-        """The color-bounded search returns the mask the unbounded one returns."""
-        rng = random.Random(seed)
-        if convex:
-            topo = random_convex(rng.randint(3, 8), rng.randint(3, 8), rng)
-            g = build_conflict_graph(topo, all_unicast_messages(topo)).graph
-        else:
-            g = random_weakly_chordal(rng.randint(3, 30), rng.randint(0, 90), rng)
-        state = static_color(g)
-        classes = {}
-        for w, c in state.coloring.items():
-            classes[c] = classes.get(c, 0) | 1 << g.pos(w)
-        adj, k = g.adj_masks(), state.color_count
-        cands = [(1 << g.n) - 1]
-        for _ in range(8):
-            u, v = rng.sample(g.vertices, 2)
-            cands.append(g.adj_mask(u) & g.adj_mask(v))
-        for cand in cands:
-            for size in sorted({1, k - 1, k, k + 1}):
-                assert dynamic_coloring._find_clique(adj, cand, size, list(classes.values())) == (
-                    reference_find_clique(adj, cand, size)
-                )
+    def test_growth_matches_reference_search(self):
+        """The growth test against a plain clique search of N(u) & N(v), on
+        non-edges whose endpoints a record merged (the I-3 inserts).
+
+        The verdicts agree, every witness is an (omega+1)-clique of G+uv
+        through u and v, and each of the three steps decides some draw: the
+        held clique, the color-class count and the contraction of G[C].
+        """
+        decided = [0, 0, 0]
+        for seed in range(80):
+            rng = random.Random(seed)
+            if seed % 2:
+                topo = random_convex(rng.randint(3, 8), rng.randint(3, 8), rng)
+                g = build_conflict_graph(topo, all_unicast_messages(topo)).graph
+            else:
+                g = random_weakly_chordal(rng.randint(3, 30), rng.randint(0, 90), rng)
+            state = static_color(g)
+            k = state.color_count
+            merged = [
+                (u, v)
+                for u, v in itertools.combinations(g.vertices, 2)
+                if not g.has_edge(u, v) and matching_records(state.order, u, v)
+            ]
+            for u, v in rng.sample(merged, min(8, len(merged))):
+                common = g.adj_mask(u) & g.adj_mask(v)
+                members = {w for w in g.vertices if common >> g.pos(w) & 1}
+                if len(state.clique & members) == k - 1:
+                    decided[0] += 1
+                elif len({state.coloring[w] for w in members}) < k - 1:
+                    decided[1] += 1
+                else:
+                    decided[2] += 1
+                witness = _growth_witness(state, u, v)
+                grows = reference_find_clique(g.adj_masks(), common, k - 1) is not None
+                assert (witness is not None) == grows, (seed, u, v)
+                if witness is not None:
+                    h = g.insert_edge(u, v)
+                    assert len(witness) == k + 1 and {u, v} <= witness
+                    assert all(h.has_edge(a, b) for a, b in itertools.combinations(witness, 2))
+        assert all(decided), decided
+
+    def test_trial_same_as_reference_search(self, monkeypatch):
+        """One seeded 10x10 trial, run with the growth test and with the plain
+        clique search in its place: every report, coloring and order is the
+        same and every state verifies; only the held clique may differ."""
+
+        def run(witness):
+            steps = []
+
+            def recorded(update):
+                def run_update(state, u, v):
+                    new, report = update(state, u, v)
+                    assert verify_state(new)
+                    steps.append((report.to_dict(), new.coloring, new.order))
+                    return new, report
+
+                return run_update
+
+            monkeypatch.setattr(dynamic_coloring, "_growth_witness", witness)
+            monkeypatch.setattr(harness, "insert_update", recorded(insert_update))
+            monkeypatch.setattr(harness, "delete_update", recorded(delete_update))
+            run_simulation(TrialConfig(seed=1, M=10, N=10, event_count=100, assert_bound=False))
+            return steps
+
+        library = run(_growth_witness)
+        reference = run(reference_growth_witness)
+        assert library == reference
+        cases = [report["case"] for report, _, _ in library]
+        assert {"I-3-1", "I-3-2"} <= set(cases)
 
 
 class TestInsert:
@@ -531,19 +587,19 @@ class TestDelete:
     def test_replay_decides_omega_without_clique_search(self, monkeypatch):
         """Deletions inside the held clique are decided by the replays.
 
-        The exponential whole-graph clique search is never called, and the
-        decided color count is chi.
+        They never run the insertion's growth test, and the decided color
+        count is chi.
         """
         topo = random_convex(30, 30, random.Random(1))
         state = static_color(build_conflict_graph(topo, all_unicast_messages(topo)).graph)
         searches = []
-        find_clique = dynamic_coloring._find_clique
+        growth_witness = dynamic_coloring._growth_witness
 
         def counted(*args):
             searches.append(args)
-            return find_clique(*args)
+            return growth_witness(*args)
 
-        monkeypatch.setattr(dynamic_coloring, "_find_clique", counted)
+        monkeypatch.setattr(dynamic_coloring, "_growth_witness", counted)
         rng = random.Random(2)
         cases = []
         for _ in range(12):
