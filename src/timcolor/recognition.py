@@ -298,8 +298,25 @@ def _ascending(pairs: set[tuple[int, int]]) -> Iterator[tuple[int, int]]:
     yield from sorted(pairs - {first})
 
 
+def _near(adj: Sequence[int], nbrs: int, candidates: int) -> int:
+    """The candidates worth a walk from a vertex whose neighbors are `nbrs`.
+
+    When `nbrs` is the smaller set, only the candidates two hops away (the
+    OR of the masks of `nbrs`), which are exactly those with a common
+    neighbor; otherwise all of them, for the walk to skip a count of 0.
+    """
+    if nbrs.bit_count() >= candidates.bit_count():
+        return candidates
+    reach = 0
+    while nbrs:
+        low = nbrs & -nbrs
+        reach |= adj[low.bit_length() - 1]
+        nbrs ^= low
+    return candidates & reach
+
+
 class PairRanking:
-    """The non-adjacent pairs of a graph under contraction, ranked best first.
+    """The pairs at distance two of a graph under contraction, ranked best first.
 
     One ranking serves a whole contraction loop: ``pop_pair`` hands out the
     pair to contract next, ``contract`` carries out every contraction, of a
@@ -312,12 +329,21 @@ class PairRanking:
     The pairs sit in exact buckets, one per count, built by the first
     ``pop_pair``; until then ``contract`` updates only the masks and the
     number of live non-adjacent pairs, which ``complete`` reads. The
-    invariant: every live non-adjacent pair sits, as its ids (a, b), in
-    exactly the bucket of its current count, and no other pair, dead or
-    adjacent, sits in any bucket. The build puts each pair in at its
-    count, and ``contract`` keeps the invariant (see there). So scanning
-    the buckets from the highest count down, each in ascending id order,
-    visits the pairs in the order a sort of all pairs would give.
+    invariant: every live non-adjacent pair with at least one common
+    neighbor sits, as its ids (a, b), in exactly the bucket of its current
+    count, and no other pair, dead, adjacent or with no common neighbor,
+    sits in any bucket; bucket 0 stays empty. The build puts each such
+    pair in at its count, and ``contract`` keeps the invariant (see
+    there). So scanning the buckets from the highest count down, each in
+    ascending id order, visits the pairs of count >= 1 in the order a sort
+    of all pairs would give, and ``pop_pair`` reads the count-0 tail off
+    the components.
+
+    The build and ``contract``'s far-pair loop share one size rule,
+    ``_near``: a slot whose neighborhood is smaller than its candidate
+    partners walks only the slots two hops away, otherwise it walks every
+    candidate and skips a count of 0. Sparse graphs take the first side,
+    dense ones the second.
     """
 
     def __init__(self, g: Graph):
@@ -344,28 +370,41 @@ class PairRanking:
         records can give slots ids out of order. Two-pair tests run lazily,
         up to the first pair ``joinable`` accepts. Nothing leaves a bucket
         here; the returned pair leaves when the caller contracts it.
+
+        When no pair of count >= 1 passes, the count-0 tail is read off the
+        components. A pair with no common neighbor passes ``joinable``
+        exactly when no path joins it, and a pair across components has no
+        common neighbor. So the first such pair in id order is (a, b) with
+        a the smallest live id and b the smallest id outside a's component
+        K, on any graph; if K holds every live vertex there is none.
         """
+        adj, ids, live = self._adj, self._ids, self._live
         buckets = self._buckets
         if buckets is None:
-            adj, ids, live = self._adj, self._ids, self._live
             # Of L live vertices, a non-adjacent pair has at most L - 2
             # common neighbors, and L only falls.
             self._buckets = buckets = [set() for _ in range(max(live.bit_count() - 1, 0))]
             for s in _bits(live):
                 a, ns = ids[s], adj[s]
-                m = live & ~ns & ~((2 << s) - 1)
+                m = _near(adj, ns, live & ~ns & ~((2 << s) - 1))
                 while m:
                     low = m & -m
                     m ^= low
                     t = low.bit_length() - 1
-                    b = ids[t]
-                    buckets[(ns & adj[t]).bit_count()].add((a, b) if a < b else (b, a))
+                    c = (ns & adj[t]).bit_count()
+                    if c:
+                        b = ids[t]
+                        buckets[c].add((a, b) if a < b else (b, a))
         for bucket in reversed(buckets):
             if bucket:
                 for a, b in _ascending(bucket):
                     if self.joinable(a, b):
                         return a, b
-        return None
+        if not live:
+            return None
+        a = min(ids[s] for s in _bits(live))
+        rest = live & ~_bfs_reach(adj, self._slot[a], live)
+        return (a, min(ids[s] for s in _bits(rest))) if rest else None
 
     def complete(self) -> bool:
         """Whether the live vertices are pairwise adjacent."""
@@ -388,6 +427,11 @@ class PairRanking:
         again once the pairs with x or y leave their buckets, the
         non-adjacent X x Y pairs move up one bucket, the non-adjacent pairs
         inside B move down one, and the pairs with z enter at their counts.
+        Only pairs of count >= 1 are in the buckets: a pair with x, y or z
+        leaves or enters only at a count >= 1 (a replayed record may
+        contract a pair of count 0), an X x Y pair at count 0 has nothing to
+        leave, and a pair inside B has both x and y in common, so it goes
+        from a count of at least 2 to at least 1 and never reaches 0.
         Before the buckets are built, only the masks and the count below
         change.
 
@@ -413,23 +457,31 @@ class PairRanking:
         self._missing += both.bit_count() + 1 - live.bit_count()
         if buckets is not None:
             # Every count below is read off the masks before the merge.
-            buckets[both.bit_count()].remove((x, y) if x < y else (y, x))
+            if both:
+                buckets[both.bit_count()].remove((x, y) if x < y else (y, x))
             # The other pairs with x or y leave. A slot t that misses both
             # misses z too, and its mask lacks x and y, so (nz & adj[t]) is
-            # its count with z already.
+            # its count with z already. Every pair here with a common
+            # neighbor lies two hops from z.
             far_x, far_y = live & ~nx & ~gone, live & ~ny & ~gone
-            m = far_x | far_y
+            m = _near(adj, nz, far_x | far_y)
             while m:
                 low = m & -m
                 m ^= low
                 t = low.bit_length() - 1
                 w, nt = ids[t], adj[t]
                 if far_x & low:
-                    buckets[(nx & nt).bit_count()].remove((x, w) if x < w else (w, x))
+                    c = (nx & nt).bit_count()
+                    if c:
+                        buckets[c].remove((x, w) if x < w else (w, x))
                 if far_y & low:
-                    buckets[(ny & nt).bit_count()].remove((y, w) if y < w else (w, y))
+                    c = (ny & nt).bit_count()
+                    if c:
+                        buckets[c].remove((y, w) if y < w else (w, y))
                     if far_x & low:
-                        buckets[(nz & nt).bit_count()].add((z, w) if z < w else (w, z))
+                        c = (nz & nt).bit_count()
+                        if c:
+                            buckets[c].add((z, w) if z < w else (w, z))
             # X x Y pairs move up one, pairs inside B down one.
             only_y = ny & ~nx
             m = nx
@@ -448,7 +500,8 @@ class PairRanking:
                     t = bit.bit_length() - 1
                     b = ids[t]
                     pair, c = (a, b) if a < b else (b, a), (ns & adj[t]).bit_count()
-                    buckets[c].remove(pair)
+                    if c:
+                        buckets[c].remove(pair)
                     buckets[c + step].add(pair)
         ids.append(z)
         slot[z] = sz

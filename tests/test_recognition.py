@@ -634,7 +634,9 @@ class TestTwoPairs:
         strict replay fires records. Every contraction takes a fresh id
         drawn at random, below earlier ones and in the gaps of g's ids too,
         so slot order and id order differ. After every step, complete()
-        says whether the quotient's masks are those of a clique."""
+        says whether the quotient's masks are those of a clique, and once
+        the buckets are built they hold exactly the live non-adjacent pairs
+        with a common neighbor, each at its count."""
         rng = random.Random(seed)
         ranking, cur = PairRanking(g), g
         fresh = [v for v in range(g.next_id + 2 * g.n) if v not in g]
@@ -647,6 +649,14 @@ class TestTwoPairs:
             full = (1 << cur.n) - 1
             clique = all(m | 1 << p == full for p, m in enumerate(cur.adj_masks()))
             assert ranking.complete() == clique
+            if ranking._buckets is not None:
+                nbrs = {v: set(cur.neighbors(v)) for v in cur.vertices}
+                expected = {}
+                for a, b in itertools.combinations(cur.vertices, 2):
+                    count = len(nbrs[a] & nbrs[b])
+                    if count and b not in nbrs[a]:
+                        expected.setdefault(count, set()).add((a, b))
+                assert {c: pairs for c, pairs in enumerate(ranking._buckets) if pairs} == expected
 
         while True:
             while rng.random() < 0.5:
@@ -671,13 +681,18 @@ class TestTwoPairs:
         [
             (6, [(0, 2), (0, 4), (0, 5), (1, 3), (1, 4), (2, 3), (3, 5)], (2, 5)),
             (7, [(0, 2), (0, 5), (1, 3), (1, 5), (2, 3), (2, 6), (3, 6), (4, 5)], (0, 4)),
+            (6, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)], (0, 5)),
+            (6, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)], (0, 1)),
         ],
     )
     def test_pop_pair_on_quotients_with_holes(self, n, edges, expected):
         """On graphs with holes a pair ranked first need not be a two-pair:
         the first two-pair in rank order wins, past the non-two-pairs ranked
         above it, (0, 3) in the first graph and (0, 1) and (0, 3) in the
-        second."""
+        second. In the last two, a C5 and an isolated vertex, every pair
+        with a common neighbor lies on the hole, so the count-0 tail
+        answers: the smallest id and the smallest id outside its
+        component."""
         g = make_graph(n, edges)
         ranked = reference_candidate_pairs(g)
         assert next(((x, y) for x, y, two in ranked if two), None) == expected

@@ -14,6 +14,7 @@ from timcolor.cli import state_from_dict, state_to_dict
 from timcolor.dynamic_coloring import delete_update, insert_update, replay_repair
 from timcolor.graph import Graph, GraphError, make_graph
 from timcolor.generators import random_chordal_bipartite, random_convex, random_weakly_chordal
+from timcolor.harness import TrialConfig, build_trial_graph
 from timcolor.oracles import oracle_chromatic, oracle_max_clique
 from timcolor.recognition import PairRanking, TwoPair, is_two_pair, is_weakly_chordal
 from timcolor.static_coloring import (
@@ -314,14 +315,24 @@ class TestStaticColor:
         assert shuffled.color_count == g.n - len(expected)
 
     def test_conflict_graph_records_match_reference(self):
+        """Random conflict graphs, and the networks of the benchmark's
+        link-flap and edge-churn workloads."""
         rng = random.Random(29)
-        for size in (6, 8, 10, 12):
+        topos = [
+            topo
+            for size in (6, 8, 10, 12)
             for topo in (
                 random_chordal_bipartite(size, size, 0.5, rng),
                 random_convex(3 * size, 3 * size, rng),
-            ):
-                g = build_conflict_graph(topo, all_unicast_messages(topo)).graph
-                assert static_color(g).order == reference_contractions(g)
+            )
+        ]
+        topos += [random_convex(30, 30, random.Random(k)) for k in range(1, 17)]
+        graphs = [build_conflict_graph(topo, all_unicast_messages(topo)).graph for topo in topos]
+        graphs += [
+            build_trial_graph(TrialConfig(seed=k, M=10, N=10, density=0.5)) for k in range(1, 5)
+        ]
+        for g in graphs:
+            assert static_color(g).order == reference_contractions(g)
 
     def test_chromatic_number_helper(self, c5=None):
         assert chromatic_number(cycle(4)) == 2
@@ -457,10 +468,12 @@ def corrupted_states(draw):
     def at(extra=1):
         return draw(st.integers(0, len(records) - 1 + extra))
 
+    # two "count" corruptions can take the count below 0; a colour or a
+    # clique size past max(count, 0) is still a corruption
     for _ in range(draw(st.sampled_from((0, 1, 2, 3)))):
         kind = draw(st.sampled_from(CORRUPTIONS))
         if kind == "recolor":
-            coloring[draw(st.sampled_from(ids))] = draw(st.integers(1, count + 1))
+            coloring[draw(st.sampled_from(ids))] = draw(st.integers(1, max(count, 0) + 1))
         elif kind == "drop" and records:
             del records[at(0)]
         elif kind == "swap" and len(records) > 1:
@@ -489,7 +502,7 @@ def corrupted_states(draw):
             rec = ContractionRecord(draw(some_id), draw(some_id), draw(some_id))
             records.insert(at(), rec)
         elif kind == "clique":
-            clique = frozenset(draw(st.sets(st.sampled_from(ids), max_size=count + 1)))
+            clique = frozenset(draw(st.sets(st.sampled_from(ids), max_size=max(count, 0) + 1)))
         elif kind == "count":
             count += draw(st.sampled_from((-1, 1)))
     return ColoringState(g, coloring, count, clique, tuple(records))
