@@ -10,8 +10,10 @@ oracles. Events are logged as JSONL, summarized as CSV.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import io
+import itertools
 import json
 import math
 import random
@@ -170,23 +172,47 @@ class TrialReport:
         return buf.getvalue()
 
 
+class _Pairs:
+    """The pairs of a graph that one mask per position selects, as a sequence.
+
+    ``rows[p]`` holds the later positions paired with position p, and the
+    pairs run in (position, later position) order, as ``Graph.edges``
+    lists edges. Only the per-row counts are kept: item i is found by a
+    bisection over their running sums, then a walk to the right bit of
+    its row, so no pair is listed.
+    """
+
+    __slots__ = ("_ids", "_rows", "_ends")
+
+    def __init__(self, ids: tuple[int, ...], rows: list[int]):
+        self._ids, self._rows = ids, rows
+        self._ends = list(itertools.accumulate(m.bit_count() for m in rows))
+
+    def __len__(self) -> int:
+        return self._ends[-1] if self._ends else 0
+
+    def __getitem__(self, i: int) -> tuple[int, int]:
+        p = bisect.bisect_right(self._ends, i)
+        m = self._rows[p]
+        for _ in range(i - (self._ends[p - 1] if p else 0)):
+            m &= m - 1
+        return self._ids[p], self._ids[(m & -m).bit_length() - 1]
+
+
 def gen_event(
     g: Graph, rng: random.Random, insert_fraction: float, seq: int, cap: int
 ) -> Optional[PerturbationEvent]:
     """A uniformly sampled admissible event, or None when saturated.
 
     Candidates are rejection-sampled until the perturbed graph stays weakly
-    chordal, up to `cap` attempts.
+    chordal, up to `cap` attempts. ``rng.choice`` draws from the edges and
+    the non-edges in (position, later position) order, read off the masks.
     """
     ids = g.vertices
-    n = len(ids)
-    edges: list[tuple[int, int]] = []
-    non_edges: list[tuple[int, int]] = []
-    # both lists in (position, later position) order, as g.edges() lists edges
-    for i, m in enumerate(g.adj_masks()):
-        u = ids[i]
-        for j in range(i + 1, n):
-            (edges if m >> j & 1 else non_edges).append((u, ids[j]))
+    full = (1 << len(ids)) - 1
+    adj = g.adj_masks()
+    edges = _Pairs(ids, [m & -(2 << p) for p, m in enumerate(adj)])
+    non_edges = _Pairs(ids, [full & ~m & -(2 << p) for p, m in enumerate(adj)])
     for _ in range(cap):
         want_insert = rng.random() < insert_fraction
         if want_insert and not non_edges:

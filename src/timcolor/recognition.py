@@ -304,6 +304,9 @@ def _near(adj: Sequence[int], nbrs: int, candidates: int) -> int:
     When `nbrs` is the smaller set, only the candidates two hops away (the
     OR of the masks of `nbrs`), which are exactly those with a common
     neighbor; otherwise all of them, for the walk to skip a count of 0.
+    ``PairRanking``'s build calls it once per slot. ``contract``'s far loop
+    applies the same rule inline, counting its candidates off the parents'
+    neighborhoods instead of their mask.
     """
     if nbrs.bit_count() >= candidates.bit_count():
         return candidates
@@ -320,11 +323,13 @@ class PairRanking:
 
     One ranking serves a whole contraction loop: ``pop_pair`` hands out the
     pair to contract next, ``contract`` carries out every contraction, of a
-    popped pair or of a replayed record. Vertices sit at fixed slots (the
-    graph's sorted positions, then one new slot per contracted id), so no
-    mask is renumbered. Pairs rank by descending common-neighborhood count,
-    then by ascending ids (a, b), a < b: large common neighborhoods are the
-    likeliest to disconnect the pair.
+    popped pair or of a replayed record. Each vertex of the graph sits at
+    its sorted position as its slot. A contracted id takes over the slot of
+    its parent with more neighbors and the other parent's slot dies, so
+    every mask stays g.n bits wide and none is renumbered. Pairs rank by
+    descending common-neighborhood count, then by ascending ids (a, b),
+    a < b: large common neighborhoods are the likeliest to disconnect the
+    pair.
 
     The pairs sit in exact buckets, one per count, built by the first
     ``pop_pair``; until then ``contract`` updates only the masks and the
@@ -337,22 +342,25 @@ class PairRanking:
     there). So scanning the buckets from the highest count down, each in
     ascending id order, visits the pairs of count >= 1 in the order a sort
     of all pairs would give, and ``pop_pair`` reads the count-0 tail off
-    the components.
+    the components. The scan starts at ``_top``, which no non-empty bucket
+    lies above: ``contract`` raises it when it adds a pair above it, and
+    the scan lowers it past the empty buckets it finds there.
 
-    The build and ``contract``'s far-pair loop share one size rule,
-    ``_near``: a slot whose neighborhood is smaller than its candidate
-    partners walks only the slots two hops away, otherwise it walks every
-    candidate and skips a count of 0. Sparse graphs take the first side,
-    dense ones the second.
+    The build and ``contract``'s far loop share one size rule (``_near``):
+    a slot whose neighborhood is smaller than its candidate partners walks
+    only the slots two hops away, otherwise it walks every candidate and
+    skips a count of 0. Sparse graphs take the first side, dense ones the
+    second.
     """
 
     def __init__(self, g: Graph):
-        self._ids = list(g.vertices)  # slot -> id
+        self._ids = list(g.vertices)  # slot -> id; stale once dead
         self._slot = {v: s for s, v in enumerate(self._ids)}
         self._adj = g.adj_masks()  # slot -> neighbor slots; 0 once dead
         self._live = (1 << g.n) - 1
         self._missing = g.n * (g.n - 1) // 2 - g.edge_count()  # live non-adjacent pairs
         self._buckets: Optional[list[set[tuple[int, int]]]] = None  # count -> pairs
+        self._top = 0  # no non-empty bucket above it
 
     def joinable(self, x: int, y: int) -> bool:
         """Whether x and y are a live two-pair of the current quotient
@@ -366,10 +374,11 @@ class PairRanking:
         """The first two-pair in rank order as ids (a, b), a < b, or None.
 
         The buckets are scanned from the highest non-empty count down, and
-        within a count in ascending id order, not slot order: replayed
-        records can give slots ids out of order. Two-pair tests run lazily,
-        up to the first pair ``joinable`` accepts. Nothing leaves a bucket
-        here; the returned pair leaves when the caller contracts it.
+        within a count in ascending id order, not slot order: a contracted
+        id takes a parent's slot, so slots hold ids out of order. Two-pair
+        tests run lazily, up to the first pair ``joinable`` accepts. Nothing
+        leaves a bucket here; the returned pair leaves when the caller
+        contracts it.
 
         When no pair of count >= 1 passes, the count-0 tail is read off the
         components. A pair with no common neighbor passes ``joinable``
@@ -384,6 +393,7 @@ class PairRanking:
             # Of L live vertices, a non-adjacent pair has at most L - 2
             # common neighbors, and L only falls.
             self._buckets = buckets = [set() for _ in range(max(live.bit_count() - 1, 0))]
+            self._top = max(len(buckets) - 1, 0)
             for s in _bits(live):
                 a, ns = ids[s], adj[s]
                 m = _near(adj, ns, live & ~ns & ~((2 << s) - 1))
@@ -395,7 +405,12 @@ class PairRanking:
                     if c:
                         b = ids[t]
                         buckets[c].add((a, b) if a < b else (b, a))
-        for bucket in reversed(buckets):
+        top = self._top
+        while top and not buckets[top]:
+            top -= 1
+        self._top = top
+        for c in range(top, 0, -1):
+            bucket = buckets[c]
             if bucket:
                 for a, b in _ascending(bucket):
                     if self.joinable(a, b):
@@ -416,31 +431,56 @@ class PairRanking:
         It raises ``GraphError`` with that method's messages on an adjacent
         pair, an unknown vertex, a vertex paired with itself and a live z.
 
+        z takes over the slot of k, the parent with more neighbors (x on a
+        tie), and the slot of the other parent, d, dies. x and y are
+        non-adjacent, so neither of their masks holds the slot of x or y,
+        and z's mask is N(z) = N(x) | N(y) as it stands. Every other live
+        mask holds k's slot exactly when it lies in N(k), and d's exactly
+        when it lies in N(d). So clearing d's bit and setting k's in the
+        masks of N(d), and in no others, leaves k's slot in exactly the
+        masks of N(z) and d's in none. So the rewrite walks N(d), the
+        smaller of the two neighborhoods, and not all of N(z).
+
         Pairs with x or y die, and each pair of z with a live non-neighbor
-        is born. Of the other pairs, only those inside N(z) = N(x) | N(y)
-        change count: common(a, b) loses x only when a and b both lie in
-        N(x), loses y likewise, and gains z only when both lie in N(z).
-        Split N(z) into X = N(x) - N(y), Y = N(y) - N(x) and B = N(x) & N(y).
-        A pair across X and Y gains z and lost nothing (+1), a pair inside B
-        loses x and y and gains z (-1), and every other pair inside N(z)
-        swaps one of x, y for z (unchanged). So the bucket invariant holds
-        again once the pairs with x or y leave their buckets, the
-        non-adjacent X x Y pairs move up one bucket, the non-adjacent pairs
-        inside B move down one, and the pairs with z enter at their counts.
-        Only pairs of count >= 1 are in the buckets: a pair with x, y or z
-        leaves or enters only at a count >= 1 (a replayed record may
-        contract a pair of count 0), an X x Y pair at count 0 has nothing to
-        leave, and a pair inside B has both x and y in common, so it goes
-        from a count of at least 2 to at least 1 and never reaches 0.
-        Before the buckets are built, only the masks and the count below
-        change.
+        is born. Of the other pairs, only those inside N(z) change count:
+        common(a, b) loses x only when a and b both lie in N(x), loses y
+        likewise, and gains z only when both lie in N(z). Split N(z) into
+        B = N(x) & N(y), D = N(d) - N(k) and K = N(k) - N(d). A pair across
+        D and K gains z and lost nothing (+1), a pair inside B loses x and y
+        and gains z (-1), and every other pair inside N(z) swaps one of x, y
+        for z (unchanged). So the bucket invariant holds again once the
+        pairs with x or y leave their buckets, the non-adjacent D x K pairs
+        move up one bucket, the non-adjacent pairs inside B move down one,
+        and the pairs with z enter at their counts. Only pairs of count >= 1
+        are in the buckets: a pair with x, y or z leaves or enters only at a
+        count >= 1 (a replayed record may contract a pair of count 0), a
+        D x K pair at count 0 has nothing to leave, and a pair inside B has
+        both x and y in common, so it goes from a count of at least 2 to at
+        least 1 and never reaches 0.
+
+        Two walks make every move, and no slot is in both. One ascending
+        pass over N(d), that is B and D, rewrites each mask and moves the
+        pairs of its slot s: with the later slots of B for s in B, and for
+        s in D the pair (k, s) and the pairs with K. As |N(d)| <= |N(k)|,
+        D is the smaller of N(x) - N(y) and N(y) - N(x). Every count is
+        read off the masks before the merge: the mask of s is read before
+        its rewrite, a partner in K is never rewritten, and a partner in B
+        comes later in the pass. The far loop then walks K and the live
+        slots outside N(z) other than x and y, L - 2 - |N(d)| of them with
+        L live vertices, or only those two hops from z when N(z) is the
+        smaller set (``_near``'s rule): a pair with no common neighbor is
+        in no bucket. For each such t the pair (d, t) leaves, and for t
+        outside N(z) so does (k, t), while (z, t) enters. No mask of K is
+        rewritten, and a mask outside N(z) holds neither x nor y, so there
+        (N(z) & N(t)) is the count of (z, t).
 
         With L live vertices before the merge, x has L - 1 - |N(x)|
         non-neighbors, y likewise, and z has L - 2 - |N(z)|; no other pair
         changes adjacency. So the number of live non-adjacent pairs changes
         by (L - 2 - |N(z)|) - (L - 1 - |N(x)|) - (L - 1 - |N(y)|) + 1 (the
         pair x, y counted twice), that is by |B| + 1 - L, and ``complete``
-        reads it in O(1).
+        reads it in O(1). Until the buckets are built, only that number and
+        the masks change.
         """
         adj, ids, slot, buckets = self._adj, self._ids, self._slot, self._buckets
         if x not in slot or y not in slot:
@@ -451,65 +491,87 @@ class PairRanking:
             raise GraphError(f"cannot contract {x} with itself")
         if z in slot:
             raise GraphError(f"contracted id {z} already live")
-        sx, sy, sz = slot.pop(x), slot.pop(y), len(ids)
+        sx, sy = slot.pop(x), slot.pop(y)
         nx, ny = adj[sx], adj[sy]
-        nz, both, gone, zbit, live = nx | ny, nx & ny, 1 << sx | 1 << sy, 1 << sz, self._live
-        self._missing += both.bit_count() + 1 - live.bit_count()
-        if buckets is not None:
-            # Every count below is read off the masks before the merge.
-            if both:
-                buckets[both.bit_count()].remove((x, y) if x < y else (y, x))
-            # The other pairs with x or y leave. A slot t that misses both
-            # misses z too, and its mask lacks x and y, so (nz & adj[t]) is
-            # its count with z already. Every pair here with a common
-            # neighbor lies two hops from z.
-            far_x, far_y = live & ~nx & ~gone, live & ~ny & ~gone
-            m = _near(adj, nz, far_x | far_y)
+        if nx.bit_count() >= ny.bit_count():
+            k, d, sk, sd, nk, nd = x, y, sx, sy, nx, ny
+        else:
+            k, d, sk, sd, nk, nd = y, x, sy, sx, ny, nx
+        kbit, dbit, both, nz, live = 1 << sk, 1 << sd, nx & ny, nx | ny, self._live
+        count = live.bit_count()
+        self._missing += both.bit_count() + 1 - count
+        m = nd
+        if buckets is None:
             while m:
                 low = m & -m
                 m ^= low
-                t = low.bit_length() - 1
-                w, nt = ids[t], adj[t]
-                if far_x & low:
-                    c = (nx & nt).bit_count()
-                    if c:
-                        buckets[c].remove((x, w) if x < w else (w, x))
-                if far_y & low:
-                    c = (ny & nt).bit_count()
-                    if c:
-                        buckets[c].remove((y, w) if y < w else (w, y))
-                    if far_x & low:
-                        c = (nz & nt).bit_count()
-                        if c:
-                            buckets[c].add((z, w) if z < w else (w, z))
-            # X x Y pairs move up one, pairs inside B down one.
-            only_y = ny & ~nx
-            m = nx
+                s = low.bit_length() - 1
+                adj[s] = adj[s] ^ dbit | kbit
+        else:
+            top = self._top
+            if both:
+                buckets[both.bit_count()].remove((x, y) if x < y else (y, x))
+            # The pass over N(d); m holds the slots after s.
+            only_k = nk & ~nd
             while m:
                 low = m & -m
                 m ^= low
                 s = low.bit_length() - 1
                 a, ns = ids[s], adj[s]
-                if both & low:
-                    partners, step = both & ~ns & ~((2 << s) - 1), -1
+                adj[s] = ns ^ dbit | kbit
+                if ns & kbit:
+                    partners, step = m & both & ~ns, -1
                 else:
-                    partners, step = only_y & ~ns, 1
+                    c = (nk & ns).bit_count()
+                    if c:
+                        buckets[c].remove((k, a) if k < a else (a, k))
+                    partners, step = only_k & ~ns, 1
                 while partners:
                     bit = partners & -partners
                     partners ^= bit
                     t = bit.bit_length() - 1
                     b = ids[t]
-                    pair, c = (a, b) if a < b else (b, a), (ns & adj[t]).bit_count()
+                    pair = (a, b) if a < b else (b, a)
+                    c = (ns & adj[t]).bit_count()
                     if c:
                         buckets[c].remove(pair)
-                    buckets[c + step].add(pair)
-        ids.append(z)
-        slot[z] = sz
-        adj[sx] = adj[sy] = 0
-        for s in _bits(nz):
-            adj[s] = adj[s] & ~gone | zbit
-        adj.append(nz)
-        self._live = live & ~gone | zbit
+                    c += step
+                    buckets[c].add(pair)
+                    if c > top:
+                        top = c
+            # The far loop over K and the slots outside N(z) (far).
+            far = live & ~nz & ~kbit & ~dbit
+            m = far | only_k
+            if nz.bit_count() < count - 2 - nd.bit_count():
+                reach, r = 0, nz
+                while r:
+                    low = r & -r
+                    reach |= adj[low.bit_length() - 1]
+                    r ^= low
+                m &= reach
+            while m:
+                low = m & -m
+                m ^= low
+                t = low.bit_length() - 1
+                w, nt = ids[t], adj[t]
+                c = (nd & nt).bit_count()
+                if c:
+                    buckets[c].remove((d, w) if d < w else (w, d))
+                if far & low:
+                    c = (nk & nt).bit_count()
+                    if c:
+                        buckets[c].remove((k, w) if k < w else (w, k))
+                    c = (nz & nt).bit_count()
+                    if c:
+                        buckets[c].add((z, w) if z < w else (w, z))
+                        if c > top:
+                            top = c
+            self._top = top
+        ids[sk] = z
+        slot[z] = sk
+        adj[sk] = nz
+        adj[sd] = 0
+        self._live = live ^ dbit
 
 
 def find_two_pair(g: Graph) -> Optional[TwoPair]:

@@ -14,6 +14,7 @@ from timcolor.recognition import (
     stays_weakly_chordal_after_delete,
     stays_weakly_chordal_after_insert,
 )
+from timcolor.harness import PerturbationEvent
 from timcolor.static_coloring import ColoringState, ContractionRecord, lift
 from timcolor.tim import TopologyGraph
 
@@ -218,6 +219,37 @@ def perturbed(g, rng):
                 return g.delete_edge(u, v), u, v
         elif stays_weakly_chordal_after_insert(g, u, v):
             return g.insert_edge(u, v), u, v
+    return None
+
+
+def reference_gen_event(g, rng, insert_fraction, seq, cap):
+    """``harness.gen_event`` with both pair lists built before the first
+    draw: the reference for its draws from the masks."""
+    ids = g.vertices
+    n = len(ids)
+    edges = []
+    non_edges = []
+    # both lists in (position, later position) order, as g.edges() lists edges
+    for i, m in enumerate(g.adj_masks()):
+        u = ids[i]
+        for j in range(i + 1, n):
+            (edges if m >> j & 1 else non_edges).append((u, ids[j]))
+    for _ in range(cap):
+        want_insert = rng.random() < insert_fraction
+        if want_insert and not non_edges:
+            want_insert = False
+        if not want_insert and not edges:
+            want_insert = True
+            if not non_edges:
+                return None
+        if want_insert:
+            u, v = rng.choice(non_edges)
+            if stays_weakly_chordal_after_insert(g, u, v):
+                return PerturbationEvent("insert", u, v, seq)
+        else:
+            u, v = rng.choice(edges)
+            if stays_weakly_chordal_after_delete(g, u, v):
+                return PerturbationEvent("delete", u, v, seq)
     return None
 
 

@@ -269,6 +269,28 @@ class TestReplayRepair:
         expected = replay_outcome(reference_replay_repair, h, state.order)
         assert replay_outcome(diffed_replay_repair, h, state.order) == expected
 
+    @given(weakly_chordal_graphs(), st.integers(0, 10_000), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_state_file_ids_match_reference(self, g, seed, data):
+        """An order whose z ids are negative or 2**32 and more, in no
+        particular order, as a state file may carry them: the strict replay
+        gives the reference's records or error."""
+        rng = random.Random(seed)
+        state = random_order_state(g, rng) if data.draw(st.booleans()) else static_color(g)
+        event = perturbed(g, rng)
+        if event is None:
+            return
+        h, _, _ = event
+        fresh = [-1 - i if i % 2 else 2**32 + 3 * i for i in range(len(state.order))]
+        rng.shuffle(fresh)
+        rename = {rec.z: z for rec, z in zip(state.order, fresh)}
+        order = tuple(
+            ContractionRecord(rename.get(rec.x, rec.x), rename.get(rec.y, rec.y), rename[rec.z])
+            for rec in state.order
+        )
+        expected = replay_outcome(reference_replay_repair, h, order)
+        assert replay_outcome(diffed_replay_repair, h, order) == expected
+
     @given(weakly_chordal_graphs())
     @settings(max_examples=100, deadline=None)
     def test_empty_order_replays_as_static(self, g):

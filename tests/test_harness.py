@@ -29,6 +29,8 @@ from timcolor.oracles import (
 )
 from timcolor.static_coloring import static_color
 
+from conftest import reference_gen_event
+
 
 def cycle(n):
     return make_graph(n, [(i, (i + 1) % n) for i in range(n)])
@@ -103,7 +105,8 @@ class TestGenEvent:
     def test_candidates_in_reference_order(self, seed):
         """Candidates are drawn from ``g.edges()`` and from a ``has_edge`` scan
         of every pair, in those orders, so a seeded stream draws the events
-        it always drew; on graphs with sparse ids too."""
+        it always drew; on graphs with sparse ids too. The sequences drawn
+        from are read item by item."""
         rng = random.Random(seed)
         g = random_weakly_chordal(rng.randint(2, 14), rng.randint(0, 40), rng)
         g = g.induced_subgraph(rng.sample(g.vertices, g.n - rng.randint(0, g.n // 3)))
@@ -121,11 +124,37 @@ class TestGenEvent:
             lists = (list(g.edges()), [p for p in pairs if not g.has_edge(*p)])
             drawn.clear()
             ev = gen_event(g, events, 0.5, seq, 50)
-            assert all(cands in lists for cands in drawn)
+            assert all(list(cands) in lists for cands in drawn)
             if ev is None:
                 break
             assert drawn
             g = g.insert_edge(ev.u, ev.v) if ev.kind == "insert" else g.delete_edge(ev.u, ev.v)
+
+
+    @pytest.mark.parametrize("kind", ["sparse", "dense", "edgeless", "complete", "trial"])
+    def test_draws_match_reference(self, kind):
+        """Seeded calls return the reference's events and leave the rng in
+        the reference's state, for every insert fraction and caps of 1 and
+        more."""
+        rng = random.Random(kind)
+        graphs = {
+            "sparse": lambda: random_weakly_chordal(rng.randint(2, 16), rng.randint(0, 12), rng),
+            "dense": lambda: random_weakly_chordal(rng.randint(2, 16), rng.randint(40, 100), rng),
+            "edgeless": lambda: make_graph(rng.randint(0, 9), []),
+            "complete": lambda: clique(rng.randint(0, 9)),
+            "trial": lambda: build_trial_graph(TrialConfig(seed=rng.randint(1, 4), M=8, N=8)),
+        }
+        for _ in range(12):
+            g = graphs[kind]()
+            if rng.random() < 0.5 and g.n:
+                g = g.induced_subgraph(rng.sample(g.vertices, g.n - rng.randint(0, g.n // 3)))
+            for seed in range(100):
+                fraction = (0.0, 0.5, 1.0, rng.random())[seed % 4]
+                cap = (1, 2, 50)[seed % 3]
+                ours, theirs = random.Random(seed), random.Random(seed)
+                got = gen_event(g, ours, fraction, seed, cap)
+                assert got == reference_gen_event(g, theirs, fraction, seed, cap)
+                assert ours.getstate() == theirs.getstate()
 
 
 class TestTrialConfig:

@@ -64,6 +64,34 @@ def clique(n):
     return make_graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
+def assert_ranking_matches(ranking, n, cur):
+    """The ranking of an n-vertex graph against the quotient ``cur`` it stands for.
+
+    Its masks stay n wide, and every live mask lies inside the live mask
+    and gives the neighbours ``cur`` gives. complete() says whether ``cur``
+    is a clique, and once the buckets are built they hold exactly the live
+    non-adjacent pairs with a common neighbor, each at its count, with no
+    non-empty bucket above the tracked top.
+    """
+    ids, adj, live = ranking._ids, ranking._adj, ranking._live
+    assert len(adj) == n
+    assert all(adj[s] & ~live == 0 for s in _bits(live))
+    assert all(adj[s] == 0 for s in range(n) if not live >> s & 1)
+    assert {ids[s]: {ids[t] for t in _bits(adj[s])} for s in _bits(live)} == {
+        v: set(cur.neighbors(v)) for v in cur.vertices
+    }
+    assert ranking.complete() == (2 * cur.edge_count() == cur.n * (cur.n - 1))
+    if ranking._buckets is not None:
+        nbrs = {v: set(cur.neighbors(v)) for v in cur.vertices}
+        expected = {}
+        for a, b in itertools.combinations(cur.vertices, 2):
+            count = len(nbrs[a] & nbrs[b])
+            if count and b not in nbrs[a]:
+                expected.setdefault(count, set()).add((a, b))
+        assert {c: pairs for c, pairs in enumerate(ranking._buckets) if pairs} == expected
+        assert not any(ranking._buckets[ranking._top + 1 :])
+
+
 class TestFindHole:
     """The reference hole search on fixed cycles, and the verdicts of
     ``is_weakly_chordal`` on the same graphs."""
@@ -633,10 +661,8 @@ class TestTwoPairs:
         each pop, the first one included, random two-pairs may fire as the
         strict replay fires records. Every contraction takes a fresh id
         drawn at random, below earlier ones and in the gaps of g's ids too,
-        so slot order and id order differ. After every step, complete()
-        says whether the quotient's masks are those of a clique, and once
-        the buckets are built they hold exactly the live non-adjacent pairs
-        with a common neighbor, each at its count."""
+        so slot order and id order differ. After every contraction the
+        ranking matches the contracted graph (``assert_ranking_matches``)."""
         rng = random.Random(seed)
         ranking, cur = PairRanking(g), g
         fresh = [v for v in range(g.next_id + 2 * g.n) if v not in g]
@@ -646,17 +672,7 @@ class TestTwoPairs:
             z = fresh.pop(rng.randrange(len(fresh)))
             cur, _ = cur.contract_pair(x, y, z)
             ranking.contract(x, y, z)
-            full = (1 << cur.n) - 1
-            clique = all(m | 1 << p == full for p, m in enumerate(cur.adj_masks()))
-            assert ranking.complete() == clique
-            if ranking._buckets is not None:
-                nbrs = {v: set(cur.neighbors(v)) for v in cur.vertices}
-                expected = {}
-                for a, b in itertools.combinations(cur.vertices, 2):
-                    count = len(nbrs[a] & nbrs[b])
-                    if count and b not in nbrs[a]:
-                        expected.setdefault(count, set()).add((a, b))
-                assert {c: pairs for c, pairs in enumerate(ranking._buckets) if pairs} == expected
+            assert_ranking_matches(ranking, g.n, cur)
 
         while True:
             while rng.random() < 0.5:
@@ -710,6 +726,48 @@ class TestTwoPairs:
             ranking.pop_pair()
         with pytest.raises(GraphError, match=re.escape(str(expected.value))):
             ranking.contract(x, y, z)
+
+    @pytest.mark.parametrize("pop_first", [False, True])
+    @pytest.mark.parametrize("n, edges", [(0, []), (1, []), (2, [(0, 1)]), (2, [])])
+    def test_tiny_graphs(self, n, edges, pop_first):
+        """On 0, 1 and 2 vertices the ranking pops the one non-adjacent
+        pair, if any, before or after a first pop built the buckets, and
+        nothing once that pair is contracted."""
+        g = make_graph(n, edges)
+        ranking = PairRanking(g)
+        pair = (0, 1) if n == 2 and not edges else None
+        if pop_first:
+            assert ranking.pop_pair() == pair
+        assert_ranking_matches(ranking, n, g)
+        if pair:
+            ranking.contract(*pair, 5)
+            g = g.contract_pair(*pair, 5)[0]
+            assert_ranking_matches(ranking, n, g)
+        assert ranking.pop_pair() is None
+        assert_ranking_matches(ranking, n, g)
+
+    @pytest.mark.parametrize("pop_first", [False, True])
+    @pytest.mark.parametrize(
+        "edges, x, y, kept",
+        [
+            # y has more neighbours: z takes y's slot
+            ([(0, 2), (1, 2), (1, 3), (2, 4), (3, 4), (4, 5)], 0, 1, 1),
+            ([(0, 2), (1, 2), (1, 3), (2, 4), (3, 4), (4, 5)], 1, 0, 1),
+            # a degree tie: z takes x's slot
+            ([(0, 2), (1, 3), (2, 4), (3, 4), (4, 5), (2, 5)], 0, 1, 0),
+            ([(0, 2), (1, 3), (2, 4), (3, 4), (4, 5), (2, 5)], 1, 0, 1),
+        ],
+    )
+    def test_contract_keeps_larger_parents_slot(self, edges, x, y, kept, pop_first):
+        """z takes the slot of its parent with more neighbours, x on a tie,
+        and the ranking still matches the contracted graph."""
+        g = make_graph(6, edges)
+        ranking = PairRanking(g)
+        if pop_first:
+            ranking.pop_pair()
+        ranking.contract(x, y, 9)
+        assert ranking._slot[9] == g.pos(kept)
+        assert_ranking_matches(ranking, g.n, g.contract_pair(x, y, 9)[0])
 
 
 class TestPatternLibrary:
