@@ -4,18 +4,22 @@
 Runs seeded insert/delete perturbation trials on conflict graphs of
 random chordal-bipartite topologies and aggregates the per-trial
 summaries. This is the evidence-gathering loop behind the dynamic-vs-
-static equivalence and locality-bound claims.
+static equivalence and locality-bound claims. A trial that fails a check
+is named with its seed and event on stderr and counted in the aggregate
+line, and the script then exits 1.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import sys
 
 from timcolor import TrialConfig, run_simulation
+from timcolor.harness import TrialAssertionError
 
 
-def main() -> None:
+def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--seeds", type=int, default=50, help="number of trials")
     ap.add_argument("--events", type=int, default=200, help="events per trial")
@@ -34,6 +38,7 @@ def main() -> None:
     max_pairs = 0
     fallbacks = 0
     equivalence = 0
+    failed = 0
     for seed in range(args.seeds):
         cfg = TrialConfig(
             seed=seed,
@@ -45,7 +50,13 @@ def main() -> None:
             bound=args.bound,
             verification_mode=not args.no_verify,
         )
-        report = run_simulation(cfg, out_dir=args.out)
+        try:
+            report = run_simulation(cfg, out_dir=args.out)
+        except TrialAssertionError as exc:
+            failed += 1
+            at = f" at event {exc.event['seq']}" if exc.event else ""
+            print(f"trial seed {seed} failed{at}: {exc}", file=sys.stderr)
+            continue
         s = report.summary()
         total_events += s["events"]
         max_recolored = max(max_recolored, s["max_recolored"])
@@ -61,8 +72,10 @@ def main() -> None:
         "max_recolored": max_recolored,
         "max_pairs_changed": max_pairs,
         "fallbacks": fallbacks,
+        "failed_trials": failed,
     }, sort_keys=True))
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -33,6 +33,7 @@ from .static_coloring import (
     lift,
     lift_coloring,
     order_classes,
+    order_structure,
     static_color,
 )
 
@@ -290,7 +291,8 @@ def _finish(
     falls back to a static recompute, whose ids restart at ``next_id``: it
     is reported as removing the whole old order and adding the new one. An
     insertion passes its case; a deletion's is read off the count it ends
-    at, D-1 when it keeps k and D-2 when it lowers it.
+    at, D-1 when it keeps k and D-2 when it lowers it. A new state that
+    keeps the old order takes the old state's ``order_structure`` along.
     """
     k = old.color_count
     fallback = False
@@ -308,6 +310,8 @@ def _finish(
             removed = [rec for rec in old.order if rec.z not in new_ids]
             added = [rec for rec in new.order if rec.z not in old_ids]
         recolored = frozenset(w for w, c in new.coloring.items() if old.coloring.get(w) != c)
+    if new.order is old.order:
+        new._structure = old._structure
     if kind == "delete":
         case = "D-1" if new.color_count == k else "D-2"
     return new, UpdateReport(
@@ -437,9 +441,23 @@ def insert_update(state: ColoringState, u: int, v: int) -> tuple[ColoringState, 
     certifies either. When neither rung places its pieces, the strict
     two-pair replay decides the order, certified by its own lift, and a
     count other than k' falls back to a static recompute.
+
+    Whether a record merged u's side with v's side is read off the state's
+    ``order_structure``. Proof: on a structurally valid order every id is
+    consumed once and every z is fresh, so classes only grow, by merging
+    two disjoint ones. The first class to hold both u and v is made by the
+    record whose sides hold one each, after which they never part; no
+    other record has u on one side and v on the other. So u and v share a
+    final class exactly when one record matches, and ``matching_records``
+    runs only then (I-3), or on an order with no structure.
     """
-    h = state.graph.insert_edge(u, v)  # raises if present / unknown
-    matches = matching_records(state.order, u, v)
+    g = state.graph
+    h = g.insert_edge(u, v)  # raises if present / unknown
+    s = order_structure(state)
+    if s is None or s.index[g.pos(u)] == s.index[g.pos(v)]:
+        matches = matching_records(state.order, u, v)
+    else:
+        matches = []
     if not matches and state.coloring[u] != state.coloring[v]:
         return _finish(state, h, "insert", u, v, "I-1")
     k = state.color_count

@@ -11,8 +11,8 @@ relies on: its strict replay runs the same contraction loop,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, field
+from typing import Optional, Sequence
 
 from .graph import Graph
 from .recognition import PairRanking, _bits, is_weakly_chordal
@@ -40,12 +40,34 @@ class ContractionRecord:
         return [self.x, self.y, self.z]
 
 
+@dataclass(frozen=True)
+class OrderStructure:
+    """The graph-independent part of an order's replay on a vertex tuple.
+
+    A record is structurally valid when its parents are live and distinct
+    and its z is named by no vertex and no earlier record; whether it
+    contracts an edge depends on the graph and is not checked here.
+    ``final`` holds the ids live after the last record, ascending,
+    ``masks[i]`` the sorted positions that ``final[i]`` stands for, and
+    ``index[p]`` the i whose class holds position p. ``vertices`` and
+    ``order`` are the objects it was built from (see ``order_structure``).
+    """
+
+    vertices: tuple[int, ...]
+    order: tuple[ContractionRecord, ...]
+    final: tuple[int, ...]
+    masks: tuple[int, ...]
+    index: tuple[int, ...]
+
+
 @dataclass
 class ColoringState:
     """A graph together with its maintained optimal-coloring artifacts.
 
     ``order`` is the solution order, the contraction records in firing
     order; it is a tuple, so states share it instead of copying it.
+    ``_structure`` memoises ``order_structure``: it is neither compared
+    nor copied by ``dataclasses.replace``.
     """
 
     graph: Graph
@@ -53,6 +75,9 @@ class ColoringState:
     color_count: int
     clique: frozenset[int]
     order: tuple[ContractionRecord, ...]
+    _structure: Optional[OrderStructure] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def to_dict(self) -> dict:
         return {
@@ -154,15 +179,23 @@ def order_classes(
     test of the replay, the completeness of the final quotient and its size
     read the same on both sides.
     """
-    ids = g.vertices
+    return _replay(g.vertices, records, g.adj_masks())
+
+
+def _replay(
+    ids: Sequence[int], records: Sequence[ContractionRecord], adj: Optional[list[int]]
+) -> tuple[dict[int, int], Optional[dict[int, int]], list[int]]:
+    """``order_classes`` on the vertex ids and adjacency masks ``adj``; with
+    ``adj`` None there is no ``nb`` and no edge check, only the structural
+    ones, in the same order."""
     cls = {v: 1 << p for p, v in enumerate(ids)}
-    nb = dict(zip(ids, g.adj_masks()))
+    nb = None if adj is None else dict(zip(ids, adj))
     live = set(ids)
     for rec in records:
         x, y, z = rec.x, rec.y, rec.z
         if x not in live or y not in live:
             problem = "references dead vertex"
-        elif nb[x] & cls[y]:
+        elif nb is not None and nb[x] & cls[y]:
             problem = "contracts an edge"
         elif x == y:
             problem = "pairs a vertex with itself"
@@ -172,13 +205,44 @@ def order_classes(
             problem = f"reuses dead id {z}"
         else:
             cls[z] = cls[x] | cls[y]
-            nb[z] = nb[x] | nb[y]
+            if nb is not None:
+                nb[z] = nb[x] | nb[y]
             live.remove(x)
             live.remove(y)
             live.add(z)
             continue
         raise InvalidContractionError(f"order record ({x},{y},{z}) {problem}")
     return cls, nb, sorted(live)
+
+
+def order_structure(state: ColoringState) -> Optional[OrderStructure]:
+    """The structure of ``state.order`` on ``state.graph.vertices``, or None
+    when a record is not structurally valid.
+
+    It is a function of those two immutable tuples alone, so it is kept
+    on the state and reused while both are the very objects it was built
+    from. An edge flip keeps the vertex tuple (``Graph._from_masks``
+    shares it), so a state that an update moves onto a new graph with the
+    same order can take its predecessor's. Anything else, a list for an
+    order, or a graph or order swapped in place, builds it again.
+    """
+    ids, order = state.graph.vertices, state.order
+    s = state._structure
+    if s is not None and s.vertices is ids and s.order is order:
+        return s
+    try:
+        cls, _, final = _replay(ids, order, None)
+    except InvalidContractionError:
+        return None
+    masks = tuple(cls[f] for f in final)
+    index = [0] * len(ids)
+    for i, m in enumerate(masks):
+        for p in _bits(m):
+            index[p] = i
+    s = OrderStructure(ids, order, tuple(final), masks, tuple(index))
+    if type(order) is tuple:
+        state._structure = s
+    return s
 
 
 def _class_coloring(g: Graph, cls: dict[int, int], final: list[int]) -> dict[int, int]:
@@ -272,10 +336,24 @@ def diagnose_state(state: ColoringState) -> list[str]:
     order. The coloring's bad edges come in ``g.edges()`` order, and the
     first record that may not fire is the last problem.
 
-    The order is replayed by ``order_classes``, on class bitmasks over the
-    sorted positions of ``state.graph``, without building a ``Graph`` per
-    record; its docstring holds the proof that the masks read the same as
-    a ``Graph.contract_pair`` replay.
+    The order is certified by its ``order_structure``, which the state
+    keeps, and mask passes over the current graph; ``order_classes``, the
+    replay whose masks read as a ``Graph.contract_pair`` replay does (see
+    its docstring), runs only to name the first record that may not fire.
+    (a) Every class a structurally valid order builds lies inside a final
+    class, and a record contracts an edge exactly when an edge joins its
+    two sides, both inside its z's class. So some record contracts an edge
+    iff some final class is not independent: the first record that puts
+    both ends of an edge into one class contracts it. With independent
+    final classes every record fires, and the final quotient is the
+    structure's; with dependent ones, or no structure, ``order_classes``
+    raises on the first bad record.
+    (b) When the final classes are k = ``color_count`` independent sets
+    and the held clique is a genuine k-clique, each class holds at most
+    one member, so each holds exactly one, and any two classes are adjacent
+    through their members: the final quotient is a k-clique with no
+    pairwise scan. Otherwise the scan runs on each final class's
+    neighbourhood, the OR of its members' adjacency.
     """
     problems: list[str] = []
     g = state.graph
@@ -293,11 +371,11 @@ def diagnose_state(state: ColoringState) -> list[str]:
     ]
     if off_palette:
         return off_palette
-    # One mask per color: position p has a bad edge to a later position
-    # iff its adjacency meets its own color's mask above bit p.
-    color_mask: dict = {}
+    # One mask per color 1..k: position p has a bad edge to a later
+    # position iff its adjacency meets its own color's mask above bit p.
+    color_mask = [0] * (k + 1)
     for p, c in enumerate(color_at):
-        color_mask[c] = color_mask.get(c, 0) | 1 << p
+        color_mask[c] |= 1 << p
     adj = g.adj_masks()
     for p, m in enumerate(adj):
         bad = (m & color_mask[color_at[p]]) >> (p + 1)
@@ -305,8 +383,9 @@ def diagnose_state(state: ColoringState) -> list[str]:
             low = bad & -bad
             problems.append(f"improper coloring on edge ({ids[p]},{ids[p + low.bit_length()]})")
             bad ^= low
-    if len(color_mask) != state.color_count:
-        problems.append(f"{len(color_mask)} distinct colors used, color_count={state.color_count}")
+    used = len(color_mask) - color_mask.count(0)
+    if used != k:
+        problems.append(f"{used} distinct colors used, color_count={k}")
     if len(state.clique) != state.color_count:
         problems.append(f"clique size {len(state.clique)} != color_count {state.color_count}")
     # One mask of the members' positions: a member misses the later members
@@ -320,21 +399,31 @@ def diagnose_state(state: ColoringState) -> list[str]:
         if p >= 0:
             cm |= 1 << p
     stray = -1 in at
+    genuine = len(members) == k and not stray
     for i, (u, p) in enumerate(zip(members, at)):
         missed = cm & ~adj[p] & ~((2 << p) - 1) if p >= 0 else -1
         if missed or stray:
+            genuine = False
             for v, q in zip(members[i + 1 :], at[i + 1 :]):
                 if q < 0 or missed >> q & 1:
                     problems.append(f"clique members ({u},{v}) are not adjacent")
-    try:
-        cls, nb, final = order_classes(g, state.order)
-    except InvalidContractionError as exc:
-        problems.append(str(exc))
-        return problems
-    if not all(nb[a] & cls[b] for i, a in enumerate(final) for b in final[i + 1 :]):
-        problems.append("order replay does not end in a clique")
-    elif len(final) != state.color_count:
-        problems.append(f"replayed clique has {len(final)} vertices, expected {state.color_count}")
+    s = order_structure(state)
+    if s is None or any(m & s.masks[i] for m, i in zip(adj, s.index)):
+        try:
+            order_classes(g, state.order)
+        except InvalidContractionError as exc:
+            problems.append(str(exc))
+            return problems
+        raise AssertionError("order_classes fired an order with a dependent final class")
+    final, masks = s.final, s.masks
+    if not (genuine and len(final) == k):  # else a k-clique by (b)
+        nb = [0] * len(final)
+        for m, i in zip(adj, s.index):
+            nb[i] |= m
+        if not all(nb[i] & masks[j] for i in range(len(final)) for j in range(i + 1, len(final))):
+            problems.append("order replay does not end in a clique")
+        elif len(final) != k:
+            problems.append(f"replayed clique has {len(final)} vertices, expected {k}")
     return problems
 
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from timcolor import dynamic_coloring, harness
+from timcolor import dynamic_coloring, harness, static_coloring
 from timcolor.dynamic_coloring import (
     UpdateReport,
     _growth_witness,
@@ -23,7 +23,12 @@ from timcolor.generators import random_convex, random_weakly_chordal
 from timcolor.graph import Graph, GraphError, make_graph
 from timcolor.harness import TrialConfig, gen_event, run_simulation
 from timcolor.oracles import oracle_chromatic
-from timcolor.recognition import PairRanking, is_two_pair, stays_weakly_chordal_after_delete
+from timcolor.recognition import (
+    PairRanking,
+    is_two_pair,
+    stays_weakly_chordal_after_delete,
+    stays_weakly_chordal_after_insert,
+)
 from timcolor.static_coloring import (
     ColoringState,
     ContractionRecord,
@@ -31,6 +36,7 @@ from timcolor.static_coloring import (
     fresh_id,
     lift,
     lift_coloring,
+    order_structure,
     static_color,
     verify_state,
 )
@@ -969,8 +975,12 @@ class TestEquivalence:
     @given(weakly_chordal_graphs(), st.integers(0, 10_000))
     @settings(max_examples=100, deadline=None)
     def test_matching_records_match_member_sets(self, g, seed):
-        """Every pair of vertices, against the member sets of a ``Graph`` replay."""
-        order = random_order_state(g, random.Random(seed)).order
+        """Every pair of vertices, against the member sets of a ``Graph``
+        replay; and u and v lie in different final classes of the order's
+        structure exactly when no record matches, as ``insert_update``
+        reads it."""
+        state = random_order_state(g, random.Random(seed))
+        order, index = state.order, order_structure(state).index
         _, members = replay_chain(g, order)
         for u, v in itertools.combinations(g.vertices, 2):
             expected = [
@@ -978,6 +988,7 @@ class TestEquivalence:
                 if u in members[r.x] and v in members[r.y] or v in members[r.x] and u in members[r.y]
             ]
             assert matching_records(order, u, v) == expected
+            assert (index[g.pos(u)] != index[g.pos(v)]) == (not expected)
 
 
 FIGURES = ("fig2_case1.json", "fig6.json", "fig8.json", "fig9.json")
@@ -1082,6 +1093,29 @@ class TestShortcuts:
         state, _ = random_static_state(seed)
         for u, v in i1_events(state):
             self.check_i1(state, u, v)
+
+    def test_i1_carries_the_structure(self, monkeypatch):
+        """An I-1 insert decides its case from the order's structure and
+        hands it to the new state, which then verifies with no replay of
+        its order and no ``matching_records`` pass."""
+        topo = random_convex(20, 20, random.Random(1))
+        state = static_color(build_conflict_graph(topo, all_unicast_messages(topo)).graph)
+        u, v = next(
+            (u, v) for u, v in i1_events(state)
+            if stays_weakly_chordal_after_insert(state.graph, u, v)
+        )
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the I-1 path replayed the order")
+
+        for name in ("order_classes", "matching_records"):
+            monkeypatch.setattr(dynamic_coloring, name, forbidden)
+        monkeypatch.setattr(static_coloring, "order_classes", forbidden)
+        new, rep = insert_update(state, u, v)
+        assert rep.case_label == "I-1"
+        assert new._structure is state._structure is not None
+        assert len(new.order) > 10
+        assert verify_state(new)
 
     def test_d1_figures(self):
         checked = 0

@@ -665,6 +665,48 @@ class TestVerifyState:
         assert len(state.order) > 20
         assert verify_state(state)
 
+    def test_kept_structure_follows_a_swapped_order(self, fig6):
+        """An order swapped in place after the state kept its structure is
+        diagnosed as a fresh state holding it is: here its first record is
+        replaced by an edge of the graph."""
+        state = static_color(fig6)
+        assert verify_state(state) and state._structure is not None
+        u, v = next(fig6.edges())
+        first = state.order[0]
+        state.order = (ContractionRecord(u, v, first.z),) + state.order[1:]
+        fresh = replace(state)
+        assert diagnose_state(state) == diagnose_state(fresh)
+        assert diagnose_state(state)[-1] == f"order record ({u},{v},{first.z}) contracts an edge"
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_kept_structure_follows_a_swapped_graph(self, seed):
+        """A graph with another vertex tuple swapped in place, with the
+        coloring restricted to it, is diagnosed as a fresh state holding it
+        is. The dropped vertex is one no record names, so the order stays
+        structurally valid while every later position shifts down by one."""
+        rng = random.Random(seed)
+        g = random_weakly_chordal(12, rng.randint(5, 30), rng)
+        state = random_order_state(g, rng)
+        named = {w for rec in state.order for w in (rec.x, rec.y)}
+        spare = [w for w in g.vertices[:-1] if w not in named]
+        if not spare:
+            return
+        assert verify_state(state)
+        kept = state._structure
+        w = rng.choice(spare)
+        state.graph = g.induced_subgraph(set(g.vertices) - {w})
+        state.coloring = {x: c for x, c in state.coloring.items() if x != w}
+        expected = diagnose_state(replace(state))
+        assert diagnose_state(state) == expected
+        assert state._structure is not kept
+
+    def test_replace_does_not_carry_the_structure(self, fig6):
+        state = static_color(fig6)
+        assert verify_state(state) and state._structure is not None
+        copy = replace(state)
+        assert copy._structure is None
+        assert copy == state
+
 
 class TestSolutionOrderSerialization:
     def test_roundtrip(self, fig6):
