@@ -6,32 +6,36 @@ merged the class of one endpoint with the class of the other),
 equality of the endpoint colors, and whether the clique grows or shrinks.
 Three cases replay nothing and keep the order: I-1 and I-2-1, the latter
 recoloring, and D-1 when the held clique misses an endpoint of the deleted
-edge. The other cases are decided on the order's class masks
-(``order_classes``) first. An insertion whose endpoints a record merged
-(I-3) breaks that record, or it and one more, and places the pieces of the
-broken classes into the intact ones and fresh ones. A deletion inside the
-held clique whose endpoints' final classes lose their last edge is D-2: it
-adds the one record merging those classes. Only when the masks decide
-nothing does one strict two-pair replay of the order run, which drops the
-records the event made invalid and contracts the first two-pairs in rank
-order, as ``static_color`` does.
+edge. Every case reads the order's classes from the state's
+``order_structure``, and a new order is colored from its own. An insertion
+whose endpoints share a final class (I-3) breaks the record that merged
+them, or it and one more, and places the pieces of the broken classes into
+the intact ones and fresh ones. A deletion inside the held clique whose
+endpoints' final classes lose their last edge is D-2: it adds the one
+record merging those classes. Only when the classes decide nothing does
+one strict two-pair replay of the order run, which drops the records the
+event made invalid and contracts the first two-pairs in rank order, as
+``static_color`` does.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 from typing import Callable, Optional
 
 from .graph import Graph
+from .recognition import _bits
 from .static_coloring import (
     ColoringState,
     ContractionRecord,
     NotWeaklyChordalError,
+    OrderStructure,
     contract_to_clique,
     fresh_id,
     lift,
-    lift_coloring,
     order_classes,
     order_structure,
     static_color,
@@ -71,33 +75,6 @@ class UpdateReport:
             "colors_after": self.colors_after,
             "fallback": self.fallback_used,
         }
-
-
-# ---------------------------------------------------------------------------
-# order membership by class
-# ---------------------------------------------------------------------------
-
-def matching_records(
-    order: tuple[ContractionRecord, ...], u: int, v: int
-) -> list[ContractionRecord]:
-    """Records whose contraction merged u's side with v's side.
-
-    The event edge (u,v) belongs to the order iff u and v fall into the two
-    classes a record merges. Membership is all this needs, so the class
-    masks keep only two bits, u's (1) and v's (2): ``cls[z]`` is
-    ``cls[x] | cls[y]``, and an id no record has given a bit reads 0. The
-    order is trusted, as ``insert_update`` trusts it; ``order_classes`` is
-    the replay that validates one.
-    """
-    cls = {u: 1, v: 2}
-    out = []
-    for rec in order:
-        cx, cy = cls.get(rec.x, 0), cls.get(rec.y, 0)
-        if cx | cy:
-            cls[rec.z] = cx | cy
-            if cx & 1 and cy & 2 or cx & 2 and cy & 1:
-                out.append(rec)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -268,6 +245,16 @@ def _match_palette(
 # the dynamic updates
 # ---------------------------------------------------------------------------
 
+def _structure(state: ColoringState) -> OrderStructure:
+    """The state's ``order_structure``. An order without one is outside the
+    precondition of every update: ``order_classes`` raises
+    ``InvalidContractionError`` on it, naming its first bad record."""
+    s = order_structure(state)
+    if s is None:
+        order_classes(state.graph, state.order)
+    return s
+
+
 def _fallback(graph: Graph, old: ColoringState) -> ColoringState:
     log.warning("dynamic repair exhausted; falling back to full static recompute")
     new = static_color(graph)
@@ -320,17 +307,18 @@ def _finish(
 
 
 def _break_and_place(
-    state: ColoringState, r1: ContractionRecord, u: int, v: int, expected: int
+    state: ColoringState, s: OrderStructure, h: Graph, r1: ContractionRecord, expected: int
 ) -> Optional[tuple[ContractionRecord, ...]]:
     """The order of the first rung whose pieces place into `expected`
-    classes of G+uv, or None (see ``insert_update``)."""
-    g, order = state.graph, state.order
-    cls, nb, final = order_classes(g, order)
+    classes of h = G+uv, or None (see ``insert_update``). The classes are
+    the state's structure ``s``, and a piece's neighbours the OR of its
+    members' adjacency in h, as ``order_classes`` reads them."""
+    order, cls, final = state.order, s.cls, s.final
+    adj = h.adj_masks()
     after = {}  # id -> the record that consumes it
     for rec in order:
         after[rec.x] = after[rec.y] = rec
-    ubit, vbit = 1 << g.pos(u), 1 << g.pos(v)
-    next_z = fresh_id(g, order)
+    next_z = fresh_id(h, order)
 
     def chain(rec):
         """rec and the records downstream of it, up to its final class."""
@@ -351,10 +339,7 @@ def _break_and_place(
                     if p not in made:
                         home[p] = len(intact) + broken.index(c[-1].z)
         ids = sorted(home, key=lambda p: (-cls[p].bit_count(), p))
-        pieces = [
-            (cls[p], nb[p] | (vbit if cls[p] & ubit else 0) | (ubit if cls[p] & vbit else 0), home[p])
-            for p in ids
-        ]
+        pieces = [(cls[p], reduce(or_, (adj[q] for q in _bits(cls[p]))), home[p]) for p in ids]
         bins = [cls[f] for f in intact] + [0] * (expected - len(intact))
         where = [-1] * len(ids)
         if not _place(pieces, bins, where):
@@ -408,9 +393,9 @@ def insert_update(state: ColoringState, u: int, v: int) -> tuple[ColoringState, 
     With a matching record r1 (there is one at most: after it u and v share
     a class) the count k' is k + 1 when the growth witness exists (I-3-2)
     and k otherwise (I-3-1); G+uv is weakly chordal, hence perfect, so
-    chi(G+uv) = omega(G+uv) = k'. The order is repaired on its class masks
-    over G (``order_classes``), by breaking a set B of records. Every id is
-    consumed by one record at most, so the records downstream of a record
+    chi(G+uv) = omega(G+uv) = k'. The order is repaired on the structure's
+    class masks and G's adjacency, by breaking a set B of records. Every id
+    is consumed by one record at most, so the records downstream of a record
     form a chain up to its final class; let R be the chains of B's records.
     Proof that R alone fixes the result's size:
     - Each record outside R still fires on G+uv in turn. R holds everything
@@ -438,30 +423,30 @@ def insert_update(state: ColoringState, u: int, v: int) -> tuple[ColoringState, 
     first on a tie. I-3-2 always succeeds at rung 0: v's piece alone and
     every other piece of r1's class together fill the k + 1 classes. I-3-1
     keeps the old clique, I-3-2 takes the witness, and ``verify_state``
-    certifies either. When neither rung places its pieces, the strict
-    two-pair replay decides the order, certified by its own lift, and a
-    count other than k' falls back to a static recompute.
+    certifies either. I-3-1 colors the new order by its own structure, which
+    the new state keeps for ``verify_state``. When neither rung places its
+    pieces, the strict two-pair replay decides the order, certified by its
+    own lift, and a count other than k' falls back to a static recompute.
 
-    Whether a record merged u's side with v's side is read off the state's
-    ``order_structure``. Proof: on a structurally valid order every id is
-    consumed once and every z is fresh, so classes only grow, by merging
-    two disjoint ones. The first class to hold both u and v is made by the
-    record whose sides hold one each, after which they never part; no
-    other record has u on one side and v on the other. So u and v share a
-    final class exactly when one record matches, and ``matching_records``
-    runs only then (I-3), or on an order with no structure.
+    Whether a record merged u's side with v's side, and which, is read off
+    the state's ``order_structure``. Proof: on a structurally valid order
+    every id is consumed once and every z is fresh, so classes only grow,
+    by merging two disjoint ones. The first class to hold both u and v is
+    made by the record whose sides hold one each, after which they never
+    part; no other record has u on one side and v on the other. So u and v
+    share a final class exactly when one record matches, and r1 is the
+    first record whose class holds both. An order with no structure raises
+    ``InvalidContractionError`` (see ``_structure``).
     """
     g = state.graph
     h = g.insert_edge(u, v)  # raises if present / unknown
-    s = order_structure(state)
-    if s is None or s.index[g.pos(u)] == s.index[g.pos(v)]:
-        matches = matching_records(state.order, u, v)
-    else:
-        matches = []
-    if not matches and state.coloring[u] != state.coloring[v]:
+    s = _structure(state)
+    pu, pv = g.pos(u), g.pos(v)
+    merged = s.index[pu] == s.index[pv]
+    if not merged and state.coloring[u] != state.coloring[v]:
         return _finish(state, h, "insert", u, v, "I-1")
     k = state.color_count
-    if not matches:
+    if not merged:
         def recolor():
             coloring = dict(state.coloring)
             for w in (u, v):  # the smallest palette color free around w
@@ -469,34 +454,34 @@ def insert_update(state: ColoringState, u: int, v: int) -> tuple[ColoringState, 
                 if free:
                     coloring[w] = min(free)
                     break
-            else:
-                coloring = _match_palette(lift_coloring(h, state.order)[0], state.coloring, k)
+            else:  # G+uv shares G's vertex tuple, so the order's structure is s
+                coloring = _match_palette(s.coloring(), state.coloring, k)
             return ColoringState(h, coloring, k, state.clique, state.order)
 
         return _finish(state, h, "insert", u, v, "I-2-1", recolor)
+    both = 1 << pu | 1 << pv
+    r1 = next(rec for rec in state.order if s.cls[rec.z] & both == both)
     witness = _growth_witness(state, u, v)
     grows = witness is not None
     expected = k + grows
 
     def repair():
-        order = _break_and_place(state, matches[0], u, v, expected)
-        if order is not None:
-            # The old clique certifies an unchanged omega, the growth witness
-            # omega + 1. I-3-2 keeps the old coloring, so only I-3-1 lifts one.
-            clique = witness
-            if not grows:
-                lifted, _ = lift_coloring(h, order)
-        else:  # the strict two-pair replay, certified by its own lift
+        order = _break_and_place(state, s, h, r1, expected)
+        clique, lifted = witness, None  # the growth witness certifies omega + 1
+        if order is None:  # the strict two-pair replay, certified by its own lift
             order = replay_repair(h, state.order)
             lifted, clique, k_new = lift(h, order)
             if k_new != expected:
                 raise NotWeaklyChordalError(f"repair clique size {k_new}, expected {expected}")
+        new = ColoringState(h, {}, expected, clique, order)
         if grows:  # I-3-2: one endpoint takes the brand-new color
-            coloring = {**state.coloring, min(u, v): expected}
-        else:
-            coloring = _match_palette(lifted, state.coloring, expected)
-            clique = state.clique
-        return ColoringState(h, coloring, expected, clique, order)
+            new.coloring = {**state.coloring, min(u, v): expected}
+        else:  # I-3-1: the old clique certifies an unchanged omega
+            if lifted is None:
+                lifted = order_structure(new).coloring()
+            new.coloring = _match_palette(lifted, state.coloring, expected)
+            new.clique = state.clique
+        return new
 
     return _finish(state, h, "insert", u, v, "I-3-2" if grows else "I-3-1", repair)
 
@@ -516,13 +501,15 @@ def delete_update(state: ColoringState, u: int, v: int) -> tuple[ColoringState, 
     non-adjacent, merging them would color G-uv with k-1 colors below the
     surviving k-clique.
 
-    Otherwise the order's class masks (``order_classes``) decide first. By
-    the same argument every record fires on G-uv in turn and ends in G's
-    final k classes, of which only u's and v's can have lost their last
-    edge. When they have (a split), merging them is a (k-1)-coloring of
-    G-uv, and the held clique minus u is a (k-1)-clique of G-uv: the event
-    is D-2, and the order gains the record (min, max, z) of the two class
-    ids, z one above every vertex and order id.
+    Otherwise the state's ``order_structure`` decides first. By the same
+    argument every record fires on G-uv in turn and ends in G's final k
+    classes, of which only u's and v's can have lost their last edge: they
+    have when no member of one class is adjacent in G-uv to the other. Then
+    (a split) merging them is a (k-1)-coloring of G-uv, and the held clique
+    minus u is a (k-1)-clique of G-uv: the event is D-2, and the order
+    gains the record (min, max, z) of the two class ids, z one above every
+    vertex and order id. The new state is colored by its own structure,
+    which it keeps for ``verify_state``.
 
     Without a split the old order still ends in a k-clique, and the strict
     two-pair replay, the only one that runs, decides omega(G-uv). It
@@ -539,13 +526,14 @@ def delete_update(state: ColoringState, u: int, v: int) -> tuple[ColoringState, 
     k = state.color_count
 
     def repair():
-        cls, nb, final = order_classes(g2, state.order)
-        cu, cv = (next(f for f in final if cls[f] >> g2.pos(w) & 1) for w in (u, v))
-        if not nb[cu] & cls[cv]:  # split: merge the two classes
-            rec = ContractionRecord(min(cu, cv), max(cu, cv), fresh_id(g2, state.order))
-            order = state.order + (rec,)
-            coloring = _match_palette(lift_coloring(g2, order)[0], state.coloring, k - 1)
-            return ColoringState(g2, coloring, k - 1, state.clique - {u}, order)
+        s = _structure(state)  # g2 shares the vertex tuple of G
+        iu, iv = s.index[g2.pos(u)], s.index[g2.pos(v)]
+        adj, other = g2.adj_masks(), s.masks[iv]
+        if not any(adj[p] & other for p in _bits(s.masks[iu])):  # split: merge the two classes
+            rec = ContractionRecord(*sorted((s.final[iu], s.final[iv])), fresh_id(g2, state.order))
+            new = ColoringState(g2, {}, k - 1, state.clique - {u}, state.order + (rec,))
+            new.coloring = _match_palette(order_structure(new).coloring(), state.coloring, k - 1)
+            return new
         order = replay_repair(g2, state.order)
         lifted, clique, k_new = lift(g2, order)
         if k_new == k:

@@ -47,10 +47,11 @@ class OrderStructure:
     A record is structurally valid when its parents are live and distinct
     and its z is named by no vertex and no earlier record; whether it
     contracts an edge depends on the graph and is not checked here.
-    ``final`` holds the ids live after the last record, ascending,
-    ``masks[i]`` the sorted positions that ``final[i]`` stands for, and
-    ``index[p]`` the i whose class holds position p. ``vertices`` and
-    ``order`` are the objects it was built from (see ``order_structure``).
+    ``cls`` holds the class of every id the order names, as in
+    ``order_classes``; ``final`` the ids live after the last record,
+    ascending, ``masks[i]`` the class of ``final[i]``, and ``index[p]`` the
+    i whose class holds position p. ``vertices`` and ``order`` are the
+    objects it was built from (see ``order_structure``).
     """
 
     vertices: tuple[int, ...]
@@ -58,6 +59,11 @@ class OrderStructure:
     final: tuple[int, ...]
     masks: tuple[int, ...]
     index: tuple[int, ...]
+    cls: dict[int, int]
+
+    def coloring(self) -> dict[int, int]:
+        """Final classes take colors 1..k by ascending id; members take their class's."""
+        return {v: i + 1 for v, i in zip(self.vertices, self.index)}
 
 
 @dataclass
@@ -234,32 +240,31 @@ def order_structure(state: ColoringState) -> Optional[OrderStructure]:
         cls, _, final = _replay(ids, order, None)
     except InvalidContractionError:
         return None
-    masks = tuple(cls[f] for f in final)
-    index = [0] * len(ids)
-    for i, m in enumerate(masks):
-        for p in _bits(m):
-            index[p] = i
-    s = OrderStructure(ids, order, tuple(final), masks, tuple(index))
+    s = _structure_from(ids, order, cls, final)
     if type(order) is tuple:
         state._structure = s
     return s
 
 
-def _class_coloring(g: Graph, cls: dict[int, int], final: list[int]) -> dict[int, int]:
-    """Final classes take colors 1..k by ascending id; members take their class's."""
-    color_at = [0] * g.n
-    for c, f in enumerate(final, 1):
-        for p in _bits(cls[f]):
-            color_at[p] = c
-    return dict(zip(g.vertices, color_at))
+def _structure_from(
+    ids: tuple[int, ...], order: Sequence[ContractionRecord], cls: dict[int, int], final: list[int]
+) -> OrderStructure:
+    """The ``OrderStructure`` of the classes and final ids a replay built."""
+    masks = tuple(cls[f] for f in final)
+    index = [0] * len(ids)
+    for i, m in enumerate(masks):
+        for p in _bits(m):
+            index[p] = i
+    return OrderStructure(ids, order, tuple(final), masks, tuple(index), cls)
 
 
 def lift_coloring(
     g: Graph, records: Sequence[ContractionRecord]
 ) -> tuple[dict[int, int], int]:
-    """Coloring part of the lift only: classes get colors, no clique threading."""
+    """Coloring part of the lift only: classes get colors, no clique threading.
+    No library code calls it; the updates color from an ``OrderStructure``."""
     cls, _, final = order_classes(g, records)
-    return _class_coloring(g, cls, final), len(final)
+    return _structure_from(g.vertices, records, cls, final).coloring(), len(final)
 
 
 def lift(
@@ -267,9 +272,10 @@ def lift(
 ) -> tuple[dict[int, int], frozenset[int], int]:
     """Lift clique and coloring from the final clique back to the graph ``g``.
 
-    The coloring is ``lift_coloring``'s. The clique starts as the final
-    ids and is threaded back through the records: undoing a record whose z
-    is in the clique puts back the parent adjacent to every other member.
+    The coloring is the ``OrderStructure`` coloring of the replay's classes.
+    The clique starts as the final ids and is threaded back through the
+    records: undoing a record whose z is in the clique puts back the parent
+    adjacent to every other member.
 
     Adjacency is read from the class masks of ``order_classes``, not from a
     ``Graph`` per record: before a record fires, live ids a and b are
@@ -291,7 +297,7 @@ def lift(
                 raise NotWeaklyChordalError(
                     "clique lift failed: neither parent completes the clique"
                 )
-    return _class_coloring(g, cls, final), frozenset(clique), len(final)
+    return _structure_from(g.vertices, records, cls, final).coloring(), frozenset(clique), len(final)
 
 
 def static_color(g: Graph, *, verify: bool = False) -> ColoringState:
@@ -333,8 +339,9 @@ def diagnose_state(state: ColoringState) -> list[str]:
     on the graph ends in a ``color_count``-clique. Problems come in that
     order; a coloring whose domain is not the vertex set, or with a color
     off the palette, ends the list, and off-palette vertices come in id
-    order. The coloring's bad edges come in ``g.edges()`` order, and the
-    first record that may not fire is the last problem.
+    order. The coloring's bad edges come in ``g.edges()`` order, clique
+    members that are no vertex before the member pairs that are not
+    adjacent, and the first record that may not fire is the last problem.
 
     The order is certified by its ``order_structure``, which the state
     keeps, and mask passes over the current graph; ``order_classes``, the
@@ -394,6 +401,7 @@ def diagnose_state(state: ColoringState) -> list[str]:
     # to nothing.
     members = sorted(state.clique)
     at = [g.pos(v) if v in g else -1 for v in members]
+    problems += [f"clique member {v} is not a vertex" for v, p in zip(members, at) if p < 0]
     cm = 0
     for p in at:
         if p >= 0:

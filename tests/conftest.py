@@ -185,6 +185,23 @@ def replay_chain(graph, records):
     return chain, members
 
 
+def reference_matching_records(order, u, v):
+    """Records whose contraction merged u's side with v's side, by a pass
+    that keeps two bits per class, u's (1) and v's (2): ``cls[z]`` is
+    ``cls[x] | cls[y]``, and an id no record has given a bit reads 0. The
+    reference for the record ``insert_update`` reads off the order's
+    structure."""
+    cls = {u: 1, v: 2}
+    out = []
+    for rec in order:
+        cx, cy = cls.get(rec.x, 0), cls.get(rec.y, 0)
+        if cx | cy:
+            cls[rec.z] = cx | cy
+            if cx & 1 and cy & 2 or cx & 2 and cy & 1:
+                out.append(rec)
+    return out
+
+
 def random_order_state(g, rng):
     """The state ``lift`` builds from a random two-pair order of g.
 

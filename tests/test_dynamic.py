@@ -16,7 +16,6 @@ from timcolor.dynamic_coloring import (
     _match_palette,
     delete_update,
     insert_update,
-    matching_records,
     replay_repair,
 )
 from timcolor.generators import random_convex, random_weakly_chordal
@@ -32,7 +31,9 @@ from timcolor.recognition import (
 from timcolor.static_coloring import (
     ColoringState,
     ContractionRecord,
+    InvalidContractionError,
     NotWeaklyChordalError,
+    OrderStructure,
     fresh_id,
     lift,
     lift_coloring,
@@ -48,6 +49,7 @@ from conftest import (
     perturbed,
     random_order_state,
     reference_candidate_pairs,
+    reference_matching_records,
     replay_chain,
     weakly_chordal_graphs,
 )
@@ -123,7 +125,7 @@ def reference_insert_update(state, u, v):
     and is skipped, every candidate is lifted, and the strict replay follows
     an exhausted ladder. The reference for the rungs that ``insert_update``
     decides on the order's class masks."""
-    if not matching_records(state.order, u, v):
+    if not reference_matching_records(state.order, u, v):
         return insert_update(state, u, v)  # I-1 and I-2-1 replay nothing
     h = state.graph.insert_edge(u, v)
     omega_b = state.color_count
@@ -401,17 +403,20 @@ class TestStoppingRule:
         } <= paths
 
     def test_i32_lifts_no_coloring(self, monkeypatch):
-        """An I-3-2 insert keeps the old coloring, so it lifts none: its
-        reports and states still agree with the reference, which lifts every
-        ladder candidate."""
+        """An I-3-2 insert keeps the old coloring, so it reads none off an
+        order's classes of the graph (the growth test's lift colors an
+        induced subgraph): its reports and states still agree with the
+        reference, which lifts every ladder candidate."""
         lifts = []
-        lift_one = dynamic_coloring.lift_coloring
+        watched = [None]  # the vertex tuple of the graph being updated
+        coloring = OrderStructure.coloring
 
-        def counted(graph, records):
-            lifts.append(None)
-            return lift_one(graph, records)
+        def counted(s):
+            if s.vertices is watched[0]:
+                lifts.append(None)
+            return coloring(s)
 
-        monkeypatch.setattr(dynamic_coloring, "lift_coloring", counted)
+        monkeypatch.setattr(OrderStructure, "coloring", counted)
         i32 = 0
         for seed in range(60):
             state, rng = random_static_state(seed)
@@ -425,7 +430,9 @@ class TestStoppingRule:
                 )
                 expected, expected_report = reference(state, ev.u, ev.v)
                 lifts.clear()
+                watched[0] = state.graph.vertices
                 new, report = update(state, ev.u, ev.v)
+                watched[0] = None
                 assert_agrees(state, new, report, expected, expected_report)
                 state = new
                 if report.case_label == "I-3-2":
@@ -465,7 +472,7 @@ class TestCliqueGrows:
             merged = [
                 (u, v)
                 for u, v in itertools.combinations(g.vertices, 2)
-                if not g.has_edge(u, v) and matching_records(state.order, u, v)
+                if not g.has_edge(u, v) and reference_matching_records(state.order, u, v)
             ]
             for u, v in rng.sample(merged, min(8, len(merged))):
                 common = g.adj_mask(u) & g.adj_mask(v)
@@ -581,6 +588,22 @@ class TestInsert:
     def test_existing_edge_rejected(self, fig6):
         with pytest.raises(GraphError):
             insert_update(static_color(fig6), 0, 1)
+
+    def test_order_without_structure_raises(self, fig6):
+        """An order whose record references a dead vertex has no structure:
+        the insertion raises, naming that record, on an I-1 event too."""
+        state = static_color(fig6)
+        first = state.order[0]
+        bad = ColoringState(
+            fig6, state.coloring, state.color_count, state.clique, (first,) + state.order
+        )
+        assert order_structure(bad) is None
+        u, v = next(
+            (u, v) for u, v in itertools.combinations(fig6.vertices, 2) if not fig6.has_edge(u, v)
+        )
+        with pytest.raises(InvalidContractionError) as exc:
+            insert_update(bad, u, v)
+        assert str(exc.value) == f"order record ({first.x},{first.y},{first.z}) references dead vertex"
 
 
 class TestDelete:
@@ -717,7 +740,7 @@ def ladder_path(state, u, v):
         globals()["reference_replay_repair"] = reference
     if any(modes):
         return "strict", report
-    rung = 0 if report.pairs_removed[0] == matching_records(state.order, u, v)[0] else 1
+    rung = 0 if report.pairs_removed[0] == reference_matching_records(state.order, u, v)[0] else 1
     return rung, report
 
 
@@ -739,7 +762,7 @@ class TestInsertReplays:
         outcomes = set()
         recolored = [0, 0]  # placements, ladder completions
         for state, ev, update, _ in walk_events():
-            if ev.kind != "insert" or not matching_records(state.order, ev.u, ev.v):
+            if ev.kind != "insert" or not reference_matching_records(state.order, ev.u, ev.v):
                 continue
             rung, expected = ladder_path(state, ev.u, ev.v)
             calls.clear()
@@ -757,6 +780,47 @@ class TestInsertReplays:
             outcomes.add((rep.case_label, rung))
         assert outcomes == {("I-3-1", 0), ("I-3-1", 1), ("I-3-1", "strict"), ("I-3-2", 0)}
         assert recolored[0] <= recolored[1]
+
+
+class TestStructureReads:
+    def test_placed_and_split_updates_replay_once(self, monkeypatch):
+        """With the old order's structure kept on its state, a placed I-3-1
+        insert and a split D-2 deletion each replay an order on the graph's
+        vertex tuple exactly once, edge-free: the new order's
+        ``order_structure``, which colors it. The new state keeps it, so
+        ``verify_state`` replays nothing more."""
+        replays = []  # whether each replay read adjacency
+        watched = [None]  # the vertex tuple of the graph being updated
+        replay = static_coloring._replay
+        calls = []
+        replay_repair_one = dynamic_coloring.replay_repair
+
+        def counted(ids, records, adj):
+            if ids is watched[0]:
+                replays.append(adj is not None)
+            return replay(ids, records, adj)
+
+        def counted_repair(*args):
+            calls.append(args)
+            return replay_repair_one(*args)
+
+        monkeypatch.setattr(static_coloring, "_replay", counted)
+        monkeypatch.setattr(dynamic_coloring, "replay_repair", counted_repair)
+        reached = set()
+        for state, ev, update, _ in walk_events():
+            order_structure(state)
+            watched[0] = state.graph.vertices
+            replays.clear()
+            calls.clear()
+            new, rep = update(state, ev.u, ev.v)
+            placed = rep.case_label == "I-3-1" and not calls
+            split = rep.case_label == "D-2" and not calls
+            if placed or split:
+                assert replays == [False], (rep.case_label, replays)
+                replays.clear()
+                assert verify_state(new) and replays == []
+                reached.add(rep.case_label)
+        assert reached == {"I-3-1", "D-2"}
 
 
 def downstream(order, rec):
@@ -777,7 +841,7 @@ def repair_path(state, new, rep, replayed):
     u, v = rep.u, rep.v
     if rep.kind == "delete":
         return "split" if {u, v} <= state.clique else "shortcut"
-    matches = matching_records(state.order, u, v)
+    matches = reference_matching_records(state.order, u, v)
     if matches:
         return 0 if set(rep.pairs_removed) == set(downstream(state.order, matches[0])) else 1
     if state.coloring[u] != state.coloring[v]:
@@ -875,11 +939,12 @@ class TestFallback:
     def test_failed_repairs_fall_back_as_the_references_do(self, monkeypatch):
         """A repair that raises ``NotWeaklyChordalError`` falls back to a
         static recompute, on each repair path: I-3-1, I-3-2, a split D-2 and
-        a deletion decided by the strict replay. Every path reads the order's
-        class masks first, so a failing ``order_classes`` reaches them all.
-        The report removes the whole old order, adds the new one and keeps
-        the case label; the references, forced to fail alike, give the same
-        report and state."""
+        a deletion decided by the strict replay. An I-3 repair starts with
+        ``_break_and_place`` and a deletion's with the order's structure, so
+        a failing ``_break_and_place`` reaches both insertion paths and a
+        failing ``order_structure`` both deletion paths. The report removes
+        the whole old order, adds the new one and keeps the case label; the
+        references, forced to fail alike, give the same report and state."""
 
         def broken(*args, **kwargs):
             raise NotWeaklyChordalError("forced")
@@ -889,14 +954,14 @@ class TestFallback:
             inside = ev.kind == "delete" and {ev.u, ev.v} <= state.clique
             if inside:
                 path = "split" if splits(state, ev.u, ev.v) else "strict"
-            elif ev.kind == "insert" and matching_records(state.order, ev.u, ev.v):
+            elif ev.kind == "insert" and reference_matching_records(state.order, ev.u, ev.v):
                 path = "I-3"
             else:
                 continue  # the shortcuts repair nothing
             _, unforced = update(state, ev.u, ev.v)
             with monkeypatch.context() as m:
-                for name in ("replay_repair", "lift_coloring", "order_classes"):
-                    m.setattr(dynamic_coloring, name, broken)
+                name = "_break_and_place" if path == "I-3" else "order_structure"
+                m.setattr(dynamic_coloring, name, broken)
                 m.setitem(globals(), "reference_replay_repair", broken)
                 m.setitem(globals(), "lift_coloring", broken)
                 new, rep = update(state, ev.u, ev.v)
@@ -957,7 +1022,7 @@ class TestEquivalence:
             if ev is None:
                 break
             if ev.kind == "insert":
-                unmatched = not matching_records(state.order, ev.u, ev.v)
+                unmatched = not reference_matching_records(state.order, ev.u, ev.v)
                 state, rep = insert_update(state, ev.u, ev.v)
                 if unmatched:  # I-1 or I-2-1: the order's lift already fits
                     assert rep.colors_after == rep.colors_before
@@ -969,26 +1034,29 @@ class TestEquivalence:
 
     def test_matching_records_by_class(self, fig6):
         base = static_color(fig6)
-        hits = matching_records(base.order, 1, 4)
+        hits = reference_matching_records(base.order, 1, 4)
         assert pair_sets(hits) >= {frozenset((1, 4))}
 
     @given(weakly_chordal_graphs(), st.integers(0, 10_000))
     @settings(max_examples=100, deadline=None)
     def test_matching_records_match_member_sets(self, g, seed):
         """Every pair of vertices, against the member sets of a ``Graph``
-        replay; and u and v lie in different final classes of the order's
-        structure exactly when no record matches, as ``insert_update``
-        reads it."""
+        replay and the two-bit reference pass: u and v lie in different final
+        classes of the order's structure exactly when no record matches, and
+        otherwise the one match is the first record whose class in the
+        structure holds both, as ``insert_update`` reads it."""
         state = random_order_state(g, random.Random(seed))
-        order, index = state.order, order_structure(state).index
+        order, s = state.order, order_structure(state)
         _, members = replay_chain(g, order)
         for u, v in itertools.combinations(g.vertices, 2):
             expected = [
                 r for r in order
                 if u in members[r.x] and v in members[r.y] or v in members[r.x] and u in members[r.y]
             ]
-            assert matching_records(order, u, v) == expected
-            assert (index[g.pos(u)] != index[g.pos(v)]) == (not expected)
+            assert reference_matching_records(order, u, v) == expected
+            assert (s.index[g.pos(u)] != s.index[g.pos(v)]) == (not expected)
+            both = 1 << g.pos(u) | 1 << g.pos(v)
+            assert [r for r in order if s.cls[r.z] & both == both][:1] == expected
 
 
 FIGURES = ("fig2_case1.json", "fig6.json", "fig8.json", "fig9.json")
@@ -1003,7 +1071,7 @@ def i1_events(state):
             if (
                 not g.has_edge(u, v)
                 and col[u] != col[v]
-                and not matching_records(state.order, u, v)
+                and not reference_matching_records(state.order, u, v)
             ):
                 yield u, v
 
@@ -1017,7 +1085,7 @@ def i21_events(state):
             if (
                 not g.has_edge(u, v)
                 and col[u] == col[v]
-                and not matching_records(state.order, u, v)
+                and not reference_matching_records(state.order, u, v)
             ):
                 yield u, v
 
@@ -1095,25 +1163,24 @@ class TestShortcuts:
             self.check_i1(state, u, v)
 
     def test_i1_carries_the_structure(self, monkeypatch):
-        """An I-1 insert decides its case from the order's structure and
-        hands it to the new state, which then verifies with no replay of
-        its order and no ``matching_records`` pass."""
+        """An I-1 insert decides its case from the order's structure, which
+        the state keeps, and hands it to the new state, which then verifies:
+        neither replays the order."""
         topo = random_convex(20, 20, random.Random(1))
         state = static_color(build_conflict_graph(topo, all_unicast_messages(topo)).graph)
         u, v = next(
             (u, v) for u, v in i1_events(state)
             if stays_weakly_chordal_after_insert(state.graph, u, v)
         )
+        kept = order_structure(state)
 
         def forbidden(*args, **kwargs):
             raise AssertionError("the I-1 path replayed the order")
 
-        for name in ("order_classes", "matching_records"):
-            monkeypatch.setattr(dynamic_coloring, name, forbidden)
-        monkeypatch.setattr(static_coloring, "order_classes", forbidden)
+        monkeypatch.setattr(static_coloring, "_replay", forbidden)
         new, rep = insert_update(state, u, v)
         assert rep.case_label == "I-1"
-        assert new._structure is state._structure is not None
+        assert new._structure is state._structure is kept is not None
         assert len(new.order) > 10
         assert verify_state(new)
 

@@ -40,6 +40,23 @@ def clique(n):
     return make_graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
+def updates_over_bound(**fields):
+    """The updates of a trial, run with the bound and verification off,
+    that go over the default bound: (seq, kind, case, pairs changed,
+    recolored) each."""
+    cfg = TrialConfig(**fields, verification_mode=False, assert_bound=False)
+    return [
+        (e.seq, e.kind, e.case_label, e.pairs_changed, len(e.recolored))
+        for e in run_simulation(cfg).events
+        if max(e.pairs_changed, len(e.recolored)) > cfg.bound
+    ]
+
+
+def raise_if_over_bound(over):
+    if over:
+        raise TrialAssertionError(f"updates over bound {DEFAULT_BOUND}: {over}")
+
+
 def path(n):
     return make_graph(n, [(i, i + 1) for i in range(n - 1)])
 
@@ -310,12 +327,17 @@ class TestScale:
         "bound of 8, all D-2 deletions, with up to 25 changed order pairs",
     )
     def test_n84_default_bound(self):
-        """The bound over every update: the harness itself gates only insertions."""
-        cfg = TrialConfig(**self.N84)
-        for event in run_simulation(cfg).events:
-            if max(event.pairs_changed, len(event.recolored)) > cfg.bound:
-                message = f"{event.case_label} over bound {cfg.bound}"
-                raise TrialAssertionError(message, event.to_dict())
+        """The bound over every update: the harness itself gates only
+        insertions. The updates over it are asserted first, so a change to
+        them fails here instead of passing as an expected failure."""
+        over = updates_over_bound(**self.N84)
+        assert over == [
+            (10, "delete", "D-2", 11, 8), (26, "delete", "D-2", 15, 10),
+            (42, "delete", "D-2", 13, 9), (45, "delete", "D-2", 11, 7),
+            (48, "delete", "D-2", 11, 8), (91, "delete", "D-2", 25, 13),
+            (96, "delete", "D-2", 9, 7),
+        ]
+        raise_if_over_bound(over)
 
 
 class TestKnownDefects:
@@ -326,7 +348,11 @@ class TestKnownDefects:
         "pairs under the strict replay, over the default bound of 8",
     )
     def test_seed3_default_bound(self):
-        run_simulation(TrialConfig(seed=3, M=9, N=9, event_count=60, verification_mode=False))
+        """The updates over the bound are asserted first, as in
+        ``test_run_trials_seed3_default_bound``."""
+        over = updates_over_bound(seed=3, M=9, N=9, event_count=60)
+        assert over == [(55, "insert", "I-3-1", 12, 5)]
+        raise_if_over_bound(over)
 
     @pytest.mark.xfail(
         strict=True,
@@ -335,9 +361,15 @@ class TestKnownDefects:
         "10 order pairs, its best rung-1 drop breaking 5 records, over the default bound of 8",
     )
     def test_seed21_default_bound(self):
-        run_simulation(
-            TrialConfig(seed=21, M=10, N=8, density=0.5, event_count=186, verification_mode=False)
-        )
+        """The updates over the bound are asserted first: four D-2 deletions,
+        which the harness does not gate, before the I-3-1 insert."""
+        over = updates_over_bound(seed=21, M=10, N=8, density=0.5, event_count=186)
+        assert over == [
+            (23, "delete", "D-2", 19, 11), (35, "delete", "D-2", 13, 9),
+            (79, "delete", "D-2", 9, 7), (181, "delete", "D-2", 11, 8),
+            (185, "insert", "I-3-1", 10, 3),
+        ]
+        raise_if_over_bound(over)
 
     @pytest.mark.parametrize(
         "network, event, pairs, recolored",

@@ -417,6 +417,7 @@ def graph_replay_diagnose(state, problems):
     if len(state.clique) != state.color_count:
         problems.append(f"clique size {len(state.clique)} != color_count {state.color_count}")
     members = sorted(state.clique)
+    problems.extend(f"clique member {v} is not a vertex" for v in members if v not in g)
     for i, u in enumerate(members):
         for v in members[i + 1 :]:
             if not g.has_edge(u, v):
@@ -653,6 +654,21 @@ class TestVerifyState:
         missed = sum(p.startswith("clique members") for p in expected)
         k = len(clique)
         assert missed == {"one": 1, "two": 2, "all": k * (k - 1) // 2}.get(kind, missed)
+
+    @pytest.mark.parametrize("members", [{99}, {-1}, {0, 99}])
+    def test_stray_clique_member_reported(self, members):
+        """A held clique member that is no vertex is reported on its own,
+        also when it is the only member of a 1-clique, where no pair names
+        it. The three isolated vertices color with one color."""
+        state = static_color(make_graph(3, []))
+        assert state.color_count == 1
+        corrupt = ColoringState(state.graph, state.coloring, 1, frozenset(members), state.order)
+        expected: list[str] = []
+        graph_replay_diagnose(corrupt, expected)
+        assert diagnose_state(corrupt) == expected
+        stray = [f"clique member {v} is not a vertex" for v in sorted(members) if v not in state.graph]
+        assert [p for p in expected if p.startswith("clique member ")] == stray
+        assert not verify_state(corrupt)
 
     def test_no_graph_contraction(self, monkeypatch):
         topo = random_convex(30, 30, random.Random(1))
