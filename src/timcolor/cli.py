@@ -164,6 +164,9 @@ def _cmd_schedule(args) -> int:
 
 
 def _cmd_step(args, kind: str) -> int:
+    bound = getattr(args, "bound", None)  # only insert takes --bound
+    if bound is not None and bound < 0:
+        raise CliError(f"bound must be at least 0, not {bound}")
     state = _load_state(args.state)
     problems = diagnose_state(state)
     if problems:
@@ -181,7 +184,6 @@ def _cmd_step(args, kind: str) -> int:
         _emit({"error": "post-step verification failed", "report": report.to_dict()},
               args.out)
         return EXIT_ASSERTION
-    bound = getattr(args, "bound", None)  # only insert takes --bound
     if bound is not None:
         if len(report.recolored) > bound or report.pairs_changed > bound:
             _emit({"error": f"locality bound {bound} exceeded",

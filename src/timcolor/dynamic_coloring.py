@@ -1,21 +1,20 @@
 """Dynamic maintenance of an optimal coloring under single-edge events.
 
-The maintained ``ColoringState`` is updated by case analysis on the
-solution order: membership of the event edge in the order (whether a record
-merged the class of one endpoint with the class of the other),
-equality of the endpoint colors, and whether the clique grows or shrinks.
-Three cases replay nothing and keep the order: I-1 and I-2-1, the latter
-recoloring, and D-1 when the held clique misses an endpoint of the deleted
-edge. Every case reads the order's classes from the state's
-``order_structure``, and a new order is colored from its own. An insertion
-whose endpoints share a final class (I-3) breaks the record that merged
-them, or it and one more, and places the pieces of the broken classes into
-the intact ones and fresh ones. A deletion inside the held clique whose
-endpoints' final classes lose their last edge is D-2: it adds the one
-record merging those classes. Only when the classes decide nothing does
-one strict two-pair replay of the order run, which drops the records the
-event made invalid and contracts the first two-pairs in rank order, as
-``static_color`` does.
+The maintained ``ColoringState`` is updated by case analysis on the solution
+order: membership of the event edge in the order (whether a record merged
+the class of one endpoint with the class of the other), equality of the
+endpoint colors, and whether the clique grows or shrinks. Three cases replay
+nothing and keep the order: I-1 and I-2-1, the latter recoloring, and D-1
+when the held clique misses an endpoint of the deleted edge. Every case
+reads the order's classes from the state's ``order_structure``, and a new
+order is colored from its own (``_certified``). An insertion whose endpoints
+share a final class (I-3) breaks the record that merged them, or it and one
+more, and places the pieces of the broken classes into the intact ones and
+fresh ones. A deletion inside the held clique whose endpoints' final classes
+lose their last edge is D-2: it adds the one record merging those classes.
+Only when the classes decide nothing does one strict two-pair replay of the
+order run, which drops the records the event made invalid and contracts the
+first two-pairs in rank order, as ``static_color`` does.
 """
 
 from __future__ import annotations
@@ -128,7 +127,7 @@ def replay_repair(graph: Graph, order: tuple[ContractionRecord, ...]) -> tuple[C
     no longer a two-pair), and the first two-pairs in rank order are added
     until the quotient is a clique of chi vertices; a run out of two-pairs
     short of a clique raises. Returns the new order, kept records unchanged
-    and added ones at or above ``fresh_id``; callers certify it by ``lift``.
+    and added ones at or above ``fresh_id``; ``_certified`` checks its count.
     """
     return contract_to_clique(graph, order, fresh_id(graph, order))
 
@@ -253,6 +252,22 @@ def _structure(state: ColoringState) -> OrderStructure:
     if s is None:
         order_classes(state.graph, state.order)
     return s
+
+
+def _certified(
+    old: ColoringState, graph: Graph, order: tuple[ContractionRecord, ...], k: int,
+    clique: frozenset[int], coloring: Optional[dict[int, int]] = None,
+) -> ColoringState:
+    """`order` on `graph` with k colors and `clique`, keeping its structure.
+    ``NotWeaklyChordalError`` unless the order ends in exactly k final classes;
+    without `coloring`, a vertex takes its class's color on the old palette."""
+    new = ColoringState(graph, coloring or {}, k, clique, order)
+    s = order_structure(new)
+    if s is None or len(s.final) != k:
+        raise NotWeaklyChordalError(f"repaired order does not end in {k} classes")
+    if coloring is None:
+        new.coloring = _match_palette(s.coloring(), old.coloring, k)
+    return new
 
 
 def _fallback(graph: Graph, old: ColoringState) -> ColoringState:
@@ -421,12 +436,12 @@ def insert_update(state: ColoringState, u: int, v: int) -> tuple[ColoringState, 
     Rung 0 breaks {r1}; rung 1, when rung 0 has no placement, breaks
     {r1, rec} for every other record rec and keeps the smallest R, the
     first on a tie. I-3-2 always succeeds at rung 0: v's piece alone and
-    every other piece of r1's class together fill the k + 1 classes. I-3-1
-    keeps the old clique, I-3-2 takes the witness, and ``verify_state``
-    certifies either. I-3-1 colors the new order by its own structure, which
-    the new state keeps for ``verify_state``. When neither rung places its
-    pieces, the strict two-pair replay decides the order, certified by its
-    own lift, and a count other than k' falls back to a static recompute.
+    every other piece of r1's class together fill the k + 1 classes. When
+    neither rung places its pieces, the strict two-pair replay decides the
+    order. ``_certified`` builds either state and falls back on a count
+    other than k'. I-3-1 keeps the old clique and colors the order by its
+    classes; I-3-2 takes the witness, a (k+1)-clique of G+uv whichever
+    order is found, and gives one endpoint the new color k + 1.
 
     Whether a record merged u's side with v's side, and which, is read off
     the state's ``order_structure``. Proof: on a structurally valid order
@@ -467,21 +482,11 @@ def insert_update(state: ColoringState, u: int, v: int) -> tuple[ColoringState, 
 
     def repair():
         order = _break_and_place(state, s, h, r1, expected)
-        clique, lifted = witness, None  # the growth witness certifies omega + 1
-        if order is None:  # the strict two-pair replay, certified by its own lift
+        if order is None:
             order = replay_repair(h, state.order)
-            lifted, clique, k_new = lift(h, order)
-            if k_new != expected:
-                raise NotWeaklyChordalError(f"repair clique size {k_new}, expected {expected}")
-        new = ColoringState(h, {}, expected, clique, order)
-        if grows:  # I-3-2: one endpoint takes the brand-new color
-            new.coloring = {**state.coloring, min(u, v): expected}
-        else:  # I-3-1: the old clique certifies an unchanged omega
-            if lifted is None:
-                lifted = order_structure(new).coloring()
-            new.coloring = _match_palette(lifted, state.coloring, expected)
-            new.clique = state.clique
-        return new
+        if not grows:  # I-3-1: the old clique certifies an unchanged omega
+            return _certified(state, h, order, k, state.clique)
+        return _certified(state, h, order, k + 1, witness, {**state.coloring, min(u, v): k + 1})
 
     return _finish(state, h, "insert", u, v, "I-3-2" if grows else "I-3-1", repair)
 
@@ -508,8 +513,7 @@ def delete_update(state: ColoringState, u: int, v: int) -> tuple[ColoringState, 
     (a split) merging them is a (k-1)-coloring of G-uv, and the held clique
     minus u is a (k-1)-clique of G-uv: the event is D-2, and the order
     gains the record (min, max, z) of the two class ids, z one above every
-    vertex and order id. The new state is colored by its own structure,
-    which it keeps for ``verify_state``.
+    vertex and order id; ``_certified`` colors the new order by its classes.
 
     Without a split the old order still ends in a k-clique, and the strict
     two-pair replay, the only one that runs, decides omega(G-uv). It
@@ -518,7 +522,7 @@ def delete_update(state: ColoringState, u: int, v: int) -> tuple[ColoringState, 
     (Hayward-Hoang-Maffray), so the replay ends in a clique of
     k' = omega(G-uv) vertices, and the lift threads a k'-clique of G-uv
     back through it. k' = k is D-1: the old order and coloring are kept,
-    certified by the lifted clique. k' = k-1 is D-2 on the strict records.
+    certified by the lifted clique. k' = k-1 is D-2, through ``_certified``.
     """
     g2 = state.graph.delete_edge(u, v)  # raises if absent
     if u not in state.clique or v not in state.clique:
@@ -531,15 +535,11 @@ def delete_update(state: ColoringState, u: int, v: int) -> tuple[ColoringState, 
         adj, other = g2.adj_masks(), s.masks[iv]
         if not any(adj[p] & other for p in _bits(s.masks[iu])):  # split: merge the two classes
             rec = ContractionRecord(*sorted((s.final[iu], s.final[iv])), fresh_id(g2, state.order))
-            new = ColoringState(g2, {}, k - 1, state.clique - {u}, state.order + (rec,))
-            new.coloring = _match_palette(order_structure(new).coloring(), state.coloring, k - 1)
-            return new
+            return _certified(state, g2, state.order + (rec,), k - 1, state.clique - {u})
         order = replay_repair(g2, state.order)
-        lifted, clique, k_new = lift(g2, order)
+        _, clique, k_new = lift(g2, order)
         if k_new == k:
             return ColoringState(g2, dict(state.coloring), k, clique, state.order)
-        if k_new != k - 1:
-            raise NotWeaklyChordalError(f"deletion changed clique size {k} -> {k_new}")
-        return ColoringState(g2, _match_palette(lifted, state.coloring, k_new), k_new, clique, order)
+        return _certified(state, g2, order, k - 1, clique)
 
     return _finish(state, g2, "delete", u, v, repair=repair)

@@ -378,9 +378,14 @@ def diagnose_state(state: ColoringState) -> list[str]:
     ]
     if off_palette:
         return off_palette
-    # One mask per color 1..k: position p has a bad edge to a later
-    # position iff its adjacency meets its own color's mask above bit p.
-    color_mask = [0] * (k + 1)
+    # One mask per color 1..min(k, n): position p has a bad edge to a later
+    # position iff its adjacency meets its own color's mask above bit p. A
+    # count above n is wrong whatever the colors are; the colors used, at
+    # most n, are then numbered 1, 2, ... so that memory follows n, not k.
+    if k > len(ids):
+        dense = {c: i for i, c in enumerate(dict.fromkeys(color_at), 1)}
+        color_at = [dense[c] for c in color_at]
+    color_mask = [0] * (min(k, len(ids)) + 1)
     for p, c in enumerate(color_at):
         color_mask[c] |= 1 << p
     adj = g.adj_masks()

@@ -397,6 +397,19 @@ class TestSimulate:
         cfg_file.write_text(json.dumps({"M": 4, "N": 4, "event_count": 5, name: value}))
         assert run(capsys, "simulate", str(cfg_file)) == (code, out, err)
 
+    def test_negative_insert_bound_is_usage_error(self, capsys, tmp_path):
+        """``insert --bound`` has ``simulate --bound``'s range: a negative
+        bound is refused before the step, with no output file, instead of
+        failing fig6's insertion (1, 4) as a locality violation."""
+        state_file, out_file = tmp_path / "state.json", tmp_path / "bad.json"
+        assert main(["color", fixture_path(tmp_path, "fig6.json"), "--out", str(state_file)]) == 0
+        capsys.readouterr()
+        code, out, err = run(capsys, "insert", str(state_file), "1", "4", "--bound", "-1",
+                             "--out", str(out_file))
+        assert code == EXIT_USAGE
+        assert not out and err == "timcolor: error: bound must be at least 0, not -1\n"
+        assert not out_file.exists()
+
     @pytest.mark.parametrize("verification_mode", [True, False])
     def test_non_weakly_chordal_topology_is_assertion_error(self, capsys, tmp_path, verification_mode):
         topo = tmp_path / "c8.json"

@@ -782,6 +782,47 @@ class TestInsertReplays:
         assert recolored[0] <= recolored[1]
 
 
+def traced_updates(monkeypatch):
+    """The updates of ``walk_events``, each from a state that keeps its
+    order's structure, as (new state, report, strict, replays, lifted).
+    ``strict`` is whether the strict replay ran; ``replays`` holds, for each
+    ``_replay`` of an order on the graph's vertex tuple, whether it read
+    adjacency, and ``lifted`` names each ``lift`` and ``order_classes`` on
+    that graph. Both lists record until the next update, so a test can
+    clear them and see what ``verify_state`` replays."""
+    replays, lifted, strict = [], [], []
+    watched = [None]  # the vertex tuple of the graph being updated
+    replay, replay_repair_one = static_coloring._replay, dynamic_coloring.replay_repair
+
+    def counted(ids, records, adj):
+        if ids is watched[0]:
+            replays.append(adj is not None)
+        return replay(ids, records, adj)
+
+    def counted_repair(*args):
+        strict.append(args)
+        return replay_repair_one(*args)
+
+    def on_watched(name, run):
+        def recorded(g, records):
+            if g.vertices is watched[0]:
+                lifted.append(name)
+            return run(g, records)
+        return recorded
+
+    monkeypatch.setattr(static_coloring, "_replay", counted)
+    monkeypatch.setattr(dynamic_coloring, "replay_repair", counted_repair)
+    for name in ("lift", "order_classes"):
+        monkeypatch.setattr(dynamic_coloring, name, on_watched(name, getattr(dynamic_coloring, name)))
+    for state, ev, update, _ in walk_events():
+        order_structure(state)
+        watched[0] = state.graph.vertices
+        for calls in (replays, lifted, strict):
+            calls.clear()
+        new, rep = update(state, ev.u, ev.v)
+        yield new, rep, bool(strict), replays, lifted
+
+
 class TestStructureReads:
     def test_placed_and_split_updates_replay_once(self, monkeypatch):
         """With the old order's structure kept on its state, a placed I-3-1
@@ -789,38 +830,36 @@ class TestStructureReads:
         vertex tuple exactly once, edge-free: the new order's
         ``order_structure``, which colors it. The new state keeps it, so
         ``verify_state`` replays nothing more."""
-        replays = []  # whether each replay read adjacency
-        watched = [None]  # the vertex tuple of the graph being updated
-        replay = static_coloring._replay
-        calls = []
-        replay_repair_one = dynamic_coloring.replay_repair
-
-        def counted(ids, records, adj):
-            if ids is watched[0]:
-                replays.append(adj is not None)
-            return replay(ids, records, adj)
-
-        def counted_repair(*args):
-            calls.append(args)
-            return replay_repair_one(*args)
-
-        monkeypatch.setattr(static_coloring, "_replay", counted)
-        monkeypatch.setattr(dynamic_coloring, "replay_repair", counted_repair)
         reached = set()
-        for state, ev, update, _ in walk_events():
-            order_structure(state)
-            watched[0] = state.graph.vertices
-            replays.clear()
-            calls.clear()
-            new, rep = update(state, ev.u, ev.v)
-            placed = rep.case_label == "I-3-1" and not calls
-            split = rep.case_label == "D-2" and not calls
-            if placed or split:
+        for new, rep, strict, replays, _ in traced_updates(monkeypatch):
+            if rep.case_label in ("I-3-1", "D-2") and not strict:
                 assert replays == [False], (rep.case_label, replays)
                 replays.clear()
                 assert verify_state(new) and replays == []
                 reached.add(rep.case_label)
         assert reached == {"I-3-1", "D-2"}
+
+    def test_strict_and_growing_updates_keep_their_structure(self, monkeypatch):
+        """A strict I-3-1 insert, an I-3-2 insert and a strict D-2 deletion
+        also return a state that keeps its new order's structure, so
+        ``verify_state`` replays nothing. The strict I-3-1 and the I-3-2
+        replay the new order once, edge-free, with no ``lift`` or
+        ``order_classes`` on G+uv (the growth test lifts an induced
+        subgraph); the strict D-2 lifts its order for the clique first."""
+        expected = {  # (case, strict): (replays, lifted)
+            ("I-3-1", True): ([False], []),
+            ("I-3-2", False): ([False], []),
+            ("D-2", True): ([True, False], ["lift"]),
+        }
+        reached = set()
+        for new, rep, strict, replays, lifted in traced_updates(monkeypatch):
+            path = (rep.case_label, strict)
+            if path in expected:
+                assert (replays, lifted) == expected[path], path
+                replays.clear()
+                assert verify_state(new) and replays == []
+                reached.add(path)
+        assert reached == set(expected)
 
 
 def downstream(order, rec):
@@ -975,6 +1014,33 @@ class TestFallback:
             assert verify_state(new)
             reached.add(rep.case_label if path == "I-3" else path)
         assert reached == {"I-3-1", "I-3-2", "split", "strict"}
+
+    def test_placed_order_short_of_its_count_falls_back(self, monkeypatch):
+        """Every order an I-3 repair returns is checked to end in k' classes:
+        a ``_break_and_place`` that loses the last record of its order,
+        which then ends in one class too many, falls back to a static
+        recompute on both I-3-1 and I-3-2, keeping the case label."""
+        place, shortened = dynamic_coloring._break_and_place, []
+
+        def short(*args):
+            order = place(*args)
+            shortened.append(bool(order))
+            return order[:-1] if order else order
+
+        monkeypatch.setattr(dynamic_coloring, "_break_and_place", short)
+        reached = set()
+        for state, ev, update, _ in walk_events():
+            if ev.kind != "insert" or not reference_matching_records(state.order, ev.u, ev.v):
+                continue
+            shortened.clear()
+            new, rep = update(state, ev.u, ev.v)
+            assert rep.fallback_used == shortened[0], (rep.case_label, shortened)
+            assert verify_state(new)
+            if rep.fallback_used:
+                assert rep.pairs_removed == list(state.order)
+                assert rep.pairs_added == list(new.order)
+                reached.add(rep.case_label)
+        assert reached == {"I-3-1", "I-3-2"}
 
 
 class TestReportShape:

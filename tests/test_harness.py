@@ -418,16 +418,9 @@ class TestKnownDefects:
     )
     def test_run_trials_seed3_default_bound(self):
         """The trial ``scripts/run_trials.py`` runs at seed 3 with its defaults,
-        up to event 148, with the bound off. Its exact counts are asserted
-        first, so a change to that event fails here instead of passing as an
-        expected failure."""
-        event = 148
-        trial = run_simulation(
-            TrialConfig(seed=3, M=6, N=6, event_count=event + 1, verification_mode=False,
-                        assert_bound=False)
-        )
-        report = trial.events[event]
-        counts = (report.seq, report.case_label, report.pairs_changed, len(report.recolored))
-        assert counts == (event, "I-3-1", 10, 4)
-        if max(report.pairs_changed, len(report.recolored)) > DEFAULT_BOUND:
-            raise TrialAssertionError(f"event {event} of seed 3: {counts} over bound")
+        up to event 148, with the bound off. The updates over the bound are
+        asserted first: the strict D-2 deletion at event 34, which the
+        harness does not gate, before the I-3-1 insert."""
+        over = updates_over_bound(seed=3, M=6, N=6, event_count=149)
+        assert over == [(34, "delete", "D-2", 11, 5), (148, "insert", "I-3-1", 10, 4)]
+        raise_if_over_bound(over)

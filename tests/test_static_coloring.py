@@ -670,6 +670,18 @@ class TestVerifyState:
         assert [p for p in expected if p.startswith("clique member ")] == stray
         assert not verify_state(corrupt)
 
+    def test_claimed_color_count_sizes_nothing(self):
+        """A color count far above n is diagnosed in memory that follows n:
+        the path 0-1-2 claims 10^12 colors and uses two."""
+        state = static_color(make_graph(3, [(0, 1), (1, 2)]))
+        k = 10**12
+        corrupt = ColoringState(state.graph, state.coloring, k, state.clique, state.order)
+        expected: list[str] = []
+        graph_replay_diagnose(corrupt, expected)
+        problems = diagnose_state(corrupt)
+        assert problems == expected
+        assert problems[0] == f"2 distinct colors used, color_count={k}"
+
     def test_no_graph_contraction(self, monkeypatch):
         topo = random_convex(30, 30, random.Random(1))
         state = static_color(build_conflict_graph(topo, all_unicast_messages(topo)).graph)
