@@ -29,12 +29,12 @@ from .graph import Graph
 from .recognition import _bits
 from .static_coloring import (
     ColoringState,
+    Contraction,
     ContractionRecord,
     NotWeaklyChordalError,
     OrderStructure,
     contract_to_clique,
     fresh_id,
-    lift,
     order_classes,
     order_structure,
     static_color,
@@ -92,14 +92,14 @@ def _growth_witness(state: ColoringState, u: int, v: int) -> Optional[frozenset[
     2. C meets fewer than k-1 color classes of the held proper coloring: a
        clique takes one vertex from each class, so there is none;
     3. otherwise G[C], weakly chordal because the property is hereditary,
-       is contracted to a clique by ``contract_to_clique``, and ``lift``
-       threads a clique of the final size back through the records.
+       is contracted to a clique by ``contract_to_clique``, which threads a
+       clique of the final size back through its records as it goes.
        Two-pair contraction keeps omega (Hayward-Hoang-Maffray), so that
        clique has omega(G[C]) vertices, at most k-1 since a k-clique in C
        and u would be a (k+1)-clique of G; the clique grows exactly when it
        has k-1.
-    ``static_color`` makes the same two calls; they are made directly here
-    so that a profile of ``static_color`` counts static recomputes only.
+    ``static_color`` makes the same call; it is made directly here so that
+    a profile of ``static_color`` counts static recomputes only.
     """
     g = state.graph
     need = state.color_count - 1
@@ -110,15 +110,15 @@ def _growth_witness(state: ColoringState, u: int, v: int) -> Optional[frozenset[
     if len({state.coloring[w] for w in common}) < need:
         return None
     sub = g.induced_subgraph(common)
-    _, found, size = lift(sub, contract_to_clique(sub, (), sub.next_id))
-    return found | {u, v} if size == need else None
+    found = contract_to_clique(sub, (), sub.next_id).clique
+    return found | {u, v} if len(found) == need else None
 
 
 # ---------------------------------------------------------------------------
 # order repair by replay
 # ---------------------------------------------------------------------------
 
-def replay_repair(graph: Graph, order: tuple[ContractionRecord, ...]) -> tuple[ContractionRecord, ...]:
+def replay_repair(graph: Graph, order: tuple[ContractionRecord, ...]) -> Contraction:
     """Replay the order on a perturbed graph, dropping and replacing records.
 
     ``contract_to_clique`` on ``graph``, with the order to replay and fresh
@@ -126,8 +126,9 @@ def replay_repair(graph: Graph, order: tuple[ContractionRecord, ...]) -> tuple[C
     quotient is dropped (its parent died, or its pair became an edge or is
     no longer a two-pair), and the first two-pairs in rank order are added
     until the quotient is a clique of chi vertices; a run out of two-pairs
-    short of a clique raises. Returns the new order, kept records unchanged
-    and added ones at or above ``fresh_id``; ``_certified`` checks its count.
+    short of a clique raises. The result's ``order`` is the new order, kept
+    records unchanged and added ones at or above ``fresh_id``, with its
+    clique and class count; ``_certified`` checks that count.
     """
     return contract_to_clique(graph, order, fresh_id(graph, order))
 
@@ -483,7 +484,7 @@ def insert_update(state: ColoringState, u: int, v: int) -> tuple[ColoringState, 
     def repair():
         order = _break_and_place(state, s, h, r1, expected)
         if order is None:
-            order = replay_repair(h, state.order)
+            order = replay_repair(h, state.order).order
         if not grows:  # I-3-1: the old clique certifies an unchanged omega
             return _certified(state, h, order, k, state.clique)
         return _certified(state, h, order, k + 1, witness, {**state.coloring, min(u, v): k + 1})
@@ -520,9 +521,10 @@ def delete_update(state: ColoringState, u: int, v: int) -> tuple[ColoringState, 
     contracts only two-pairs, and contracting a two-pair of a weakly
     chordal graph keeps it weakly chordal and keeps chi and omega
     (Hayward-Hoang-Maffray), so the replay ends in a clique of
-    k' = omega(G-uv) vertices, and the lift threads a k'-clique of G-uv
-    back through it. k' = k is D-1: the old order and coloring are kept,
-    certified by the lifted clique. k' = k-1 is D-2, through ``_certified``.
+    k' = omega(G-uv) vertices, and its loop threads a k'-clique of G-uv
+    back through it, with no ``lift``. k' = k is D-1: the old order and
+    coloring are kept, certified by that clique. k' = k-1 is D-2, through
+    ``_certified``, whose edge-free replay of the new order is the only one.
     """
     g2 = state.graph.delete_edge(u, v)  # raises if absent
     if u not in state.clique or v not in state.clique:
@@ -536,10 +538,9 @@ def delete_update(state: ColoringState, u: int, v: int) -> tuple[ColoringState, 
         if not any(adj[p] & other for p in _bits(s.masks[iu])):  # split: merge the two classes
             rec = ContractionRecord(*sorted((s.final[iu], s.final[iv])), fresh_id(g2, state.order))
             return _certified(state, g2, state.order + (rec,), k - 1, state.clique - {u})
-        order = replay_repair(g2, state.order)
-        _, clique, k_new = lift(g2, order)
-        if k_new == k:
-            return ColoringState(g2, dict(state.coloring), k, clique, state.order)
-        return _certified(state, g2, order, k - 1, clique)
+        strict = replay_repair(g2, state.order)
+        if strict.size == k:
+            return ColoringState(g2, dict(state.coloring), k, strict.clique, state.order)
+        return _certified(state, g2, strict.order, k - 1, strict.clique)
 
     return _finish(state, g2, "delete", u, v, repair=repair)

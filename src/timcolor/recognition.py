@@ -123,22 +123,13 @@ def _hole_through_pair(adj: Sequence[int], pu: int, pv: int) -> bool:
     so outside N(c); likewise its last interior vertex for c. So both ends
     of a searched pair have a signature that is neither empty (a neighbour
     of b touches K exactly then) nor all of K, which contains every other
-    signature. The loop runs over those neighbours of b alone: the ones
-    some member of K sees and not every member sees, found in one pass
-    over K.
+    signature. The loop runs over those neighbours of b alone
+    (``_straddlers``).
     """
     pb, po = (pu, pv) if adj[pu].bit_count() <= adj[pv].bit_count() else (pv, pu)
     outside = (1 << len(adj)) - 1 & ~adj[pb] & ~(1 << pb)
     component = _bfs_reach(adj, po, outside)
-    some, every = 0, adj[pb]
-    m = component
-    while m:
-        low = m & -m
-        nk = adj[low.bit_length() - 1]
-        some |= nk
-        every &= nk
-        m ^= low
-    rest = adj[pb] & some & ~every
+    rest = _straddlers(adj, adj[pb], component)
     while rest:
         low = rest & -rest
         pa = low.bit_length() - 1
@@ -154,6 +145,34 @@ def _hole_through_pair(adj: Sequence[int], pu: int, pv: int) -> bool:
                 if _bfs_reach(adj, pa, allowed) >> pc & 1:
                     return True
     return False
+
+
+def _straddlers(adj: Sequence[int], nbrs: int, component: int) -> int:
+    """The members of `nbrs` whose neighbourhood meets the non-empty
+    `component` but does not hold all of it, by one pass over the smaller set.
+
+    A pass over K = `component` ORs and ANDs its members' masks: by
+    symmetry a lies in the OR exactly when N(a) & K is not empty, and in
+    the AND exactly when N(a) holds all of K. A pass over `nbrs` compares
+    N(a) & K with 0 and with K for each member a. Both give the same set.
+    """
+    if component.bit_count() <= nbrs.bit_count():
+        some, every, m = 0, nbrs, component
+        while m:
+            low = m & -m
+            nk = adj[low.bit_length() - 1]
+            some |= nk
+            every &= nk
+            m ^= low
+        return nbrs & some & ~every
+    out, m = 0, nbrs
+    while m:
+        low = m & -m
+        seen = adj[low.bit_length() - 1] & component
+        if seen and seen != component:
+            out |= low
+        m ^= low
+    return out
 
 
 def _flip(g: Graph, pu: int, pv: int) -> list[int]:
@@ -361,6 +380,8 @@ class PairRanking:
         self._missing = g.n * (g.n - 1) // 2 - g.edge_count()  # live non-adjacent pairs
         self._buckets: Optional[list[set[tuple[int, int]]]] = None  # count -> pairs
         self._top = 0  # no non-empty bucket above it
+        self._base = self._live  # slots that still hold their vertex of g
+        self._zmin = float("inf")  # no contracted id lies below it
 
     def joinable(self, x: int, y: int) -> bool:
         """Whether x and y are a live two-pair of the current quotient
@@ -385,7 +406,8 @@ class PairRanking:
         exactly when no path joins it, and a pair across components has no
         common neighbor. So the first such pair in id order is (a, b) with
         a the smallest live id and b the smallest id outside a's component
-        K, on any graph; if K holds every live vertex there is none.
+        K, on any graph; if K holds every live vertex there is none. Both
+        come from ``_least``.
         """
         adj, ids, live = self._adj, self._ids, self._live
         buckets = self._buckets
@@ -417,19 +439,48 @@ class PairRanking:
                         return a, b
         if not live:
             return None
-        a = min(ids[s] for s in _bits(live))
+        a = self._least(live)
         rest = live & ~_bfs_reach(adj, self._slot[a], live)
-        return (a, min(ids[s] for s in _bits(rest))) if rest else None
+        return (a, self._least(rest)) if rest else None
+
+    def _least(self, mask: int) -> int:
+        """The smallest id in the non-empty slot mask `mask`.
+
+        A slot that still holds its vertex of g holds the id at that sorted
+        position, so among those slots the lowest holds the smallest id.
+        Every other live slot holds a contracted id, at least ``_zmin``; when
+        the lowest base id lies below that it is the answer, as it always
+        does when the fresh ids start above g's (``static_color``, the
+        strict replay, the growth test). Otherwise the contracted ids in
+        `mask` are scanned as well.
+        """
+        ids, base = self._ids, mask & self._base
+        rest = mask & ~base
+        if base:
+            low = base & -base
+            least = ids[low.bit_length() - 1]
+            if least < self._zmin:
+                return least
+            rest |= low
+        return min(ids[s] for s in _bits(rest))
+
+    def slots(self) -> dict[int, int]:
+        """Each live id's slot; a vertex of g that no contraction merged
+        keeps its sorted position. The ranking's own map: read, never write."""
+        return self._slot
 
     def complete(self) -> bool:
         """Whether the live vertices are pairwise adjacent."""
         return not self._missing
 
-    def contract(self, x: int, y: int, z: int) -> None:
+    def contract(self, x: int, y: int, z: int) -> tuple[int, int, int, int, int]:
         """Merge the non-adjacent x and y into the fresh id z, as Graph.contract_pair does.
 
         It raises ``GraphError`` with that method's messages on an adjacent
         pair, an unknown vertex, a vertex paired with itself and a live z.
+        It returns the step (z's slot, x's slot, N(x), y's slot, N(y)), the
+        neighborhoods as slot masks just before the merge, from which
+        ``contract_to_clique`` lifts.
 
         z takes over the slot of k, the parent with more neighbors (x on a
         tie), and the slot of the other parent, d, dies. x and y are
@@ -572,6 +623,10 @@ class PairRanking:
         adj[sk] = nz
         adj[sd] = 0
         self._live = live ^ dbit
+        self._base &= ~(kbit | dbit)
+        if z < self._zmin:
+            self._zmin = z
+        return sk, sx, nx, sy, ny
 
 
 def find_two_pair(g: Graph) -> Optional[TwoPair]:

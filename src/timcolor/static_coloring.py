@@ -1,12 +1,15 @@
 """Minimum coloring of weakly chordal graphs by two-pair contraction.
 
 The static procedure repeatedly contracts a two-pair until the graph is a
-clique, records the contraction sequence (the solution order), and then
-lifts the trivial clique coloring and clique back through the sequence,
-reading the quotient from class bitmasks of the original graph.
-The recorded order is replayable, which is what the dynamic update layer
-relies on: its strict replay runs the same contraction loop,
-``contract_to_clique``, with an order to replay.
+clique and records the contraction sequence (the solution order). The
+contraction loop, ``contract_to_clique``, lifts as it contracts: it keeps
+each id's class as a bitmask of the original graph's positions, and the
+adjacency masks each record fired on, so it hands back the final classes
+(the coloring) and a maximum clique threaded back through the records
+without walking the order again. The recorded order is replayable, which
+is what the dynamic update layer relies on: its strict replay runs the same
+loop with an order to replay. ``lift`` replays an order on class masks
+alone and is the reference the loop's results are tested against.
 """
 
 from __future__ import annotations
@@ -94,6 +97,35 @@ class ColoringState:
         }
 
 
+@dataclass(frozen=True)
+class Contraction:
+    """What ``contract_to_clique`` read off its loop on a graph.
+
+    ``order`` holds the records fired, in firing order; ``clique`` a
+    maximum clique of the graph, threaded back through them; ``classes``
+    the final classes as masks of the graph's sorted positions, by
+    ascending final id. ``vertices`` is the graph's vertex tuple.
+    """
+
+    vertices: tuple[int, ...]
+    order: tuple[ContractionRecord, ...]
+    clique: frozenset[int]
+    classes: tuple[int, ...]
+
+    @property
+    def size(self) -> int:
+        """The number of final classes: chi and omega of the graph."""
+        return len(self.classes)
+
+    def coloring(self) -> dict[int, int]:
+        """Final classes take colors 1..k by ascending id, as in ``OrderStructure``."""
+        color = [0] * len(self.vertices)
+        for c, m in enumerate(self.classes, 1):
+            for p in _bits(m):
+                color[p] = c
+        return dict(zip(self.vertices, color))
+
+
 def fresh_id(g: Graph, order: Sequence[ContractionRecord]) -> int:
     """One above every vertex of g and every id the order names: the first
     id a record added to the order may take."""
@@ -102,8 +134,9 @@ def fresh_id(g: Graph, order: Sequence[ContractionRecord]) -> int:
 
 def contract_to_clique(
     g: Graph, replay: Sequence[ContractionRecord], z: int
-) -> tuple[ContractionRecord, ...]:
-    """Contract g to a clique, replaying records where they fire.
+) -> Contraction:
+    """Contract g to a clique, replaying records where they fire, and lift
+    the clique and the classes back to g.
 
     One ``PairRanking`` of g carries the loop. The records of ``replay``
     are swept to a fixpoint, each fired while it is a two-pair of the
@@ -113,8 +146,9 @@ def contract_to_clique(
     descendants. Then, until the quotient is complete, the first two-pair
     in rank order (``pop_pair``) is contracted into the fresh id z, z + 1,
     ..., each followed by another sweep. A fresh id that is live raises
-    ``GraphError``. Returns the records fired, in firing order, which leave
-    out every record of ``replay`` that never fired.
+    ``GraphError``. The result's ``order`` holds the records fired, in
+    firing order, which leave out every record of ``replay`` that never
+    fired.
 
     By two-pair theory (Hayward-Hoang-Maffray) contracting a two-pair keeps
     a weakly chordal graph weakly chordal and keeps chi, so the loop ends
@@ -122,9 +156,31 @@ def contract_to_clique(
     clique raises ``NotWeaklyChordalError``. That holds for every two-pair
     order, so the loop needs only one: the ranking's, which makes its
     records a function of g, the records to replay and z.
+
+    The loop lifts as it contracts. ``PairRanking.contract`` reports each
+    firing's step: the slots of x and y, their adjacency masks just before
+    it, and the slot z takes (a live id keeps its slot for life, and the
+    base vertices' slots are g's sorted positions). ``cls[s]`` is the class
+    of the id in slot s, as a mask of g's positions; one pass over the
+    steps makes z's its parents' union, as in ``order_classes``. The final
+    classes, those of the live slots by ascending id, color g. The clique
+    starts as the live slots of the final quotient, a clique, and is
+    threaded back through the steps as a slot mask cm: undoing a step whose
+    z slot is in cm drops it and puts back x's slot when
+    ``cm & ~n_x == 0``, else y's when ``cm & ~n_y == 0``. That is
+    ``lift``'s test, ``nb[x] & cls[w]`` for every other member w.
+    Proof: the other members are live after the record and are not z, so
+    they were live just before it fired, in the same slots, and cm holds
+    exactly their slots. The ranking's masks just before the record are the
+    quotient's adjacency, as ``Graph.contract_pair`` builds it, and by
+    ``order_classes``'s claim x and w are adjacent there iff
+    ``nb[x] & cls[w]``; so both tests read the same, for y too, and the
+    same parent goes back. The clique is ``lift``'s, and once every step is
+    undone cm holds base slots, which are positions of g.
     """
     ranking = PairRanking(g)
     fired: list[ContractionRecord] = []
+    steps: list[tuple[int, int, int, int, int]] = []  # per fired record, from contract
 
     def sweep(pending):
         """Fire every pending record that is a two-pair now, to a fixpoint."""
@@ -134,7 +190,7 @@ def contract_to_clique(
             deferred: list[ContractionRecord] = []
             for rec in pending:
                 if ranking.joinable(rec.x, rec.y):
-                    ranking.contract(rec.x, rec.y, rec.z)
+                    steps.append(ranking.contract(rec.x, rec.y, rec.z))
                     fired.append(rec)
                     progress = True
                 else:
@@ -149,11 +205,33 @@ def contract_to_clique(
             raise NotWeaklyChordalError(
                 "no two-pair on a non-complete graph; input is not weakly chordal"
             )
-        ranking.contract(*pair, z)
+        steps.append(ranking.contract(*pair, z))
         fired.append(ContractionRecord(*pair, z))
         z += 1
-        pending = sweep(pending)
-    return tuple(fired)
+        if pending:
+            pending = sweep(pending)
+    cls = [1 << p for p in range(g.n)]  # slot -> class of the id in it
+    for sz, sx, _, sy, _ in steps:
+        cls[sz] = cls[sx] | cls[sy]
+    slot = ranking.slots()
+    final = sorted(slot)
+    cm = 0
+    for f in final:
+        cm |= 1 << slot[f]
+    for sz, sx, nx, sy, ny in reversed(steps):
+        if cm >> sz & 1:
+            cm ^= 1 << sz
+            if not cm & ~nx:
+                cm |= 1 << sx
+            elif not cm & ~ny:
+                cm |= 1 << sy
+            else:
+                raise NotWeaklyChordalError(
+                    "clique lift failed: neither parent completes the clique"
+                )
+    ids = g.vertices
+    clique = frozenset(ids[p] for p in _bits(cm))
+    return Contraction(ids, tuple(fired), clique, tuple(cls[slot[f]] for f in final))
 
 
 def order_classes(
@@ -283,6 +361,9 @@ def lift(
     members other than z are live before the record too, so the test is
     exact. ``order_classes`` raises ``InvalidContractionError`` on an order
     that names an id twice or fires a record that may not fire.
+
+    No library code calls it: ``contract_to_clique`` lifts as it contracts.
+    It is the reference replay of an order the tests hold that loop to.
     """
     cls, nb, final = order_classes(g, records)
     clique = set(final)
@@ -305,26 +386,26 @@ def static_color(g: Graph, *, verify: bool = False) -> ColoringState:
 
     ``contract_to_clique`` with nothing to replay: each step contracts the
     first two-pair in ``PairRanking``'s order, so equal graphs get equal
-    orders. The fresh ids count up from ``g.next_id``, as
+    orders, and the loop's classes and clique are the state's coloring and
+    clique. The fresh ids count up from ``g.next_id``, as
     ``Graph.contract_pair`` hands them out; one that is already live raises
     ``GraphError``. Verify mode raises when g is not weakly chordal, or when
-    a ``Graph`` copy contracted per record stops being so.
+    a ``Graph`` copy contracted per record stops being so. The state does
+    not keep the loop's classes as its ``order_structure``: ``verify_state``
+    certifies it by the order's own replay.
     """
     if verify and not is_weakly_chordal(g):
         raise NotWeaklyChordalError("input graph is not weakly chordal")
-    if g.n == 0:
-        return ColoringState(g, {}, 0, frozenset(), ())
-    records = contract_to_clique(g, (), g.next_id)
+    c = contract_to_clique(g, (), g.next_id)
     if verify:
         cur = g
-        for rec in records:
+        for rec in c.order:
             cur, _ = cur.contract_pair(rec.x, rec.y, rec.z)
             if not is_weakly_chordal(cur):
                 raise NotWeaklyChordalError(
                     f"contraction of ({rec.x},{rec.y}) broke weak chordality"
                 )
-    coloring, clique, k = lift(g, records)
-    return ColoringState(g, coloring, k, clique, records)
+    return ColoringState(g, c.coloring(), c.size, c.clique, c.order)
 
 
 def chromatic_number(g: Graph) -> int:

@@ -258,7 +258,7 @@ def replay_outcome(replay, *args, **kwargs):
 def diffed_replay_repair(graph, order):
     """replay_repair's records, with the records of the replayed order it
     lacks and those it adds, as the reference lists them."""
-    records = replay_repair(graph, order)
+    records = replay_repair(graph, order).order
     return records, [r for r in order if r not in records], [r for r in records if r not in order]
 
 
@@ -306,7 +306,7 @@ class TestReplayRepair:
         records: both run one loop, and the first fresh id is next_id when
         next_id is one above the largest id."""
         g = Graph(g.vertices, g.edges())
-        assert replay_repair(g, ()) == static_color(g).order
+        assert replay_repair(g, ()).order == static_color(g).order
 
     @pytest.mark.parametrize(
         "order, message",
@@ -787,9 +787,10 @@ def traced_updates(monkeypatch):
     order's structure, as (new state, report, strict, replays, lifted).
     ``strict`` is whether the strict replay ran; ``replays`` holds, for each
     ``_replay`` of an order on the graph's vertex tuple, whether it read
-    adjacency, and ``lifted`` names each ``lift`` and ``order_classes`` on
-    that graph. Both lists record until the next update, so a test can
-    clear them and see what ``verify_state`` replays."""
+    adjacency, and ``lifted`` names each ``lift``, ``lift_coloring`` and
+    ``order_classes`` on any graph, the growth test's G[C] included, from
+    every module that holds them. Both lists record until the next update,
+    so a test can clear them and see what ``verify_state`` replays."""
     replays, lifted, strict = [], [], []
     watched = [None]  # the vertex tuple of the graph being updated
     replay, replay_repair_one = static_coloring._replay, dynamic_coloring.replay_repair
@@ -803,17 +804,19 @@ def traced_updates(monkeypatch):
         strict.append(args)
         return replay_repair_one(*args)
 
-    def on_watched(name, run):
-        def recorded(g, records):
-            if g.vertices is watched[0]:
-                lifted.append(name)
+    def recorded(name, run):
+        def lifting(g, records):
+            lifted.append(name)
             return run(g, records)
-        return recorded
+        return lifting
 
     monkeypatch.setattr(static_coloring, "_replay", counted)
     monkeypatch.setattr(dynamic_coloring, "replay_repair", counted_repair)
-    for name in ("lift", "order_classes"):
-        monkeypatch.setattr(dynamic_coloring, name, on_watched(name, getattr(dynamic_coloring, name)))
+    for name in ("lift", "lift_coloring", "order_classes"):
+        run = getattr(static_coloring, name)
+        for module in (static_coloring, dynamic_coloring):
+            if getattr(module, name, None) is run:
+                monkeypatch.setattr(module, name, recorded(name, run))
     for state, ev, update, _ in walk_events():
         order_structure(state)
         watched[0] = state.graph.vertices
@@ -842,14 +845,14 @@ class TestStructureReads:
     def test_strict_and_growing_updates_keep_their_structure(self, monkeypatch):
         """A strict I-3-1 insert, an I-3-2 insert and a strict D-2 deletion
         also return a state that keeps its new order's structure, so
-        ``verify_state`` replays nothing. The strict I-3-1 and the I-3-2
-        replay the new order once, edge-free, with no ``lift`` or
-        ``order_classes`` on G+uv (the growth test lifts an induced
-        subgraph); the strict D-2 lifts its order for the clique first."""
+        ``verify_state`` replays nothing. Each replays the new order once,
+        edge-free, and none calls ``lift``, ``lift_coloring`` or
+        ``order_classes`` on any graph: the strict replay and the growth
+        test on G[C] take their cliques off the contraction loop."""
         expected = {  # (case, strict): (replays, lifted)
             ("I-3-1", True): ([False], []),
             ("I-3-2", False): ([False], []),
-            ("D-2", True): ([True, False], ["lift"]),
+            ("D-2", True): ([False], []),
         }
         reached = set()
         for new, rep, strict, replays, lifted in traced_updates(monkeypatch):
@@ -860,6 +863,28 @@ class TestStructureReads:
                 assert verify_state(new) and replays == []
                 reached.add(path)
         assert reached == set(expected)
+
+
+    def test_no_update_lifts(self, monkeypatch):
+        """No update calls ``lift``, ``lift_coloring`` or ``order_classes``
+        on any graph: the growth test on G[C] and the strict replay take
+        their cliques off the contraction loop, and every order's classes
+        come from its structure. Growth tests that contract G[C] are reached."""
+        grown = []
+        loop = dynamic_coloring.contract_to_clique
+
+        def counted(g, replay, z):
+            if not replay:  # the growth test's; the strict replay passes the order
+                grown.append(g)
+            return loop(g, replay, z)
+
+        monkeypatch.setattr(dynamic_coloring, "contract_to_clique", counted)
+        cases = set()
+        for _, rep, _, _, lifted in traced_updates(monkeypatch):
+            assert lifted == [], rep.case_label
+            cases.add(rep.case_label)
+        assert {"I-3-1", "I-3-2", "D-1", "D-2"} <= cases
+        assert grown
 
 
 def downstream(order, rec):

@@ -1,12 +1,15 @@
 """Graph substrate: construction, derived graphs, contraction, interchange."""
 
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from timcolor.generators import random_convex
 from timcolor.graph import Graph, GraphError, from_dict, from_json, make_graph
+from timcolor.tim import all_unicast_messages, build_conflict_graph
 
 from conftest import fixture_graph
 
@@ -261,6 +264,29 @@ def non_edges(g):
     return [(u, v) for i, u in enumerate(ids) for v in ids[i + 1 :] if not g.has_edge(u, v)]
 
 
+def reference_induced_subgraph(g, keep):
+    """``induced_subgraph`` as it was built before it walked set bits: each
+    kept row tests every kept position, O(|C|^2)."""
+    adj = g.adj_masks()
+    at = sorted(g.pos(v) for v in set(keep))
+    ids = tuple(g.id_at(p) for p in at)
+    rows = [sum(1 << i for i, q in enumerate(at) if m >> q & 1) for m in (adj[p] for p in at)]
+    return Graph._from_masks(ids, dict(zip(ids, range(len(ids)))), rows, g.next_id)
+
+
+def reference_flip_error(g, u, v, insert):
+    """The message of the ``GraphError`` flipping (u,v) raises, or None: an
+    unknown vertex first, then a self-loop, then a present or absent edge.
+    A deletion names no vertex or loop: every refusal reads absent."""
+    if not insert:
+        return None if g.has_edge(u, v) else f"edge ({u},{v}) absent"
+    if u not in g or v not in g:
+        return f"unknown vertex in ({u},{v})"
+    if u == v:
+        return f"self-loop at {u}"
+    return f"edge ({u},{v}) already present" if g.has_edge(u, v) else None
+
+
 class TestMaskNative:
     @given(labelled_graphs(), st.data())
     @settings(max_examples=150, deadline=None)
@@ -305,6 +331,38 @@ class TestMaskNative:
             ref = Graph(g.vertices, rest, g.next_id)
             assert_same_graph(g.delete_edge(v, u), ref)
 
+    @given(labelled_graphs(max_n=12), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_induced_subgraph_matches_reference(self, g, data):
+        """The rows walked from their set bits are the rows the all-pairs
+        construction builds, for any kept set, repeats included."""
+        keep = data.draw(st.lists(st.sampled_from(g.vertices)) if g.vertices else st.just([]))
+        assert_same_graph(g.induced_subgraph(keep), reference_induced_subgraph(g, keep))
+
+    def test_induced_conflict_neighbourhoods_match_reference(self):
+        """The common neighbourhoods the growth test induces, on a conflict
+        graph of n = 59 whose rows span more than one machine word."""
+        topo = random_convex(30, 30, random.Random(1))
+        g = build_conflict_graph(topo, all_unicast_messages(topo)).graph
+        for u, v in non_edges(g):
+            common = set(g.neighbors(u)) & set(g.neighbors(v))
+            assert_same_graph(g.induced_subgraph(common), reference_induced_subgraph(g, common))
+
+    @given(labelled_graphs(), st.integers(-1, 31), st.integers(-1, 31))
+    @settings(max_examples=200, deadline=None)
+    def test_flip_errors_keep_their_precedence(self, g, u, v):
+        """Each endpoint is looked up once, and the errors keep their order:
+        unknown vertex, then self-loop, then present edge for an insertion,
+        and absent for every refused deletion."""
+        for insert, positions in ((True, g.insert_positions), (False, g.delete_positions)):
+            want = reference_flip_error(g, u, v, insert)
+            if want is None:
+                assert positions(u, v) == (g.pos(u), g.pos(v))
+            else:
+                with pytest.raises(GraphError) as exc:
+                    positions(u, v)
+                assert str(exc.value) == want
+
     @given(labelled_graphs())
     @settings(max_examples=100, deadline=None)
     def test_complement(self, g):
@@ -332,6 +390,10 @@ class TestMaskNative:
             (lambda g: g.insert_edge(2, 2), r"self-loop at 2"),
             (lambda g: g.delete_edge(0, 2), r"edge \(0,2\) absent"),
             (lambda g: g.delete_edge(0, 7), r"edge \(0,7\) absent"),
+            # an unknown vertex before a self-loop; a deletion reads both absent
+            (lambda g: g.insert_edge(7, 7), r"unknown vertex in \(7,7\)"),
+            (lambda g: g.delete_edge(7, 7), r"edge \(7,7\) absent"),
+            (lambda g: g.delete_edge(2, 2), r"edge \(2,2\) absent"),
         ],
     )
     def test_errors_unchanged(self, op, message):

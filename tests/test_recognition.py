@@ -26,6 +26,7 @@ from timcolor.recognition import (
     _complement,
     _hole_through_edge,
     _hole_through_pair,
+    _straddlers,
     PairRanking,
     bipartition,
     enumerate_two_pairs,
@@ -576,6 +577,52 @@ class TestPrivateNeighbourFilter:
         assert one_sided > 0
 
 
+def k_pass_straddlers(adj, nbrs, component):
+    """``_straddlers`` by one pass over the component K, as
+    ``_hole_through_pair`` once built it: the reference."""
+    some, every = 0, nbrs
+    for p in _bits(component):
+        some |= adj[p]
+        every &= adj[p]
+    return nbrs & some & ~every
+
+
+def straddler_cases(adj):
+    """(N(b), K) for every ordered non-adjacent pair (b, o) of positions,
+    K the component of o in H - N[b], as ``_hole_through_pair`` takes them."""
+    full = (1 << len(adj)) - 1
+    for pb, po in itertools.permutations(range(len(adj)), 2):
+        if not adj[pb] >> po & 1:
+            yield adj[pb], _bfs_reach(adj, po, full & ~adj[pb] & ~(1 << pb))
+
+
+class TestStraddlers:
+    """The neighbours of b that see part of K but not all of it, by a pass
+    over the smaller of N(b) and K, against the pass over K."""
+
+    @given(weakly_chordal_graphs(), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_k_pass(self, g, complemented):
+        adj = g.adj_masks()
+        if complemented:
+            adj = _complement(adj)
+        for nbrs, k in straddler_cases(adj):
+            assert _straddlers(adj, nbrs, k) == k_pass_straddlers(adj, nbrs, k)
+
+    def test_both_passes_on_conflict_graphs(self):
+        """On convex conflict graphs and their complements both passes run,
+        and each gives the K pass's set."""
+        passes = set()
+        for seed in range(3):
+            topo = random_convex(16, 12, random.Random(seed))
+            adj = build_conflict_graph(topo, all_unicast_messages(topo)).graph.adj_masks()
+            for masks in (adj, _complement(adj)):
+                for nbrs, k in straddler_cases(masks):
+                    passes.add(k.bit_count() <= nbrs.bit_count())
+                    assert _straddlers(masks, nbrs, k) == k_pass_straddlers(masks, nbrs, k)
+        assert passes == {True, False}
+
+
 class TestChordalBipartite:
     def test_c4(self):
         assert is_chordal_bipartite(cycle(4), ({0, 2}, {1, 3}))
@@ -691,6 +738,50 @@ class TestTwoPairs:
         first = next(((x, y) for x, y, two in reference_candidate_pairs(g) if two), None)
         tp = find_two_pair(g)
         assert (tp.x, tp.y) == first if tp else first is None
+
+    def test_count0_tail_matches_min_scan(self):
+        """The count-0 tail's two ids, read off the slots that still hold
+        their vertex of g, are those of the ``min`` scan over every live id:
+        the smallest live id a and the smallest id outside a's component.
+        The graphs are two disjoint copies of a weakly chordal graph on odd
+        ids, and every record takes a z below g's ids, negative or in an
+        even gap, so contracted ids undercut base ids. Random two-pairs fire
+        between pops, as the strict replay fires records. ``_least`` is
+        checked against the scan on random live masks after every step."""
+        rng = random.Random(7)
+        tail_pops = 0
+        for _ in range(300):
+            base = random_weakly_chordal(rng.randint(1, 9), rng.randint(0, 14), rng)
+            shift = 2 * base.next_id + 1
+            ids = [2 * v + 1 for v in base.vertices] + [2 * v + shift for v in base.vertices]
+            edges = [(2 * u + 1, 2 * v + 1) for u, v in base.edges()]
+            edges += [(2 * u + shift, 2 * v + shift) for u, v in base.edges()]
+            cur = Graph(ids, edges)
+            fresh = [-1 - i for i in range(cur.n)] + [z for z in range(0, 2 * shift, 2) if z not in cur]
+            ranking = PairRanking(cur)
+            while True:
+                live = ranking._live
+                for mask in (live, *(live & rng.getrandbits(cur.n + len(ids)) for _ in range(3))):
+                    if mask:
+                        assert ranking._least(mask) == min(ranking._ids[s] for s in _bits(mask))
+                pairs = [(x, y) for x, y, two in reference_candidate_pairs(cur) if two]
+                if pairs and rng.random() < 0.3:
+                    pair = rng.choice(pairs)
+                else:
+                    pair = ranking.pop_pair()
+                    if pair is None:
+                        assert not pairs
+                        break
+                    if not set(cur.neighbors(pair[0])) & set(cur.neighbors(pair[1])):
+                        a = min(cur.vertices)
+                        reach = _bfs_reach(cur.adj_masks(), cur.pos(a), (1 << cur.n) - 1)
+                        b = min(v for p, v in enumerate(cur.vertices) if not reach >> p & 1)
+                        assert pair == (a, b)
+                        tail_pops += 1
+                z = fresh.pop(rng.randrange(len(fresh)))
+                ranking.contract(*pair, z)
+                cur, _ = cur.contract_pair(*pair, z)
+        assert tail_pops > 300
 
     @pytest.mark.parametrize(
         "n, edges, expected",

@@ -17,12 +17,14 @@ from timcolor.generators import random_chordal_bipartite, random_convex, random_
 from timcolor.harness import TrialConfig, build_trial_graph
 from timcolor.oracles import oracle_chromatic, oracle_max_clique
 from timcolor.recognition import PairRanking, TwoPair, is_two_pair, is_weakly_chordal
+from timcolor import static_coloring
 from timcolor.static_coloring import (
     ColoringState,
     ContractionRecord,
     InvalidContractionError,
     NotWeaklyChordalError,
     chromatic_number,
+    contract_to_clique,
     diagnose_state,
     lift,
     lift_coloring,
@@ -363,7 +365,7 @@ class TestLift:
         update = delete_update if g.has_edge(u, v) else insert_update
         orders = [update(state, u, v)[0].order]
         try:
-            orders.append(replay_repair(h, state.order))
+            orders.append(replay_repair(h, state.order).order)
         except NotWeaklyChordalError:
             pass
         for order in orders:
@@ -381,6 +383,90 @@ class TestLift:
             topo = random_convex(3 * size, 3 * size, rng)
             g = build_conflict_graph(topo, all_unicast_messages(topo)).graph
             check_lift(g, static_color(g).order)
+
+
+def check_loop_lift(g, result):
+    """The contraction loop's clique, coloring and count are those ``lift``
+    and the chain lift thread back through its own records."""
+    coloring, clique, k = lift(g, result.order)
+    assert (result.coloring(), result.clique, result.size) == (coloring, clique, k)
+    assert chain_lift(g, result.order) == (coloring, clique, k)
+    assert result.vertices is g.vertices
+
+
+@st.composite
+def disconnected_graphs(draw):
+    """Two weakly chordal graphs side by side, ids of the second shifted
+    above the first's: weakly chordal again (a hole or antihole of the union
+    would lie in one side), and with a count-0 tail to contract."""
+    g, h = draw(weakly_chordal_graphs()), draw(weakly_chordal_graphs())
+    off = g.next_id + draw(st.integers(0, 3))
+    edges = list(g.edges()) + [(u + off, v + off) for u, v in h.edges()]
+    return Graph(g.vertices + tuple(v + off for v in h.vertices), edges)
+
+
+class TestLoopLift:
+    """``contract_to_clique`` lifts as it contracts: its results against the
+    replays of the order it returns."""
+
+    @given(st.one_of(weakly_chordal_graphs(), disconnected_graphs()))
+    @settings(max_examples=200, deadline=None)
+    def test_static_orders(self, g):
+        check_loop_lift(g, contract_to_clique(g, (), g.next_id))
+
+    @given(weakly_chordal_graphs(), st.integers(0, 10_000))
+    @settings(max_examples=150, deadline=None)
+    def test_strict_replays(self, g, seed):
+        """The strict replay of a random or static order on a perturbed
+        graph, whose kept records may fire out of order."""
+        rng = random.Random(seed)
+        state = random_order_state(g, rng) if rng.random() < 0.5 else static_color(g)
+        event = perturbed(g, rng)
+        if event is None:
+            return
+        h = event[0]
+        try:
+            result = replay_repair(h, state.order)
+        except NotWeaklyChordalError:
+            return
+        check_loop_lift(h, result)
+
+    def test_criterion_2_graphs_and_growth_subgraphs(self):
+        """The initial graphs of criterion 2's first trials, and for each
+        the common neighbourhoods C = N(u) & N(v) of its non-adjacent pairs,
+        the subgraphs whose clique the I-3 growth test reads off the loop."""
+        subgraphs = 0
+        for seed in range(1, 7):
+            rng = random.Random(seed * 991)
+            g = build_trial_graph(TrialConfig(seed=seed, M=rng.randint(4, 10),
+                                              N=rng.randint(4, 10), density=0.5))
+            check_loop_lift(g, contract_to_clique(g, (), g.next_id))
+            ids = g.vertices
+            for i, u in enumerate(ids):
+                for v in ids[i + 1 :: 5]:
+                    if not g.has_edge(u, v):
+                        sub = g.induced_subgraph(set(g.neighbors(u)) & set(g.neighbors(v)))
+                        check_loop_lift(sub, contract_to_clique(sub, (), sub.next_id))
+                        subgraphs += 1
+        assert subgraphs > 100
+
+    def test_static_state_keeps_no_structure(self, monkeypatch):
+        """``static_color`` keeps none of the loop's classes as the state's
+        ``order_structure``: ``verify_state`` builds it by the order's own
+        edge-free replay, once, and keeps it."""
+        topo = random_convex(30, 30, random.Random(1))
+        state = static_color(build_conflict_graph(topo, all_unicast_messages(topo)).graph)
+        assert state._structure is None
+        replays = []
+        replay = static_coloring._replay
+
+        def counted(ids, records, adj):
+            replays.append(adj is None)
+            return replay(ids, records, adj)
+
+        monkeypatch.setattr(static_coloring, "_replay", counted)
+        assert verify_state(state) and verify_state(state)
+        assert replays == [True] and state._structure is not None
 
 
 NEW_RECORD_PROBLEM = re.compile(
