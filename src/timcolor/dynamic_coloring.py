@@ -110,7 +110,7 @@ def _growth_witness(state: ColoringState, u: int, v: int) -> Optional[frozenset[
     if len({state.coloring[w] for w in common}) < need:
         return None
     sub = g.induced_subgraph(common)
-    found = contract_to_clique(sub, (), sub.next_id).clique
+    found = contract_to_clique(sub, ()).clique
     return found | {u, v} if len(found) == need else None
 
 
@@ -121,16 +121,17 @@ def _growth_witness(state: ColoringState, u: int, v: int) -> Optional[frozenset[
 def replay_repair(graph: Graph, order: tuple[ContractionRecord, ...]) -> Contraction:
     """Replay the order on a perturbed graph, dropping and replacing records.
 
-    ``contract_to_clique`` on ``graph``, with the order to replay and fresh
-    ids from ``fresh_id``: a record that never becomes a two-pair of the
-    quotient is dropped (its parent died, or its pair became an edge or is
-    no longer a two-pair), and the first two-pairs in rank order are added
-    until the quotient is a clique of chi vertices; a run out of two-pairs
-    short of a clique raises. The result's ``order`` is the new order, kept
-    records unchanged and added ones at or above ``fresh_id``, with its
-    clique and class count; ``_certified`` checks that count.
+    ``contract_to_clique`` on ``graph`` with the order to replay, under a
+    name of its own that ``bench/tracing.py`` times: a record that never
+    becomes a two-pair of the quotient is dropped (its parent died, or its
+    pair became an edge or is no longer a two-pair), and the first
+    two-pairs in rank order are added until the quotient is a clique of chi
+    vertices; a run out of two-pairs short of a clique raises. The result's
+    ``order`` is the new order, kept records unchanged and added ones at or
+    above ``fresh_id``, with its clique and class count; ``_certified``
+    checks that count.
     """
-    return contract_to_clique(graph, order, fresh_id(graph, order))
+    return contract_to_clique(graph, order)
 
 
 # ---------------------------------------------------------------------------
@@ -291,11 +292,12 @@ def _finish(
     sequence. Every repair keeps old records unchanged and gives each added
     one an id at or above ``fresh_id(old.graph, old.order)``, so a z names
     one record in both orders. A repair that raises ``NotWeaklyChordalError``
-    falls back to a static recompute, whose ids restart at ``next_id``: it
-    is reported as removing the whole old order and adding the new one. An
-    insertion passes its case; a deletion's is read off the count it ends
-    at, D-1 when it keeps k and D-2 when it lowers it. A new state that
-    keeps the old order takes the old state's ``order_structure`` along.
+    falls back to a static recompute, whose ids restart one above the
+    graph's largest vertex: it is reported as removing the whole old order
+    and adding the new one. An insertion passes its case; a deletion's is
+    read off the count it ends at, D-1 when it keeps k and D-2 when it
+    lowers it. A new state that keeps the old order takes the old state's
+    ``order_structure`` along.
     """
     k = old.color_count
     fallback = False

@@ -1,21 +1,22 @@
 """Undirected simple graphs with stable vertex identities.
 
 Vertices are integer ids that survive derived constructions, and a
-contraction names its merged vertex with a fresh id. Graphs are value-like:
-every mutating operation returns a new ``Graph``.
+contraction names its merged vertex with the id its caller gives. Graphs
+are value-like: every mutating operation returns a new ``Graph``.
 
 Internally the live ids are kept sorted, and adjacency is one python-int
 bitmask per vertex, indexed by sorted position: bit j of the mask at
 position i is set iff ``ids[i]`` and ``ids[j]`` are adjacent. The
 recognition algorithms run BFS directly on these masks, and edge insertion,
-deletion, contraction and complementation derive the child's masks from the
-parent's without going through an edge list.
+deletion, complementation and induced subgraphs derive the child's masks
+from the parent's without going through an edge list. Contraction is built
+plainly from the edge list: the contraction loops merge in place on
+``recognition.PairRanking`` instead.
 """
 
 from __future__ import annotations
 
 import json
-from bisect import bisect_left
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 
@@ -30,14 +31,9 @@ class Graph:
     O(1); neighbor iteration is O(deg).
     """
 
-    __slots__ = ("_ids", "_pos", "_adj", "_next_id")
+    __slots__ = ("_ids", "_pos", "_adj")
 
-    def __init__(
-        self,
-        ids: Sequence[int],
-        edges: Iterable[tuple[int, int]],
-        next_id: Optional[int] = None,
-    ):
+    def __init__(self, ids: Sequence[int], edges: Iterable[tuple[int, int]]):
         self._ids: tuple[int, ...] = tuple(sorted(ids))
         if len(set(self._ids)) != len(self._ids):
             raise GraphError("duplicate vertex id")
@@ -45,18 +41,9 @@ class Graph:
         self._adj = [0] * len(self._ids)
         for u, v in edges:
             self._add_edge_unchecked(u, v)
-        if next_id is None:
-            next_id = max(self._ids, default=-1) + 1
-        self._next_id = next_id
 
     @classmethod
-    def _from_masks(
-        cls,
-        ids: tuple[int, ...],
-        pos: dict[int, int],
-        adj: list[int],
-        next_id: int,
-    ) -> "Graph":
+    def _from_masks(cls, ids: tuple[int, ...], pos: dict[int, int], adj: list[int]) -> "Graph":
         """Wrap already-consistent parts without validation.
 
         ``ids`` must be sorted, ``pos`` its inverse, ``adj`` symmetric and
@@ -64,7 +51,7 @@ class Graph:
         them after construction.
         """
         g = cls.__new__(cls)
-        g._ids, g._pos, g._adj, g._next_id = ids, pos, adj, next_id
+        g._ids, g._pos, g._adj = ids, pos, adj
         return g
 
     def _add_edge_unchecked(self, u: int, v: int) -> None:
@@ -125,10 +112,6 @@ class Graph:
     def edge_count(self) -> int:
         return sum(m.bit_count() for m in self._adj) // 2
 
-    @property
-    def next_id(self) -> int:
-        return self._next_id
-
     # -- positional/bitmask access used by recognition --------------------
 
     def pos(self, v: int) -> int:
@@ -171,7 +154,7 @@ class Graph:
         adj = list(self._adj)
         adj[pu] ^= 1 << pv
         adj[pv] ^= 1 << pu
-        return Graph._from_masks(self._ids, self._pos, adj, self._next_id)
+        return Graph._from_masks(self._ids, self._pos, adj)
 
     def insert_edge(self, u: int, v: int) -> "Graph":
         return self._with_edge_flipped(*self.insert_positions(u, v))
@@ -179,14 +162,16 @@ class Graph:
     def delete_edge(self, u: int, v: int) -> "Graph":
         return self._with_edge_flipped(*self.delete_positions(u, v))
 
-    def contract_pair(self, x: int, y: int, z: Optional[int] = None) -> tuple["Graph", int]:
-        """Merge non-adjacent x and y into a fresh vertex z.
+    def contract_pair(self, x: int, y: int, z: int) -> "Graph":
+        """Merge non-adjacent x and y into the vertex z, adjacent to N(x) | N(y).
 
-        z is adjacent to N(x) | N(y). Two-pair validity is *not* checked here; the
-        coloring layer owns that contract.
-
-        Each surviving mask loses the bits of x and y, and gains a bit at z's
-        sorted position, set where x or y was a neighbor.
+        Two-pair validity is *not* checked here; the coloring layer owns
+        that contract. The quotient keeps every edge that misses x and y and
+        joins z to the union neighborhood. The contraction loops merge in
+        place with ``PairRanking.contract``, which raises the same errors;
+        this is the plain reference they are tested against, and
+        ``static_color(verify=True)`` contracts a copy through it per record
+        to re-check weak chordality.
         """
         if self.has_edge(x, y):
             raise GraphError(f"cannot contract adjacent pair ({x},{y})")
@@ -194,43 +179,19 @@ class Graph:
             raise GraphError(f"unknown vertex in ({x},{y})")
         if x == y:
             raise GraphError(f"cannot contract {x} with itself")
-        if z is None:
-            z = self._next_id
         if z in self._pos:
             raise GraphError(f"contracted id {z} already live")
-        lo, hi = sorted((self._pos[x], self._pos[y]))
-        rest = self._ids[:lo] + self._ids[lo + 1 : hi] + self._ids[hi + 1 :]
-        q = bisect_left(rest, z)
-        ids = rest[:q] + (z,) + rest[q:]
-        # squeeze bits lo and hi out of every mask
-        below_lo = (1 << lo) - 1
-        between = (1 << (hi - lo - 1)) - 1
-        adj = [
-            m & below_lo | (m >> (lo + 1) & between) << lo | m >> (hi + 1) << (hi - 1)
-            for m in self._adj
-        ]
-        nb = adj[lo] | adj[hi]
-        del adj[hi], adj[lo]
-        zmask = nb
-        if q < len(adj):  # z is not the largest id: open bit q
-            below_q = (1 << q) - 1
-            adj = [m & below_q | m >> q << (q + 1) for m in adj]
-            zmask = nb & below_q | nb >> q << (q + 1)
-        zbit = 1 << q
-        while nb:
-            low = nb & -nb
-            adj[low.bit_length() - 1] |= zbit
-            nb ^= low
-        adj.insert(q, zmask)
-        pos = {v: i for i, v in enumerate(ids)}
-        return Graph._from_masks(ids, pos, adj, max(self._next_id, z + 1)), z
+        merged = set(self.neighbors(x)) | set(self.neighbors(y))
+        ids = [v for v in self._ids if v != x and v != y]
+        edges = [e for e in self.edges() if x not in e and y not in e]
+        return Graph(ids + [z], edges + [(z, w) for w in merged])
 
     # -- derived constructions ---------------------------------------------
 
     def complement(self) -> "Graph":
         full = (1 << len(self._ids)) - 1
         adj = [full & ~m & ~(1 << i) for i, m in enumerate(self._adj)]
-        return Graph._from_masks(self._ids, self._pos, adj, self._next_id)
+        return Graph._from_masks(self._ids, self._pos, adj)
 
     def square(self) -> "Graph":
         adj = self._adj
@@ -240,7 +201,7 @@ class Graph:
             for j in range(i + 1, len(self._ids)):
                 if mu >> j & 1 or mu & adj[j]:
                     edges.append((u, self._ids[j]))
-        return Graph(self._ids, edges, self._next_id)
+        return Graph(self._ids, edges)
 
     def line_graph(self) -> "Graph":
         """One vertex per edge; adjacency iff the edges share an endpoint.
@@ -285,7 +246,7 @@ class Graph:
                 row ^= rank[low]
                 walk ^= low
             adj.append(row)
-        return Graph._from_masks(ids, dict(zip(ids, range(len(ids)))), adj, self._next_id)
+        return Graph._from_masks(ids, dict(zip(ids, range(len(ids)))), adj)
 
     # -- equality / serialization ------------------------------------------
 

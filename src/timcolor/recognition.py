@@ -323,9 +323,8 @@ def _near(adj: Sequence[int], nbrs: int, candidates: int) -> int:
     When `nbrs` is the smaller set, only the candidates two hops away (the
     OR of the masks of `nbrs`), which are exactly those with a common
     neighbor; otherwise all of them, for the walk to skip a count of 0.
-    ``PairRanking``'s build calls it once per slot. ``contract``'s far loop
-    applies the same rule inline, counting its candidates off the parents'
-    neighborhoods instead of their mask.
+    ``PairRanking``'s build calls it once per slot, ``contract``'s far loop
+    once per merge.
     """
     if nbrs.bit_count() >= candidates.bit_count():
         return candidates
@@ -516,14 +515,15 @@ class PairRanking:
         D is the smaller of N(x) - N(y) and N(y) - N(x). Every count is
         read off the masks before the merge: the mask of s is read before
         its rewrite, a partner in K is never rewritten, and a partner in B
-        comes later in the pass. The far loop then walks K and the live
-        slots outside N(z) other than x and y, L - 2 - |N(d)| of them with
-        L live vertices, or only those two hops from z when N(z) is the
-        smaller set (``_near``'s rule): a pair with no common neighbor is
-        in no bucket. For each such t the pair (d, t) leaves, and for t
-        outside N(z) so does (k, t), while (z, t) enters. No mask of K is
-        rewritten, and a mask outside N(z) holds neither x nor y, so there
-        (N(z) & N(t)) is the count of (z, t).
+        comes later in the pass. The far loop then walks K and far, the
+        live slots outside N(z) other than x and y, or only those two hops
+        from z when N(z) is the smaller set (``_near``): a pair with no
+        common neighbor is in no bucket. With L live vertices those number
+        |far| + |K| = (L - 2 - |N(z)|) + (|N(k)| - |B|) = L - 2 - |N(d)|,
+        as |N(z)| = |N(k)| + |N(d)| - |B|. For each such t the pair (d, t)
+        leaves, and for t outside N(z) so does (k, t), while (z, t) enters.
+        No mask of K is rewritten, and a mask outside N(z) holds neither x
+        nor y, so there (N(z) & N(t)) is the count of (z, t).
 
         With L live vertices before the merge, x has L - 1 - |N(x)|
         non-neighbors, y likewise, and z has L - 2 - |N(z)|; no other pair
@@ -592,14 +592,7 @@ class PairRanking:
                         top = c
             # The far loop over K and the slots outside N(z) (far).
             far = live & ~nz & ~kbit & ~dbit
-            m = far | only_k
-            if nz.bit_count() < count - 2 - nd.bit_count():
-                reach, r = 0, nz
-                while r:
-                    low = r & -r
-                    reach |= adj[low.bit_length() - 1]
-                    r ^= low
-                m &= reach
+            m = _near(adj, nz, far | only_k)
             while m:
                 low = m & -m
                 m ^= low

@@ -132,9 +132,7 @@ def fresh_id(g: Graph, order: Sequence[ContractionRecord]) -> int:
     return 1 + max([-1, *g.vertices, *(rec.z for rec in order)])
 
 
-def contract_to_clique(
-    g: Graph, replay: Sequence[ContractionRecord], z: int
-) -> Contraction:
+def contract_to_clique(g: Graph, replay: Sequence[ContractionRecord]) -> Contraction:
     """Contract g to a clique, replaying records where they fire, and lift
     the clique and the classes back to g.
 
@@ -144,18 +142,36 @@ def contract_to_clique(
     become one again after later contractions fire, so deferring instead of
     dropping keeps the invalidation from cascading through the record's
     descendants. Then, until the quotient is complete, the first two-pair
-    in rank order (``pop_pair``) is contracted into the fresh id z, z + 1,
-    ..., each followed by another sweep. A fresh id that is live raises
-    ``GraphError``. The result's ``order`` holds the records fired, in
-    firing order, which leave out every record of ``replay`` that never
-    fired.
+    in rank order (``pop_pair``) is contracted into the fresh id z0, z0 + 1,
+    ..., with z0 = ``fresh_id(g, replay)``, each followed by another sweep.
+    The result's ``order`` holds the records fired, in firing order, which
+    leave out every record of ``replay`` that never fired.
 
     By two-pair theory (Hayward-Hoang-Maffray) contracting a two-pair keeps
     a weakly chordal graph weakly chordal and keeps chi, so the loop ends
     in a clique of chi vertices, and a run out of two-pairs short of a
     clique raises ``NotWeaklyChordalError``. That holds for every two-pair
     order, so the loop needs only one: the ranking's, which makes its
-    records a function of g, the records to replay and z.
+    records a function of g and the records to replay.
+
+    Where the fresh ids start changes their names and nothing else: with
+    z0 + c for any c >= 0 the loop fires the same pairs and returns the same
+    clique and classes. Proof: rename every id by phi, the identity below
+    z0 and a shift by c from z0 up. Every id of g and of ``replay`` lies
+    below z0 and every fresh id at or above it, so phi is strictly
+    increasing on the ids the two runs name. The ranking reads ids only by
+    equality (slot lookups, a replayed record's parents, the live-id check)
+    and by order (the (a, b) pairs and their ascending scan within a count,
+    and ``_least``'s smallest base id against ``_zmin``, the least fresh
+    id), and phi keeps both. Its slots and masks never read an id at all.
+    So step by step the runs hold the same slots and masks, phi-renamed
+    buckets and ids, pop phi-renamed pairs and fire the same replayed
+    records; their steps are equal, so are the classes they lift and the
+    clique, a set of g's ids, and the final ids sort alike, so the classes
+    come in the same order. No fresh id is ever live: each lies above every
+    id named before it. So the growth test, which contracts an induced
+    subgraph G[C] whose largest id may lie well below G's, lifts the clique
+    it would lift with fresh ids numbered from above all of G's.
 
     The loop lifts as it contracts. ``PairRanking.contract`` reports each
     firing's step: the slots of x and y, their adjacency masks just before
@@ -179,6 +195,7 @@ def contract_to_clique(
     undone cm holds base slots, which are positions of g.
     """
     ranking = PairRanking(g)
+    z = fresh_id(g, replay)
     fired: list[ContractionRecord] = []
     steps: list[tuple[int, int, int, int, int]] = []  # per fired record, from contract
 
@@ -387,20 +404,19 @@ def static_color(g: Graph, *, verify: bool = False) -> ColoringState:
     ``contract_to_clique`` with nothing to replay: each step contracts the
     first two-pair in ``PairRanking``'s order, so equal graphs get equal
     orders, and the loop's classes and clique are the state's coloring and
-    clique. The fresh ids count up from ``g.next_id``, as
-    ``Graph.contract_pair`` hands them out; one that is already live raises
-    ``GraphError``. Verify mode raises when g is not weakly chordal, or when
-    a ``Graph`` copy contracted per record stops being so. The state does
-    not keep the loop's classes as its ``order_structure``: ``verify_state``
-    certifies it by the order's own replay.
+    clique. The fresh ids count up from one above g's largest vertex.
+    Verify mode raises when g is not weakly chordal, or when a ``Graph``
+    copy contracted per record by ``Graph.contract_pair`` stops being so.
+    The state does not keep the loop's classes as its ``order_structure``:
+    ``verify_state`` certifies it by the order's own replay.
     """
     if verify and not is_weakly_chordal(g):
         raise NotWeaklyChordalError("input graph is not weakly chordal")
-    c = contract_to_clique(g, (), g.next_id)
+    c = contract_to_clique(g, ())
     if verify:
         cur = g
         for rec in c.order:
-            cur, _ = cur.contract_pair(rec.x, rec.y, rec.z)
+            cur = cur.contract_pair(rec.x, rec.y, rec.z)
             if not is_weakly_chordal(cur):
                 raise NotWeaklyChordalError(
                     f"contraction of ({rec.x},{rec.y}) broke weak chordality"

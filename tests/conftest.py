@@ -15,7 +15,7 @@ from timcolor.recognition import (
     stays_weakly_chordal_after_insert,
 )
 from timcolor.harness import PerturbationEvent
-from timcolor.static_coloring import ColoringState, ContractionRecord, lift
+from timcolor.static_coloring import ColoringState, ContractionRecord, fresh_id, lift
 from timcolor.tim import TopologyGraph
 
 
@@ -180,7 +180,7 @@ def replay_chain(graph, records):
     chain = [graph]
     members = {v: frozenset((v,)) for v in graph.vertices}
     for r in records:
-        chain.append(chain[-1].contract_pair(r.x, r.y, r.z)[0])
+        chain.append(chain[-1].contract_pair(r.x, r.y, r.z))
         members[r.z] = members[r.x] | members[r.y]
     return chain, members
 
@@ -207,12 +207,12 @@ def random_order_state(g, rng):
 
     Each step contracts a uniformly random current two-pair: the live pairs
     are shuffled and the first one ``PairRanking.joinable`` accepts fires,
-    with ids counting up from ``g.next_id`` as ``static_color``'s do. Every
+    with ids counting up from ``fresh_id`` as ``static_color``'s do. Every
     two-pair order of a weakly chordal graph ends in a clique of chi
     vertices (Hayward-Hoang-Maffray), so any draw is a valid optimal state.
     """
     ranking = PairRanking(g)
-    live, records, z = list(g.vertices), [], g.next_id
+    live, records, z = list(g.vertices), [], fresh_id(g, ())
     while not ranking.complete():
         pairs = list(itertools.combinations(live, 2))
         rng.shuffle(pairs)

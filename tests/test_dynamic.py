@@ -92,7 +92,7 @@ def reference_replay_repair(graph, order, strict=True, exclude=(), target=None):
             for rec in pending:
                 live = rec.x in cur and rec.y in cur and not cur.has_edge(rec.x, rec.y)
                 if live and (not strict or is_two_pair(cur, rec.x, rec.y)):
-                    cur, _ = cur.contract_pair(rec.x, rec.y, rec.z)
+                    cur = cur.contract_pair(rec.x, rec.y, rec.z)
                     kept.append(rec)
                     progress = True
                 else:
@@ -106,9 +106,9 @@ def reference_replay_repair(graph, order, strict=True, exclude=(), target=None):
         pair = next(((x, y) for x, y, two in ranked if two or not strict), None)
         if pair is None:
             break
-        cur, z = cur.contract_pair(*pair, next_z)
+        cur = cur.contract_pair(*pair, next_z)
+        rec = ContractionRecord(*pair, next_z)
         next_z += 1
-        rec = ContractionRecord(*pair, z)
         kept.append(rec)
         added.append(rec)
         cur, pending = sweep(cur, pending)
@@ -303,9 +303,8 @@ class TestReplayRepair:
     @settings(max_examples=100, deadline=None)
     def test_empty_order_replays_as_static(self, g):
         """With no order to replay, the strict replay adds static_color's
-        records: both run one loop, and the first fresh id is next_id when
-        next_id is one above the largest id."""
-        g = Graph(g.vertices, g.edges())
+        records: both run one loop, with fresh ids from one above the
+        largest id."""
         assert replay_repair(g, ()).order == static_color(g).order
 
     @pytest.mark.parametrize(
@@ -873,10 +872,10 @@ class TestStructureReads:
         grown = []
         loop = dynamic_coloring.contract_to_clique
 
-        def counted(g, replay, z):
+        def counted(g, replay):
             if not replay:  # the growth test's; the strict replay passes the order
                 grown.append(g)
-            return loop(g, replay, z)
+            return loop(g, replay)
 
         monkeypatch.setattr(dynamic_coloring, "contract_to_clique", counted)
         cases = set()

@@ -39,6 +39,7 @@ from timcolor.recognition import (
     stays_weakly_chordal_after_delete,
     stays_weakly_chordal_after_insert,
 )
+from timcolor.static_coloring import fresh_id
 from timcolor.tim import all_unicast_messages, build_conflict_graph
 
 from conftest import (
@@ -712,12 +713,12 @@ class TestTwoPairs:
         ranking matches the contracted graph (``assert_ranking_matches``)."""
         rng = random.Random(seed)
         ranking, cur = PairRanking(g), g
-        fresh = [v for v in range(g.next_id + 2 * g.n) if v not in g]
+        fresh = [v for v in range(fresh_id(g, ()) + 2 * g.n) if v not in g]
 
         def contract(x, y):
             nonlocal cur
             z = fresh.pop(rng.randrange(len(fresh)))
-            cur, _ = cur.contract_pair(x, y, z)
+            cur = cur.contract_pair(x, y, z)
             ranking.contract(x, y, z)
             assert_ranking_matches(ranking, g.n, cur)
 
@@ -752,7 +753,7 @@ class TestTwoPairs:
         tail_pops = 0
         for _ in range(300):
             base = random_weakly_chordal(rng.randint(1, 9), rng.randint(0, 14), rng)
-            shift = 2 * base.next_id + 1
+            shift = 2 * fresh_id(base, ()) + 1
             ids = [2 * v + 1 for v in base.vertices] + [2 * v + shift for v in base.vertices]
             edges = [(2 * u + 1, 2 * v + 1) for u, v in base.edges()]
             edges += [(2 * u + shift, 2 * v + shift) for u, v in base.edges()]
@@ -780,7 +781,7 @@ class TestTwoPairs:
                         tail_pops += 1
                 z = fresh.pop(rng.randrange(len(fresh)))
                 ranking.contract(*pair, z)
-                cur, _ = cur.contract_pair(*pair, z)
+                cur = cur.contract_pair(*pair, z)
         assert tail_pops > 300
 
     @pytest.mark.parametrize(
@@ -832,7 +833,7 @@ class TestTwoPairs:
         assert_ranking_matches(ranking, n, g)
         if pair:
             ranking.contract(*pair, 5)
-            g = g.contract_pair(*pair, 5)[0]
+            g = g.contract_pair(*pair, 5)
             assert_ranking_matches(ranking, n, g)
         assert ranking.pop_pair() is None
         assert_ranking_matches(ranking, n, g)
@@ -858,7 +859,7 @@ class TestTwoPairs:
             ranking.pop_pair()
         ranking.contract(x, y, 9)
         assert ranking._slot[9] == g.pos(kept)
-        assert_ranking_matches(ranking, g.n, g.contract_pair(x, y, 9)[0])
+        assert_ranking_matches(ranking, g.n, g.contract_pair(x, y, 9))
 
 
 class TestPatternLibrary:

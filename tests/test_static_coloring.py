@@ -26,6 +26,7 @@ from timcolor.static_coloring import (
     chromatic_number,
     contract_to_clique,
     diagnose_state,
+    fresh_id,
     lift,
     lift_coloring,
     order_classes,
@@ -56,8 +57,8 @@ def clique(n):
     return make_graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
-def contract(g, pair, z=None):
-    """Merge a two-pair into a fresh vertex adjacent to the union
+def contract(g, pair, z):
+    """Merge a two-pair into the vertex z adjacent to the union
     neighborhood, refusing a pair that is not a two-pair: the reference
     step of the contraction cases."""
     if not is_two_pair(g, pair.x, pair.y):
@@ -71,7 +72,7 @@ def reference_contractions(g):
     Every step sorts all non-adjacent pairs by descending common
     neighborhood, then ascending ids, and contracts the first two-pair.
     """
-    records = []
+    records, z = [], fresh_id(g, ())
     while True:
         ids = g.vertices
         ranked = sorted(
@@ -83,8 +84,9 @@ def reference_contractions(g):
         pair = next(((a, b) for _, a, b in ranked if is_two_pair(g, a, b)), None)
         if pair is None:
             return tuple(records)
-        g, z = g.contract_pair(*pair)
+        g = g.contract_pair(*pair, z)
         records.append(ContractionRecord(*pair, z))
+        z += 1
 
 
 def chain_lift(g, records):
@@ -95,7 +97,7 @@ def chain_lift(g, records):
     """
     chain = [g]
     for rec in records:
-        chain.append(chain[-1].contract_pair(rec.x, rec.y, rec.z)[0])
+        chain.append(chain[-1].contract_pair(rec.x, rec.y, rec.z))
     base = sorted(chain[-1].vertices)
     coloring = {v: i + 1 for i, v in enumerate(base)}
     clique = set(base)
@@ -158,21 +160,21 @@ def final_classes(state):
 
 class TestContract:
     def test_c4_two_pair_contracts_to_p3(self):
-        h, z = contract(cycle(4), TwoPair(0, 2))
-        assert h.n == 3 and h.has_edge(z, 1) and h.has_edge(z, 3)
+        h = contract(cycle(4), TwoPair(0, 2), 4)
+        assert h.n == 3 and h.has_edge(4, 1) and h.has_edge(4, 3)
         assert not h.has_edge(1, 3)
 
     def test_p3_endpoints_to_k2(self):
-        h, z = contract(path(3), TwoPair(0, 2))
-        assert h.n == 2 and h.has_edge(z, 1)
+        h = contract(path(3), TwoPair(0, 2), 3)
+        assert h.n == 2 and h.has_edge(3, 1)
 
     def test_fig6_paper_sequence_reaches_k3(self, fig6):
         # contract (v2,v5), (v1,v4), (v3,v6); result is K3 on the
         # classes {v2,v5}, {v1,v4}, {v3,v6}
-        g = fig6
-        g, z25 = contract(g, TwoPair(1, 4))
-        g, z14 = contract(g, TwoPair(0, 3))
-        g, z36 = contract(g, TwoPair(2, 5))
+        z25, z14, z36 = 6, 7, 8
+        g = contract(fig6, TwoPair(1, 4), z25)
+        g = contract(g, TwoPair(0, 3), z14)
+        g = contract(g, TwoPair(2, 5), z36)
         assert g.n == 3
         assert g.has_edge(z25, z14) and g.has_edge(z14, z36) and g.has_edge(z25, z36)
         _, members = replay_chain(fig6, order_of([[1, 4, z25], [0, 3, z14], [2, 5, z36]]))
@@ -182,7 +184,7 @@ class TestContract:
 
     def test_rejects_non_two_pair(self):
         with pytest.raises(InvalidContractionError):
-            contract(path(4), TwoPair(0, 3))
+            contract(path(4), TwoPair(0, 3), 4)
 
     def test_preserves_weak_chordality(self):
         rng = random.Random(7)
@@ -193,7 +195,7 @@ class TestContract:
             tp = find_two_pair(g)
             if tp is None:
                 continue
-            h, _ = contract(g, tp)
+            h = contract(g, tp, fresh_id(g, ()))
             assert is_weakly_chordal(h)
 
 
@@ -235,15 +237,9 @@ class TestStaticColor:
         with pytest.raises(NotWeaklyChordalError, match="not weakly chordal"):
             static_color(cycle(5))
 
-    @pytest.mark.parametrize("verify", [False, True])
-    def test_live_fresh_id_rejected(self, verify):
-        """Fresh ids count up from next_id; one that is live is an error."""
-        g = Graph(range(4), [(0, 1), (1, 2), (2, 3)], next_id=1)
-        with pytest.raises(GraphError, match="contracted id 1 already live"):
-            static_color(g, verify=verify)
-
-    def test_fresh_ids_count_up_from_next_id(self):
-        g = Graph([0, 1, 2, 3], [(0, 1), (2, 3)], next_id=10)
+    def test_fresh_ids_count_up_from_largest_vertex(self):
+        """On sparse ids the fresh ids start one above the largest vertex."""
+        g = Graph([0, 3, 5, 9], [(0, 3), (5, 9)])
         assert [r.z for r in static_color(g).order] == [10, 11]
 
     def test_static_color_contracts_no_graph(self, monkeypatch):
@@ -293,10 +289,10 @@ class TestStaticColor:
     @settings(max_examples=100, deadline=None)
     def test_random_orders_are_two_pair_orders(self, g, seed):
         """The tests' random orders fire only two-pairs, take ids from
-        next_id up, and lift to static_color's count."""
+        fresh_id up, and lift to static_color's count."""
         state = random_order_state(g, random.Random(seed))
         ranking = PairRanking(g)
-        for z, rec in enumerate(state.order, g.next_id):
+        for z, rec in enumerate(state.order, fresh_id(g, ())):
             assert rec.z == z
             assert ranking.joinable(rec.x, rec.y)
             ranking.contract(rec.x, rec.y, rec.z)
@@ -400,9 +396,81 @@ def disconnected_graphs(draw):
     above the first's: weakly chordal again (a hole or antihole of the union
     would lie in one side), and with a count-0 tail to contract."""
     g, h = draw(weakly_chordal_graphs()), draw(weakly_chordal_graphs())
-    off = g.next_id + draw(st.integers(0, 3))
+    off = fresh_id(g, ()) + draw(st.integers(0, 3))
     edges = list(g.edges()) + [(u + off, v + off) for u, v in h.edges()]
     return Graph(g.vertices + tuple(v + off for v in h.vertices), edges)
+
+
+def criterion_2_graphs():
+    """The initial graphs of criterion 2's first trials, each with some of
+    the common neighbourhoods C = N(u) & N(v) of its non-adjacent pairs as
+    induced subgraphs: those whose clique the I-3 growth test reads off the
+    loop."""
+    for seed in range(1, 7):
+        rng = random.Random(seed * 991)
+        g = build_trial_graph(TrialConfig(seed=seed, M=rng.randint(4, 10),
+                                          N=rng.randint(4, 10), density=0.5))
+        ids = g.vertices
+        subs = [
+            g.induced_subgraph(set(g.neighbors(u)) & set(g.neighbors(v)))
+            for i, u in enumerate(ids)
+            for v in ids[i + 1 :: 5]
+            if not g.has_edge(u, v)
+        ]
+        yield g, subs
+
+
+def ranked_order(g, first):
+    """The records a ``PairRanking`` of g pops and contracts down to a
+    clique, with fresh ids counting up from ``first``."""
+    ranking, records, z = PairRanking(g), [], first
+    while not ranking.complete():
+        pair = ranking.pop_pair()
+        ranking.contract(*pair, z)
+        records.append(ContractionRecord(*pair, z))
+        z += 1
+    return tuple(records)
+
+
+def check_fresh_id_shift(g, c):
+    """Fresh ids from ``fresh_id(g, ())`` + c pop the same pairs as those
+    from ``fresh_id(g, ())``, up to the shift, and lift the same coloring
+    and clique; the unshifted run is ``contract_to_clique``'s, whose
+    records it returns."""
+    first = fresh_id(g, ())
+    base, shifted = ranked_order(g, first), ranked_order(g, first + c)
+
+    def unshift(v):
+        return v - c if v >= first + c else v
+
+    assert tuple(ContractionRecord(*map(unshift, r.as_list())) for r in shifted) == base
+    assert lift(g, shifted)[:2] == lift(g, base)[:2]
+    assert contract_to_clique(g, ()).order == base
+    return base
+
+
+class TestFreshIdShift:
+    """Where the fresh ids start names them and changes nothing else (the
+    claim in ``contract_to_clique``'s docstring)."""
+
+    @given(st.one_of(weakly_chordal_graphs(), disconnected_graphs()), st.integers(0, 40))
+    @settings(max_examples=200, deadline=None)
+    def test_random_shift(self, g, c):
+        check_fresh_id_shift(g, c)
+
+    def test_criterion_2_growth_subgraphs(self):
+        """G[C] with fresh ids from above G's ids, as the growth test once
+        numbered them, and from c more."""
+        rng = random.Random(28)
+        shifted = 0
+        for g, subs in criterion_2_graphs():
+            check_fresh_id_shift(g, rng.randint(0, 40))
+            for sub in subs:
+                gap = fresh_id(g, ()) - fresh_id(sub, ())
+                check_fresh_id_shift(sub, gap + rng.randint(0, 40))
+                if gap > 0 and check_fresh_id_shift(sub, gap):
+                    shifted += 1
+        assert shifted > 20
 
 
 class TestLoopLift:
@@ -412,7 +480,7 @@ class TestLoopLift:
     @given(st.one_of(weakly_chordal_graphs(), disconnected_graphs()))
     @settings(max_examples=200, deadline=None)
     def test_static_orders(self, g):
-        check_loop_lift(g, contract_to_clique(g, (), g.next_id))
+        check_loop_lift(g, contract_to_clique(g, ()))
 
     @given(weakly_chordal_graphs(), st.integers(0, 10_000))
     @settings(max_examples=150, deadline=None)
@@ -432,22 +500,14 @@ class TestLoopLift:
         check_loop_lift(h, result)
 
     def test_criterion_2_graphs_and_growth_subgraphs(self):
-        """The initial graphs of criterion 2's first trials, and for each
-        the common neighbourhoods C = N(u) & N(v) of its non-adjacent pairs,
-        the subgraphs whose clique the I-3 growth test reads off the loop."""
+        """The initial graphs of criterion 2's first trials and their
+        growth subgraphs (``criterion_2_graphs``)."""
         subgraphs = 0
-        for seed in range(1, 7):
-            rng = random.Random(seed * 991)
-            g = build_trial_graph(TrialConfig(seed=seed, M=rng.randint(4, 10),
-                                              N=rng.randint(4, 10), density=0.5))
-            check_loop_lift(g, contract_to_clique(g, (), g.next_id))
-            ids = g.vertices
-            for i, u in enumerate(ids):
-                for v in ids[i + 1 :: 5]:
-                    if not g.has_edge(u, v):
-                        sub = g.induced_subgraph(set(g.neighbors(u)) & set(g.neighbors(v)))
-                        check_loop_lift(sub, contract_to_clique(sub, (), sub.next_id))
-                        subgraphs += 1
+        for g, subs in criterion_2_graphs():
+            check_loop_lift(g, contract_to_clique(g, ()))
+            for sub in subs:
+                check_loop_lift(sub, contract_to_clique(sub, ()))
+            subgraphs += len(subs)
         assert subgraphs > 100
 
     def test_static_state_keeps_no_structure(self, monkeypatch):
@@ -516,7 +576,7 @@ def graph_replay_diagnose(state, problems):
         if cur.has_edge(rec.x, rec.y):
             problems.append(f"order record ({rec.x},{rec.y},{rec.z}) contracts an edge")
             return
-        cur, _ = cur.contract_pair(rec.x, rec.y, rec.z)
+        cur = cur.contract_pair(rec.x, rec.y, rec.z)
         if rec.z in named:
             problems.append(f"order record ({rec.x},{rec.y},{rec.z}) reuses dead id {rec.z}")
             return
@@ -550,7 +610,7 @@ def corrupted_states(draw):
     count, clique = state.color_count, state.clique
     records = list(state.order)
     edges = list(g.edges())
-    some_id = st.integers(-1, g.next_id + 2)
+    some_id = st.integers(-1, fresh_id(g, ()) + 2)
 
     def at(extra=1):
         return draw(st.integers(0, len(records) - 1 + extra))
@@ -571,10 +631,10 @@ def corrupted_states(draw):
             records.insert(draw(st.integers(i, len(records))), records[i])
         elif kind == "edge" and edges:
             u, v = draw(st.sampled_from(edges))
-            records.insert(at(), ContractionRecord(u, v, g.next_id + 5))
+            records.insert(at(), ContractionRecord(u, v, fresh_id(g, ()) + 5))
         elif kind == "self":
             v = draw(st.sampled_from(ids))
-            records.insert(at(), ContractionRecord(v, v, g.next_id + 5))
+            records.insert(at(), ContractionRecord(v, v, fresh_id(g, ()) + 5))
         elif kind == "live" and records:
             i = at(0)
             r = records[i]
@@ -732,7 +792,8 @@ class TestVerifyState:
                 return
             clique.add(rng.choice(outside))
         else:
-            clique |= set(rng.sample([-1, g.next_id, g.next_id + 3], rng.randint(1, 3)))
+            top = fresh_id(g, ())
+            clique |= set(rng.sample([-1, top, top + 3], rng.randint(1, 3)))
         corrupt = ColoringState(graph, state.coloring, state.color_count, frozenset(clique), state.order)
         expected: list[str] = []
         graph_replay_diagnose(corrupt, expected)
