@@ -39,7 +39,8 @@ def main() -> None:
     print(f"convex network: {topo.M} sources, {topo.N} destinations, "
           f"{len(topo.links)} links, {len(msgs)} messages")
 
-    state = static_color(cg.graph, verify=True)
+    assert is_weakly_chordal(cg.graph)
+    state = static_color(cg.graph)
     assert verify_state(state)
     print(f"optimal TDMA schedule uses {state.color_count} slots "
           f"(sum DoF {dof_report(state, msgs).sum_dof})")

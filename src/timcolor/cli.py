@@ -11,10 +11,10 @@ Subcommands::
     verify <state.json>           check a saved coloring state
     oracle <graph.json>           brute-force chromatic/clique numbers
 
-Exit codes: 0 = success, 1 = usage or I/O error (including an
-``insert``/``delete`` event that would leave the graph not weakly
-chordal), 2 = assertion failure (including an input state that
-``verify`` would reject, given to ``insert``/``delete``).
+Exit codes: 0 = success, 1 = usage or I/O error (including a graph not
+weakly chordal under ``--verify`` or after an ``insert``/``delete``
+event), 2 = assertion failure (including a state ``verify`` rejects,
+given to ``insert``/``delete`` or produced under ``--verify``).
 State JSON (written by ``color``, consumed by ``insert``/``delete``/
 ``verify``) bundles the graph with the coloring so a step is replayable
 from a single file.
@@ -34,6 +34,7 @@ from .oracles import oracle_chromatic, oracle_max_clique
 from .recognition import (
     ORACLE_CAP,
     OracleCapExceeded,
+    is_weakly_chordal,
     stays_weakly_chordal_after_delete,
     stays_weakly_chordal_after_insert,
 )
@@ -43,7 +44,6 @@ from .static_coloring import (
     NotWeaklyChordalError,
     diagnose_state,
     static_color,
-    verify_state,
 )
 from .dynamic_coloring import delete_update, insert_update
 from .tim import (
@@ -136,9 +136,20 @@ def _emit(payload: dict, out: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
+def _static_state(g: Graph, verify: bool) -> ColoringState:
+    """``static_color`` of g; ``verify`` checks that g is weakly chordal first,
+    and ``diagnose_state`` the state before anything is emitted or scheduled."""
+    if verify and not is_weakly_chordal(g):
+        raise NotWeaklyChordalError("input graph is not weakly chordal")
+    state = static_color(g)
+    problems = diagnose_state(state) if verify else []
+    if problems:
+        raise AssertionError("produced state failed verification: " + "; ".join(problems))
+    return state
+
+
 def _cmd_color(args) -> int:
-    g = _load_graph(args.graph)
-    state = static_color(g, verify=args.verify)
+    state = _static_state(_load_graph(args.graph), args.verify)
     _emit(state_to_dict(state), args.out)
     return EXIT_OK
 
@@ -155,9 +166,8 @@ def _cmd_schedule(args) -> int:
     t = load_topology(_load_json(args.topology))
     msgs = all_unicast_messages(t)
     cg = build_conflict_graph(t, msgs)
-    state = static_color(cg.graph, verify=args.verify)
-    schedule = emit_schedule(state, msgs)
-    payload = schedule_to_dict(schedule)
+    state = _static_state(cg.graph, args.verify)
+    payload = schedule_to_dict(emit_schedule(state, msgs))
     payload["dof"] = dof_report(state, msgs).to_dict()
     _emit(payload, args.out)
     return EXIT_OK
@@ -180,9 +190,10 @@ def _cmd_step(args, kind: str) -> int:
         raise NotWeaklyChordalError(
             f"{kind} ({args.u},{args.v}) would leave the graph not weakly chordal")
     new_state, report = step(state, args.u, args.v)
-    if args.verify and not verify_state(new_state):
-        _emit({"error": "post-step verification failed", "report": report.to_dict()},
-              args.out)
+    problems = diagnose_state(new_state) if args.verify else []
+    if problems:
+        _emit({"error": "post-step verification failed", "problems": problems,
+               "report": report.to_dict()}, args.out)
         return EXIT_ASSERTION
     if bound is not None:
         if len(report.recolored) > bound or report.pairs_changed > bound:

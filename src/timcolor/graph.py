@@ -9,9 +9,9 @@ bitmask per vertex, indexed by sorted position: bit j of the mask at
 position i is set iff ``ids[i]`` and ``ids[j]`` are adjacent. The
 recognition algorithms run BFS directly on these masks, and edge insertion,
 deletion, complementation and induced subgraphs derive the child's masks
-from the parent's without going through an edge list. Contraction is built
-plainly from the edge list: the contraction loops merge in place on
-``recognition.PairRanking`` instead.
+from the parent's without going through an edge list. Contraction, built
+plainly from the edge list, is the tests' reference and has no library
+caller: the contraction loops merge in place on ``recognition.PairRanking``.
 """
 
 from __future__ import annotations
@@ -167,11 +167,10 @@ class Graph:
 
         Two-pair validity is *not* checked here; the coloring layer owns
         that contract. The quotient keeps every edge that misses x and y and
-        joins z to the union neighborhood. The contraction loops merge in
-        place with ``PairRanking.contract``, which raises the same errors;
-        this is the plain reference they are tested against, and
-        ``static_color(verify=True)`` contracts a copy through it per record
-        to re-check weak chordality.
+        joins z to the union neighborhood. No library code calls it: the
+        contraction loops merge in place with ``PairRanking.contract``,
+        which raises the same errors. It is the plain reference the tests
+        hold them to, kept in the library for the ``bench/tracing.py`` pin.
         """
         if self.has_edge(x, y):
             raise GraphError(f"cannot contract adjacent pair ({x},{y})")

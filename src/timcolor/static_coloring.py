@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .graph import Graph
-from .recognition import PairRanking, _bits, is_weakly_chordal
+from .recognition import PairRanking, _bits
 
 
 class NotWeaklyChordalError(ValueError):
@@ -398,29 +398,19 @@ def lift(
     return _structure_from(g.vertices, records, cls, final).coloring(), frozenset(clique), len(final)
 
 
-def static_color(g: Graph, *, verify: bool = False) -> ColoringState:
+def static_color(g: Graph) -> ColoringState:
     """Simultaneous maximum clique and minimum coloring via contraction.
 
     ``contract_to_clique`` with nothing to replay: each step contracts the
     first two-pair in ``PairRanking``'s order, so equal graphs get equal
     orders, and the loop's classes and clique are the state's coloring and
-    clique. The fresh ids count up from one above g's largest vertex.
-    Verify mode raises when g is not weakly chordal, or when a ``Graph``
-    copy contracted per record by ``Graph.contract_pair`` stops being so.
-    The state does not keep the loop's classes as its ``order_structure``:
+    clique. The fresh ids count up from one above g's largest vertex. A
+    run out of two-pairs raises ``NotWeaklyChordalError``; a clique reached
+    does not prove g weakly chordal (``is_weakly_chordal`` does). The
+    loop's classes are not kept as the state's ``order_structure``:
     ``verify_state`` certifies it by the order's own replay.
     """
-    if verify and not is_weakly_chordal(g):
-        raise NotWeaklyChordalError("input graph is not weakly chordal")
     c = contract_to_clique(g, ())
-    if verify:
-        cur = g
-        for rec in c.order:
-            cur = cur.contract_pair(rec.x, rec.y, rec.z)
-            if not is_weakly_chordal(cur):
-                raise NotWeaklyChordalError(
-                    f"contraction of ({rec.x},{rec.y}) broke weak chordality"
-                )
     return ColoringState(g, c.coloring(), c.size, c.clique, c.order)
 
 

@@ -39,6 +39,14 @@ def weakly_chordal_graphs(draw):
     return g
 
 
+def perfection_graphs(count=500, seed=101):
+    """Acceptance criterion 1's random weakly chordal graphs, n in 1..12."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 12)
+        yield random_weakly_chordal(n, rng.randint(0, n * (n - 1) // 2), rng)
+
+
 # The triple-centred hole search that ``is_weakly_chordal`` and
 # ``is_chordal_bipartite`` once ran, and the generator built on it: the
 # references the edge-search recognition is compared against.

@@ -42,7 +42,7 @@ from timcolor.tim import (
     topology_event_to_conflict_deltas,
 )
 
-from conftest import fixture_graph, random_order_state, replay_chain
+from conftest import fixture_graph, perfection_graphs, random_order_state, replay_chain
 
 BOUND = 8
 
@@ -56,13 +56,11 @@ def merged_classes(graph, records):
 def test_criterion_1_perfection():
     """chi == omega == maintained count on >= 500 weakly chordal graphs."""
     t0 = time.monotonic()
-    rng = random.Random(101)
     checked = 0
-    while checked < 500:
-        n = rng.randint(1, 12)
-        g = random_weakly_chordal(n, rng.randint(0, n * (n - 1) // 2), rng)
-        k = static_color(g, verify=True).color_count
-        assert k == oracle_chromatic(g) == len(oracle_max_clique(g))
+    for g in perfection_graphs():
+        state = static_color(g)
+        assert verify_state(state)
+        assert state.color_count == oracle_chromatic(g) == len(oracle_max_clique(g))
         checked += 1
     elapsed = time.monotonic() - t0
     assert elapsed < 60

@@ -16,10 +16,12 @@ from pathlib import Path
 import pytest
 
 import timcolor
+from timcolor import cli
 from timcolor.cli import EXIT_ASSERTION, EXIT_OK, EXIT_USAGE, build_parser, main
 from timcolor.harness import TrialConfig, run_simulation
+from timcolor.static_coloring import ColoringState, static_color
 
-from conftest import load_fixture
+from conftest import fixture_graph, load_fixture
 
 
 def fixture_path(tmp_path, name):
@@ -38,6 +40,14 @@ def run(capsys, *argv):
 def run_json(capsys, *argv):
     code, out, err = run(capsys, *argv)
     return code, json.loads(out) if out else None, err
+
+
+def miscolored(state):
+    """The state with its graph's first edge's first end recolored onto the
+    other end's color: ``improper coloring on edge`` names it."""
+    u, v = next(state.graph.edges())
+    coloring = {**state.coloring, u: state.coloring[v]}
+    return ColoringState(state.graph, coloring, state.color_count, state.clique, state.order)
 
 
 class TestColor:
@@ -74,6 +84,41 @@ class TestColor:
                              "--verify")
         assert code == EXIT_USAGE
         assert not out
+
+    def test_verify_checks_the_input_graph(self, capsys, tmp_path):
+        """A graph that is not weakly chordal, yet contracts to a 3-clique
+        whose state verifies: only the input check refuses it."""
+        edges = [[0, 1], [0, 3], [0, 6], [1, 3], [1, 4], [2, 3], [2, 5], [2, 6], [3, 4], [4, 5]]
+        graph = tmp_path / "graph.json"
+        graph.write_text(json.dumps({"n": 7, "edges": edges}))
+        code, payload, _ = run_json(capsys, "color", str(graph))
+        assert code == EXIT_OK and payload["color_count"] == 3
+        code, out, err = run(capsys, "color", str(graph), "--verify")
+        assert code == EXIT_USAGE and not out
+        assert err == "timcolor: error: input graph is not weakly chordal\n"
+
+    @pytest.mark.parametrize("command, name", [("color", "fig6.json"),
+                                               ("schedule", "fig1_topology.json")])
+    def test_verify_certifies_the_produced_state(self, capsys, tmp_path, monkeypatch,
+                                                 command, name):
+        """A produced state that fails verification exits 2, names its
+        problem and writes nothing."""
+        bad = miscolored(static_color(fixture_graph("fig6.json")))
+        monkeypatch.setattr(cli, "static_color", lambda g: bad)
+        out_file = tmp_path / "out.json"
+        code, out, err = run(capsys, command, fixture_path(tmp_path, name),
+                             "--verify", "--out", str(out_file))
+        assert code == EXIT_ASSERTION and not out
+        assert err.startswith("timcolor: error: produced state failed verification: ")
+        assert "improper coloring on edge" in err
+        assert not out_file.exists()
+
+    def test_verify_writes_the_same_state(self, capsys, tmp_path):
+        plain, verified = tmp_path / "plain.json", tmp_path / "verified.json"
+        graph = fixture_path(tmp_path, "fig6.json")
+        assert main(["color", graph, "--out", str(plain)]) == EXIT_OK
+        assert main(["color", graph, "--verify", "--out", str(verified)]) == EXIT_OK
+        assert plain.read_bytes() == verified.read_bytes()
 
     def test_negative_vertex_count_is_usage_error(self, capsys, tmp_path):
         bad = tmp_path / "neg.json"
@@ -114,6 +159,24 @@ class TestSteps:
         assert code == EXIT_OK
         assert payload["report"]["kind"] == "delete"
         assert payload["report"]["colors_after"] == 3
+
+    @pytest.mark.parametrize("kind, u, v", [("insert", 1, 4), ("delete", 0, 1)])
+    def test_post_step_failure_lists_problems(self, capsys, monkeypatch, fig6_state, kind, u, v):
+        """A post-step state that fails verification is reported with its
+        problems, as a failing input state is."""
+        real = getattr(cli, f"{kind}_update")
+
+        def corrupted(state, *uv):
+            new_state, report = real(state, *uv)
+            return miscolored(new_state), report
+
+        monkeypatch.setattr(cli, f"{kind}_update", corrupted)
+        code, payload, err = run_json(capsys, kind, str(fig6_state), str(u), str(v), "--verify")
+        assert code == EXIT_ASSERTION and not err
+        assert payload["error"] == "post-step verification failed"
+        assert payload["report"]["kind"] == kind
+        problems = payload["problems"]
+        assert problems and all(p.startswith("improper coloring on edge") for p in problems)
 
     def test_bound_violation_exits_2(self, capsys, fig6_state):
         code, payload, _ = run_json(capsys, "insert", str(fig6_state), "1", "4",

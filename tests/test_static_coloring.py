@@ -38,6 +38,7 @@ from timcolor.tim import all_unicast_messages, build_conflict_graph
 from conftest import (
     fixture_graph,
     order_of,
+    perfection_graphs,
     perturbed,
     random_order_state,
     replay_chain,
@@ -187,16 +188,21 @@ class TestContract:
             contract(path(4), TwoPair(0, 3), 4)
 
     def test_preserves_weak_chordality(self):
-        rng = random.Random(7)
-        from timcolor.recognition import find_two_pair
-
-        for _ in range(25):
-            g = random_weakly_chordal(rng.randint(4, 10), rng.randint(3, 16), rng)
-            tp = find_two_pair(g)
-            if tp is None:
-                continue
-            h = contract(g, tp, fresh_id(g, ()))
-            assert is_weakly_chordal(h)
+        """Two-pair theory on static_color's whole order: every graph of its
+        ``Graph.contract_pair`` replay is weakly chordal, and every record is
+        a two-pair of the graph before it. On criterion 1's graphs and the
+        benchmark's convex 30x30 and dense n = 50 networks."""
+        topo = random_convex(30, 30, random.Random(1))
+        graphs = [
+            *perfection_graphs(),
+            build_conflict_graph(topo, all_unicast_messages(topo)).graph,
+            build_trial_graph(TrialConfig(seed=1, M=10, N=10, density=0.5)),
+        ]
+        for g in graphs:
+            order = static_color(g).order
+            chain, _ = replay_chain(g, order)
+            assert all(is_weakly_chordal(h) for h in chain)
+            assert all(is_two_pair(h, r.x, r.y) for h, r in zip(chain, order))
 
 
 class TestStaticColor:
@@ -228,10 +234,6 @@ class TestStaticColor:
         st1 = static_color(make_graph(1, []))
         assert st1.color_count == 1
 
-    def test_non_weakly_chordal_rejected(self):
-        with pytest.raises(NotWeaklyChordalError):
-            static_color(cycle(5), verify=True)
-
     def test_non_weakly_chordal_rejected_without_verify(self):
         # no two-pair on C5, and the ranking's masks are not a clique
         with pytest.raises(NotWeaklyChordalError, match="not weakly chordal"):
@@ -243,7 +245,7 @@ class TestStaticColor:
         assert [r.z for r in static_color(g).order] == [10, 11]
 
     def test_static_color_contracts_no_graph(self, monkeypatch):
-        """static_color contracts on the ranking's masks; verify mode adds one Graph per record."""
+        """static_color contracts on the ranking's masks and builds no Graph."""
         topo = random_convex(30, 30, random.Random(1))
         g = build_conflict_graph(topo, all_unicast_messages(topo)).graph
         calls = []
@@ -257,8 +259,6 @@ class TestStaticColor:
         state = static_color(g)
         assert len(state.order) > 20 and verify_state(state)
         assert calls == []
-        assert static_color(g, verify=True).order == state.order
-        assert len(calls) == len(state.order)
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=80, deadline=None)
@@ -306,7 +306,6 @@ class TestStaticColor:
         """Same records as the sorting loop, on ids that are not contiguous too."""
         expected = reference_contractions(g)
         assert static_color(g).order == expected
-        assert static_color(g, verify=True).order == expected
         # a random two-pair order has the same color count
         shuffled = random_order_state(g, random.Random(seed))
         assert verify_state(shuffled)
