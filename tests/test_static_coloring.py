@@ -234,6 +234,13 @@ class TestStaticColor:
         st1 = static_color(make_graph(1, []))
         assert st1.color_count == 1
 
+    def test_non_weakly_chordal_rejected(self):
+        """Every hole and antihole of length 5..8 has no two-pair."""
+        for n in (5, 6, 7, 8):
+            for g in (cycle(n), cycle(n).complement()):
+                with pytest.raises(NotWeaklyChordalError, match="not weakly chordal"):
+                    static_color(g)
+
     def test_non_weakly_chordal_rejected_without_verify(self):
         # no two-pair on C5, and the ranking's masks are not a clique
         with pytest.raises(NotWeaklyChordalError, match="not weakly chordal"):
